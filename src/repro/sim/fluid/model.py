@@ -37,7 +37,8 @@ class FluidFlow:
         #: completion writes ``fct_ns``/``completed`` exactly as the
         #: packet-mode Receiver would
         self.flow = flow
-        #: link indices into ``FluidNetwork.links``, source to sink
+        #: link indices into ``FluidNetwork.links``, source to sink, each
+        #: link at most once (``FluidNetwork`` refuses anything else)
         self.path = path
         #: one-way propagation delay of the path (last-byte delivery)
         self.path_delay_ns = path_delay_ns

@@ -26,21 +26,31 @@ Hybrid coupling (both directions, applied in :meth:`_epoch_apply`):
   transmitted bytes into a packet-rate EWMA; the solver sees
   ``capacity − packet_rate`` and re-solves when any link's measured
   rate moved more than 1% of capacity.
+
+Epoch cost: one epoch walks each active flow's path a constant number
+of times and touches each link a constant number of times outside the
+solver's ``min`` — never a link × flow product.  The link→flows
+incidence the solver needs is kept up to date at flow start/finish
+instead of being rebuilt, and per-link sums are accumulated flow by
+flow in activation order, which is the order the per-link scan they
+replace added them in, so every float is bit-identical (docs/FLUID.md,
+"Epoch cost").
 """
 
 from __future__ import annotations
 
 from math import sqrt
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.spans import wall_ns
 from repro.units import MSS, SEC
 
 from repro.sim.fluid.model import FluidFlow, FluidLink
-from repro.sim.fluid.solver import max_min_shares
+from repro.sim.fluid.solver import check_path, water_fill
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.metrics.fct import FctCollector
+    from repro.net.port import PortStats
     from repro.obs.spans import SpanRecorder
     from repro.sim.engine import EventHandle, Simulator
 
@@ -58,6 +68,7 @@ _MIN_RATE_FRAC = 0.01
 
 #: EWMA gain for the measured packet rate (DCTCP's own g)
 _PKT_EWMA_G = 0.5
+_PKT_EWMA_KEEP = 1.0 - _PKT_EWMA_G
 
 #: re-solve when a link's measured packet rate moves by more than this
 #: fraction of nominal capacity since the last solve
@@ -78,6 +89,12 @@ _RESOLVE_FRAC = 0.01
 #: docs/FLUID.md for the experiment.
 _RAMP_DEFICIT_SCALE = 0.125
 
+#: window in packets = rate_bps * rtt_ns / _WINDOW_DENOM
+_WINDOW_DENOM = 8e9 * MSS
+#: ramp deficit in bytes = dr^2 * rtt_s^2 / _RAMP_DENOM (bits:
+#: dr^2 rtt^2 / (2 * 8*MSS); /8 again for bytes)
+_RAMP_DENOM = 128.0 * MSS
+
 
 class FluidNetwork:
     """Epoch-driven rate evolution for the promoted flows."""
@@ -95,6 +112,11 @@ class FluidNetwork:
         "threshold_crossings",
         "completed",
         "_active",
+        "_paths",
+        "_link_flows",
+        "_saturated",
+        "_caps",
+        "_measured",
         "_finish_handle",
         "_last_settle_ns",
         "_pkt_at_solve",
@@ -114,6 +136,8 @@ class FluidNetwork:
         self.sim = sim
         self.flows: List[FluidFlow] = list(flows)
         self.links: List[FluidLink] = list(links)
+        for fl in self.flows:
+            check_path(fl.path, len(self.links), f"flow {fl.flow.id}")
         self.collector = collector
         self.spans = spans
         #: True when packet flows coexist: couple rates/delay/marking
@@ -129,7 +153,40 @@ class FluidNetwork:
         self.threshold_crossings = 0
         self.completed = 0
         # -- private epoch state ---------------------------------------
+        #: indices of the flows in flight, in activation order
         self._active: List[int] = []
+        #: every flow's path, by flow index (the solver's view)
+        self._paths = [fl.path for fl in self.flows]
+        #: per link, the active flows crossing it, in activation order:
+        #: the transpose of ``_active``'s paths, kept in step with it at
+        #: flow start/finish
+        self._link_flows: List[List[int]] = [[] for _ in self.links]
+        #: the links the current allocation saturates
+        self._saturated: Set[int] = set()
+        #: per link, the capacity the solver may hand out: nominal minus
+        #: the measured packet rate, floored (refreshed at each solve
+        #: for the links that have a port to measure)
+        self._caps: List[float] = []
+        #: the links that shadow a port, with the per-link constants of
+        #: the measurement tick: (index, link, port counters, rate
+        #: floor, re-solve threshold)
+        self._measured: List[
+            Tuple[int, FluidLink, "PortStats", float, float]
+        ] = []
+        for li, link in enumerate(self.links):
+            floor = _MIN_RATE_FRAC * link.capacity_bps
+            residual = link.capacity_bps - link.pkt_rate_bps
+            self._caps.append(residual if residual > floor else floor)
+            if link.port is not None:
+                self._measured.append(
+                    (
+                        li,
+                        link,
+                        link.port.stats,
+                        floor,
+                        _RESOLVE_FRAC * link.capacity_bps,
+                    )
+                )
         self._finish_handle: Optional["EventHandle"] = None
         self._last_settle_ns = 0
         #: per-link packet rate the current allocation was solved with
@@ -161,6 +218,9 @@ class FluidNetwork:
         fl = self.flows[i]
         fl.active = True
         self._active.append(i)
+        link_flows = self._link_flows
+        for li in fl.path:
+            link_flows[li].append(i)
         self._epoch_resolve("start")
 
     def on_finish_due(self) -> None:
@@ -170,6 +230,7 @@ class FluidNetwork:
         self._finish_handle = None
         self._epoch_settle()
         now = self.sim.now
+        link_flows = self._link_flows
         still: List[int] = []
         for i in self._active:
             fl = self.flows[i]
@@ -177,6 +238,8 @@ class FluidNetwork:
                 fl.remaining_bytes = 0.0
                 fl.active = False
                 fl.done = True
+                for li in fl.path:
+                    link_flows[li].remove(i)
                 flow = fl.flow
                 flow.fct_ns = now - flow.start_ns + fl.path_delay_ns
                 flow.completed = True
@@ -194,26 +257,30 @@ class FluidNetwork:
         """Hybrid measurement tick: fold packet throughput back in."""
         if self._done:
             return
+        tick_ns = self.tick_ns
+        at_solve = self._pkt_at_solve
         moved = False
-        for li, link in enumerate(self.links):
-            port = link.port
-            if port is None:
+        for li, link, stats, _floor, threshold in self._measured:
+            sent = stats.tx_bytes
+            prev = link.pkt_bytes_prev
+            rate = link.pkt_rate_bps
+            if sent == prev and rate == 0.0:
+                # Nothing sent and nothing to decay: the update would
+                # leave 0.0.  The re-solve test cannot fire either: it
+                # did not on the tick that brought the rate to 0.0 (or
+                # it re-solved, which zeroed at_solve[li]).
                 continue
-            cur = port.stats.tx_bytes
-            inst = (cur - link.pkt_bytes_prev) * _BITS_NS / self.tick_ns
-            link.pkt_bytes_prev = cur
-            link.pkt_rate_bps = (
-                (1.0 - _PKT_EWMA_G) * link.pkt_rate_bps + _PKT_EWMA_G * inst
+            link.pkt_bytes_prev = sent
+            link.pkt_rate_bps = rate = _PKT_EWMA_KEEP * rate + _PKT_EWMA_G * (
+                (sent - prev) * _BITS_NS / tick_ns
             )
-            if (
-                abs(link.pkt_rate_bps - self._pkt_at_solve[li])
-                > _RESOLVE_FRAC * link.capacity_bps
-            ):
+            drift = rate - at_solve[li]
+            if drift > threshold or -drift > threshold:
                 moved = True
         if moved:
             self._epoch_settle()
             self._epoch_resolve("tick")
-        self.sim.schedule(self.tick_ns, self.on_tick)
+        self.sim.schedule(tick_ns, self.on_tick)
 
     # -- epoch helpers (the only other mutation sites) ------------------
 
@@ -224,38 +291,49 @@ class FluidNetwork:
         self._last_settle_ns = now
         if dt <= 0:
             return
+        flows = self.flows
         for i in self._active:
-            fl = self.flows[i]
-            fl.remaining_bytes -= fl.rate_bps * dt / _BITS_NS
-            if fl.remaining_bytes < 0.0:
-                fl.remaining_bytes = 0.0
+            fl = flows[i]
+            left = fl.remaining_bytes - fl.rate_bps * dt / _BITS_NS
+            fl.remaining_bytes = left if left > 0.0 else 0.0
 
     def _epoch_resolve(self, why: str) -> None:
         """Re-solve shares, update link/marking state, re-arm finish."""
-        t0 = wall_ns()
+        spans = self.spans
+        t0 = wall_ns() if spans is not None else 0
         links = self.links
+        flows = self.flows
         active = self._active
-        caps: List[float] = []
-        for li, link in enumerate(links):
-            residual = link.capacity_bps - link.pkt_rate_bps
-            floor = _MIN_RATE_FRAC * link.capacity_bps
-            caps.append(residual if residual > floor else floor)
-            self._pkt_at_solve[li] = link.pkt_rate_bps
-        paths = [self.flows[i].path for i in active]
-        rates, bottlenecks, iters = max_min_shares(caps, paths)
+        link_flows = self._link_flows
+        caps = self._caps
+        at_solve = self._pkt_at_solve
+        for li, link, _stats, floor, _threshold in self._measured:
+            at_solve[li] = rate = link.pkt_rate_bps
+            residual = link.capacity_bps - rate
+            caps[li] = residual if residual > floor else floor
+        rates, bottlenecks, iters = water_fill(
+            caps[:], link_flows, self._paths, len(active)
+        )
         self.epochs += 1
         self.solver_iterations += iters
-        # per-flow rate + DCTCP-style alpha at the new share
-        for k, i in enumerate(active):
-            fl = self.flows[i]
-            new_rate = rates[k]
+        # One pass over the active flows, in activation order: the new
+        # rate and DCTCP-style alpha of each, its contribution to every
+        # link on its path, and the earliest projected finish.
+        fluid_bps = [0.0] * len(links)
+        alpha_sums = [0.0] * len(links)
+        finish_in = -1
+        for i in active:
+            fl = flows[i]
+            new_rate = rates[i]
             old_rate = fl.rate_bps
+            path = fl.path
             # effective RTT: propagation both ways plus the standing
             # queues currently held on the path (assumed symmetric for
             # the ACK direction, as in the bulk scenarios)
-            rtt_ns = 2 * fl.path_delay_ns
-            for li in fl.path:
-                rtt_ns += 2 * links[li].q_delay_ns
+            rtt_ns = fl.path_delay_ns
+            for li in path:
+                rtt_ns += links[li].q_delay_ns
+            rtt_ns *= 2
             if 0.0 < old_rate < new_rate:
                 # Congestion-avoidance ramp deficit: a real DCTCP flow
                 # claims a raised share at +1 MSS of window per RTT
@@ -266,44 +344,49 @@ class FluidNetwork:
                 # Flows *starting* are exempt: slow start is
                 # exponential and reaches these shares within a few
                 # RTTs (a documented error bound, not worth modelling).
-                # bits: dr^2 rtt^2 / (2 * 8*MSS); /8 again for bytes
                 dr = new_rate - old_rate
                 rtt_s = rtt_ns / 1e9
                 fl.remaining_bytes += _RAMP_DEFICIT_SCALE * (
-                    dr * dr * rtt_s * rtt_s / (128.0 * MSS)
+                    dr * dr * rtt_s * rtt_s / _RAMP_DENOM
                 )
             fl.rate_bps = new_rate
-            w_pkts = new_rate * rtt_ns / (8e9 * MSS)
-            if w_pkts < 1.0:
-                w_pkts = 1.0
-            fl.alpha = min(1.0, sqrt(2.0 / w_pkts))
-        # per-link totals, saturation, standing queue, marking fraction
-        for li, link in enumerate(links):
-            total = 0.0
-            alpha_sum = 0.0
-            n_crossing = 0
-            for k, i in enumerate(active):
-                fl = self.flows[i]
-                if li in fl.path:
-                    total += rates[k]
-                    alpha_sum += fl.alpha
-                    n_crossing += 1
-            link.fluid_rate_bps = total
-            sat = li in bottlenecks
-            if sat != link.saturated:
-                self.threshold_crossings += 1
-                link.saturated = sat
-            if sat and n_crossing:
+            w_pkts = new_rate * rtt_ns / _WINDOW_DENOM
+            alpha = sqrt(2.0 / w_pkts) if w_pkts > 2.0 else 1.0
+            fl.alpha = alpha
+            for li in path:
+                fluid_bps[li] += new_rate
+                alpha_sums[li] += alpha
+            if new_rate > 0.0:
+                delay = int(-(-(fl.remaining_bytes * _BITS_NS) // new_rate))
+                if finish_in < 0 or delay < finish_in:
+                    finish_in = delay
+        for link, bps in zip(links, fluid_bps):
+            link.fluid_rate_bps = bps
+        # Saturation, standing queue and marking fraction.  An
+        # unsaturated link holds no queue and marks nothing, so only
+        # the links entering, staying in or leaving the bottleneck set
+        # have state to move — and only the first and last kind change
+        # what their port must do.
+        flipped: List[FluidLink] = []
+        for li in bottlenecks:
+            link = links[li]
+            link.mark_frac = alpha_sums[li] / len(link_flows[li])
+            if not link.saturated:
+                link.saturated = True
                 link.q_delay_ns = link.q_delay_cap_ns
-                link.mark_frac = alpha_sum / n_crossing
-            else:
-                link.q_delay_ns = 0
-                link.mark_frac = 0.0
-                link.mark_acc = 0.0
+                flipped.append(link)
+        for li in self._saturated - bottlenecks:
+            link = links[li]
+            link.saturated = False
+            link.q_delay_ns = 0
+            link.mark_frac = 0.0
+            link.mark_acc = 0.0
+            flipped.append(link)
+        self._saturated = bottlenecks
+        self.threshold_crossings += len(flipped)
         if self.hybrid:
-            self._epoch_apply()
-        self._epoch_arm()
-        spans = self.spans
+            self._epoch_apply(flipped)
+        self._epoch_arm(finish_in)
         if spans is not None:
             spans.add(
                 "fluid",
@@ -319,7 +402,7 @@ class FluidNetwork:
                 },
             )
 
-    def _epoch_apply(self) -> None:
+    def _epoch_apply(self, flipped: Sequence[FluidLink]) -> None:
         """Couple the new allocation into the packet-mode ports.
 
         Deliberately *not* by reducing ``port.rate_bps``: the port
@@ -337,33 +420,34 @@ class FluidNetwork:
         the measurement-tick timescale through the reverse coupling
         (the solver sees ``capacity − measured packet rate``), not
         instantaneously — see docs/FLUID.md for the error bound.
+
+        ``flipped`` are the links whose saturation changed this epoch.
+        A port reads ``mark_frac`` through its ``fluid`` slot, so a
+        link that stays saturated needs no write, and one that stays
+        unsaturated keeps the wire delay and empty slot it was built
+        with (``base_delay_ns`` is the port's own link delay).
         """
-        for link in self.links:
+        for link in flipped:
             port = link.port
             if port is None:
                 continue
             port._link_delay = link.base_delay_ns + link.q_delay_ns
             port.fluid = link if link.mark_frac > 0.0 else None
 
-    def _epoch_arm(self) -> None:
-        """(Re-)schedule the earliest projected flow finish."""
+    def _epoch_arm(self, finish_in: int) -> None:
+        """(Re-)schedule the earliest projected flow finish.
+
+        ``finish_in`` is the delay to it in ns, negative when no active
+        flow is moving.
+        """
         sim = self.sim
         if self._finish_handle is not None:
             sim.cancel(self._finish_handle)
             self._finish_handle = None
-        best = -1
-        for i in self._active:
-            fl = self.flows[i]
-            if fl.rate_bps <= 0.0:
-                continue
-            left = fl.remaining_bytes * _BITS_NS
-            delay = int(-(-left // fl.rate_bps))
-            if delay < 1:
-                delay = 1
-            if best < 0 or delay < best:
-                best = delay
-        if best >= 0:
-            self._finish_handle = sim.schedule(best, self.on_finish_due)
+        if finish_in >= 0:
+            self._finish_handle = sim.schedule(
+                max(finish_in, 1), self.on_finish_due
+            )
 
     def _epoch_restore(self) -> None:
         """All fluid flows done: hand the ports back untouched."""

@@ -75,9 +75,29 @@ class TestMaxMinSolver:
     def test_no_flows(self):
         assert max_min_shares([1.0], []) == ([], set(), 0)
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            max_min_shares([1.0], [[0], []])
+    @pytest.mark.parametrize(
+        "bad_path, complaint",
+        [
+            ([], "flow 1 has an empty path"),
+            ([0, 2], "flow 1 crosses link 2"),
+            ([-1], "flow 1 crosses link -1"),
+            ([1, 0, 1], "flow 1 crosses a link twice"),
+        ],
+    )
+    def test_malformed_path_rejected(self, bad_path, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            max_min_shares([1.0, 1.0], [[0], bad_path])
+
+    def test_unconstrained_links_behind_an_idle_one(self):
+        # link 0 carries nothing, so its placeholder share ties with the
+        # infinite shares of the live links; the tie must go to a live one
+        inf = float("inf")
+        rates, bottlenecks, iters = max_min_shares(
+            [5.0, inf, inf], [[1], [2]]
+        )
+        assert rates == [inf, inf]
+        assert bottlenecks == {1, 2}
+        assert iters == 2
 
     def test_deterministic(self):
         caps = [7.0, 3.0, 5.0]
@@ -98,6 +118,28 @@ def _static_run(sizes, capacity_bps, path_delay_ns=0):
     net.on_start()
     sim.run()
     return net, flows
+
+
+class TestMalformedPathsRejectedAtConstruction:
+    """The per-link accounting walks paths, so a path that is empty,
+    leaves the graph or repeats a link is refused up front."""
+
+    @pytest.mark.parametrize(
+        "bad_path, complaint",
+        [
+            ((), "flow 7 has an empty path"),
+            ((0, 2), "flow 7 crosses link 2"),
+            ((1, 0, 1), "flow 7 crosses a link twice"),
+        ],
+    )
+    def test_network_names_the_flow(self, bad_path, complaint):
+        links = [FluidLink(None, 1e9), FluidLink(None, 1e9)]
+        flows = [
+            FluidFlow(Flow(3, 0, 1, 1000), (0, 1), 0),
+            FluidFlow(Flow(7, 0, 1, 1000), bad_path, 0),
+        ]
+        with pytest.raises(ValueError, match=complaint):
+            FluidNetwork(Simulator(), flows, links, FctCollector())
 
 
 class TestStaticSingleBottleneckExact:
@@ -249,6 +291,29 @@ _FLUID_GOLDEN = {
             "epochs": 87,
             "solver_iterations": 28,
             "threshold_crossings": 11,
+        },
+    },
+    # The paper's 144-host fabric (9 leaves x 4 spines x 16 hosts, 360
+    # fluid links), small enough for tier-1.  Pinned on the commit
+    # *before* the epoch path went linear (ISSUE 12), so it proves the
+    # rewrite bit-identical at the scale it was written for.
+    "leafspine144_bulk_hybrid": {
+        "config": dict(
+            topology="leafspine", n_leaf=9, n_spine=4, hosts_per_leaf=16,
+            link_rate_bps=10**9, workload="bulk", load=0.7, n_flows=200,
+            seed=100, mode="hybrid", fluid_size_bytes=1_000_000,
+        ),
+        "fct_sha256": (
+            "f41063f87f8ef517089c0e0a5e1387f1dafbfafa38288cfa474a7c273e4ad212"
+        ),
+        "completed": 200,
+        "total": 200,
+        "fluid_stats": {
+            "flows": 138,
+            "completed": 138,
+            "epochs": 462,
+            "solver_iterations": 12416,
+            "threshold_crossings": 325,
         },
     },
 }
