@@ -15,111 +15,152 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
-from repro.core.tcn import Tcn, ProbabilisticTcn
-from repro.core.thresholds import (
-    standard_red_threshold_bytes,
-    standard_tcn_threshold_ns,
-    ideal_red_threshold_bytes,
-)
-from repro.aqm import (
-    Aqm,
-    NoopAqm,
-    CoDel,
-    MqEcn,
-    Pie,
-    PerQueueRed,
-    PerPortRed,
-    PerPoolRed,
-    BufferPool,
-    DequeueRed,
-    IdealRed,
-    RateMeter,
-    RedMarker,
-)
-from repro.sched import (
-    Scheduler,
-    FifoScheduler,
-    StrictPriorityScheduler,
-    WrrScheduler,
-    DwrrScheduler,
-    WfqScheduler,
-    SpDwrrScheduler,
-    SpWfqScheduler,
-    PifoScheduler,
-)
-from repro.sched.base import make_queues
-from repro.sim import Simulator, RngFactory
-from repro.net import (
-    Packet,
-    PacketKind,
-    PacketQueue,
-    Link,
-    EgressPort,
-    Switch,
-    Host,
-    DscpClassifier,
-    make_nic,
-)
-from repro.transport import (
-    Flow,
-    SenderBase,
-    DctcpSender,
-    DcqcnSender,
-    EcnStarSender,
-    RenoSender,
-    Receiver,
-)
-from repro.workloads import (
-    EmpiricalCdf,
-    WEB_SEARCH,
-    DATA_MINING,
-    HADOOP,
-    CACHE,
-    ALL_WORKLOADS,
-    workload_by_name,
-    FlowGenerator,
-)
-from repro.pias import PiasTagger
-from repro.apps import Pinger, IncastApp, IncastQuery
-from repro.topo import StarTopology, LeafSpineTopology
-from repro.metrics import (
-    FctCollector,
-    FctSummary,
-    percentile,
-    GoodputTracker,
-    OccupancySampler,
-)
-from repro.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_sweep,
-    ResultCache,
-    SweepError,
-    SweepOutcome,
-    SweepResult,
-    SweepStats,
-    SCHEMES,
-    SCHEDULERS,
-    TRANSPORTS,
-    format_table,
-    format_fct_rows,
-    format_port_breakdown,
-)
-from repro.obs import (
-    Tracer,
-    NullTracer,
-    NULL_TRACER,
-    MetricsRegistry,
-    Counter,
-    Gauge,
-    Histogram,
-    RunProfile,
-    TraceSummary,
-    summarize_events,
-    summarize_trace_file,
-    format_trace_summary,
-)
+import sys
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+
+
+def _lazy_exports(
+    package: str, exports: Dict[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__``/``__dir__`` serving a package's re-exports.
+
+    ``exports`` maps every public name of ``package`` to the module that
+    defines it.  The first access imports that module and stores the
+    object in the package's namespace, so every later access is a plain
+    attribute read that never reaches ``__getattr__``: a process pays for
+    the modules it uses, not for everything the package can name.
+
+    The helper lives here, not in a module of its own, because every file
+    under ``src/repro`` must map to a ledger layer
+    (``benchmarks/ledger/layers.py``) and a new file directly under
+    ``src/repro/`` has none.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        home = exports.get(name)
+        if home is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        # the import statement's own entry point, not importlib's: only
+        # this one shows up in a `python -X importtime` log
+        __import__(home)
+        value = namespace[name] = getattr(sys.modules[home], name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace).union(exports))
+
+    return __getattr__, __dir__
+
+
+if TYPE_CHECKING:
+    from repro.core.tcn import Tcn, ProbabilisticTcn
+    from repro.core.thresholds import (
+        standard_red_threshold_bytes,
+        standard_tcn_threshold_ns,
+        ideal_red_threshold_bytes,
+    )
+    from repro.aqm import (
+        Aqm,
+        NoopAqm,
+        CoDel,
+        MqEcn,
+        Pie,
+        PerQueueRed,
+        PerPortRed,
+        PerPoolRed,
+        BufferPool,
+        DequeueRed,
+        IdealRed,
+        RateMeter,
+        RedMarker,
+    )
+    from repro.sched import (
+        Scheduler,
+        FifoScheduler,
+        StrictPriorityScheduler,
+        WrrScheduler,
+        DwrrScheduler,
+        WfqScheduler,
+        SpDwrrScheduler,
+        SpWfqScheduler,
+        PifoScheduler,
+    )
+    from repro.sched.base import make_queues
+    from repro.sim import Simulator, RngFactory
+    from repro.net import (
+        Packet,
+        PacketKind,
+        PacketQueue,
+        Link,
+        EgressPort,
+        Switch,
+        Host,
+        DscpClassifier,
+        make_nic,
+    )
+    from repro.transport import (
+        Flow,
+        SenderBase,
+        DctcpSender,
+        DcqcnSender,
+        EcnStarSender,
+        RenoSender,
+        Receiver,
+    )
+    from repro.workloads import (
+        EmpiricalCdf,
+        WEB_SEARCH,
+        DATA_MINING,
+        HADOOP,
+        CACHE,
+        ALL_WORKLOADS,
+        workload_by_name,
+        FlowGenerator,
+    )
+    from repro.pias import PiasTagger
+    from repro.apps import Pinger, IncastApp, IncastQuery
+    from repro.topo import StarTopology, LeafSpineTopology
+    from repro.metrics import (
+        FctCollector,
+        FctSummary,
+        percentile,
+        GoodputTracker,
+        OccupancySampler,
+    )
+    from repro.harness import (
+        ExperimentConfig,
+        ExperimentResult,
+        run_experiment,
+        run_sweep,
+        ResultCache,
+        SweepError,
+        SweepOutcome,
+        SweepResult,
+        SweepStats,
+        SCHEMES,
+        SCHEDULERS,
+        TRANSPORTS,
+        format_table,
+        format_fct_rows,
+        format_port_breakdown,
+    )
+    from repro.obs import (
+        Tracer,
+        NullTracer,
+        NULL_TRACER,
+        MetricsRegistry,
+        Counter,
+        Gauge,
+        Histogram,
+        RunProfile,
+        TraceSummary,
+        summarize_events,
+        summarize_trace_file,
+        format_trace_summary,
+    )
 
 __version__ = "1.0.0"
 
@@ -228,3 +269,100 @@ __all__ = [
     "summarize_trace_file",
     "format_trace_summary",
 ]
+
+_EXPORTS = {
+    "Tcn": "repro.core.tcn",
+    "ProbabilisticTcn": "repro.core.tcn",
+    "standard_red_threshold_bytes": "repro.core.thresholds",
+    "standard_tcn_threshold_ns": "repro.core.thresholds",
+    "ideal_red_threshold_bytes": "repro.core.thresholds",
+    "Aqm": "repro.aqm",
+    "NoopAqm": "repro.aqm",
+    "CoDel": "repro.aqm",
+    "MqEcn": "repro.aqm",
+    "Pie": "repro.aqm",
+    "PerQueueRed": "repro.aqm",
+    "PerPortRed": "repro.aqm",
+    "PerPoolRed": "repro.aqm",
+    "BufferPool": "repro.aqm",
+    "DequeueRed": "repro.aqm",
+    "IdealRed": "repro.aqm",
+    "RateMeter": "repro.aqm",
+    "RedMarker": "repro.aqm",
+    "Scheduler": "repro.sched",
+    "FifoScheduler": "repro.sched",
+    "StrictPriorityScheduler": "repro.sched",
+    "WrrScheduler": "repro.sched",
+    "DwrrScheduler": "repro.sched",
+    "WfqScheduler": "repro.sched",
+    "SpDwrrScheduler": "repro.sched",
+    "SpWfqScheduler": "repro.sched",
+    "PifoScheduler": "repro.sched",
+    "make_queues": "repro.sched.base",
+    "Simulator": "repro.sim",
+    "RngFactory": "repro.sim",
+    "Packet": "repro.net",
+    "PacketKind": "repro.net",
+    "PacketQueue": "repro.net",
+    "Link": "repro.net",
+    "EgressPort": "repro.net",
+    "Switch": "repro.net",
+    "Host": "repro.net",
+    "DscpClassifier": "repro.net",
+    "make_nic": "repro.net",
+    "Flow": "repro.transport",
+    "SenderBase": "repro.transport",
+    "DctcpSender": "repro.transport",
+    "DcqcnSender": "repro.transport",
+    "EcnStarSender": "repro.transport",
+    "RenoSender": "repro.transport",
+    "Receiver": "repro.transport",
+    "EmpiricalCdf": "repro.workloads",
+    "WEB_SEARCH": "repro.workloads",
+    "DATA_MINING": "repro.workloads",
+    "HADOOP": "repro.workloads",
+    "CACHE": "repro.workloads",
+    "ALL_WORKLOADS": "repro.workloads",
+    "workload_by_name": "repro.workloads",
+    "FlowGenerator": "repro.workloads",
+    "PiasTagger": "repro.pias",
+    "Pinger": "repro.apps",
+    "IncastApp": "repro.apps",
+    "IncastQuery": "repro.apps",
+    "StarTopology": "repro.topo",
+    "LeafSpineTopology": "repro.topo",
+    "FctCollector": "repro.metrics",
+    "FctSummary": "repro.metrics",
+    "percentile": "repro.metrics",
+    "GoodputTracker": "repro.metrics",
+    "OccupancySampler": "repro.metrics",
+    "ExperimentConfig": "repro.harness",
+    "ExperimentResult": "repro.harness",
+    "run_experiment": "repro.harness",
+    "run_sweep": "repro.harness",
+    "ResultCache": "repro.harness",
+    "SweepError": "repro.harness",
+    "SweepOutcome": "repro.harness",
+    "SweepResult": "repro.harness",
+    "SweepStats": "repro.harness",
+    "SCHEMES": "repro.harness",
+    "SCHEDULERS": "repro.harness",
+    "TRANSPORTS": "repro.harness",
+    "format_table": "repro.harness",
+    "format_fct_rows": "repro.harness",
+    "format_port_breakdown": "repro.harness",
+    "Tracer": "repro.obs",
+    "NullTracer": "repro.obs",
+    "NULL_TRACER": "repro.obs",
+    "MetricsRegistry": "repro.obs",
+    "Counter": "repro.obs",
+    "Gauge": "repro.obs",
+    "Histogram": "repro.obs",
+    "RunProfile": "repro.obs",
+    "TraceSummary": "repro.obs",
+    "summarize_events": "repro.obs",
+    "summarize_trace_file": "repro.obs",
+    "format_trace_summary": "repro.obs",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -52,39 +52,27 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from typing import TYPE_CHECKING, List
 
-from repro.harness.config import ExperimentConfig
-from repro.harness.report import (
-    format_fct_rows,
-    format_port_breakdown,
-    format_stall_table,
-)
-from repro.harness.runner import run_experiment
-from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
-from repro.harness.sweep import ResultCache, SweepResult, run_sweep
-from repro.obs import (
-    DEFAULT_CAPACITY,
-    DEFAULT_SPAN_CAPACITY,
-    RunProfile,
-    SpanRecorder,
-    Tracer,
-    format_span_summary,
-    format_trace_summary,
-    load_spans_jsonl,
-    stall_table,
-    summarize_events,
-    summarize_trace_file,
-    trace_events_to_chrome,
-    write_chrome,
-)
-from repro.obs.spans import write_chrome_doc
-from repro.sim.equeue import BACKENDS
-from repro.units import KB
+# Each sub-command imports its own machinery when it runs, so `lint`,
+# `trace` and `timeline` never load the simulator and `run`/`sweep` never
+# load the linter, the bench harness or (without --workers) the parallel
+# engine.  Only what annotations need is named here.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.sweep import SweepResult
 
-_EQUEUE_CHOICES = sorted(BACKENDS) + ["auto"]
+
+def _equeue_choices() -> List[str]:
+    from repro.sim.equeue import BACKENDS
+
+    return sorted(BACKENDS) + ["auto"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+    from repro.obs import DEFAULT_CAPACITY, DEFAULT_SPAN_CAPACITY
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run a TCN-reproduction experiment.",
@@ -121,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-port traffic/mark/drop breakdown",
     )
     parser.add_argument(
-        "--equeue", default="heap", choices=_EQUEUE_CHOICES,
+        "--equeue", default="heap", choices=_equeue_choices(),
         help=(
             "event-queue backend (results are identical across backends; "
             "'auto' picks by workload shape)"
@@ -266,6 +254,8 @@ def build_report_parser() -> argparse.ArgumentParser:
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
+    from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
         description=(
@@ -309,7 +299,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--equeue", default="auto", choices=_EQUEUE_CHOICES,
+        "--equeue", default="auto", choices=_equeue_choices(),
         help=(
             "event-queue backend for every grid point (default auto: "
             "picked per config from its workload shape; results are "
@@ -398,6 +388,12 @@ def _sweep_label(result: SweepResult) -> str:
 
 
 def sweep_main(argv=None) -> int:
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.report import format_fct_rows
+    from repro.harness.sweep import ResultCache, run_sweep
+    from repro.obs import SpanRecorder
+    from repro.units import KB
+
     args = build_sweep_parser().parse_args(argv)
     grid = itertools.product(
         args.scheme or ["tcn"],
@@ -501,6 +497,14 @@ def sweep_main(argv=None) -> int:
 
 
 def trace_main(argv=None) -> int:
+    from repro.obs import (
+        format_trace_summary,
+        load_spans_jsonl,
+        summarize_trace_file,
+        trace_events_to_chrome,
+    )
+    from repro.obs.spans import write_chrome_doc
+
     args = build_trace_parser().parse_args(argv)
     if args.format == "chrome":
         out = args.out or args.path + ".chrome.json"
@@ -525,6 +529,14 @@ def trace_main(argv=None) -> int:
 
 
 def timeline_main(argv=None) -> int:
+    from repro.harness.report import format_stall_table
+    from repro.obs import (
+        format_span_summary,
+        load_spans_jsonl,
+        stall_table,
+        write_chrome,
+    )
+
     args = build_timeline_parser().parse_args(argv)
     try:
         spans = load_spans_jsonl(args.path)
@@ -546,7 +558,9 @@ def timeline_main(argv=None) -> int:
 
 
 def report_main(argv=None) -> int:
+    from repro.harness.runner import run_experiment
     from repro.harness.runreport import render_run_report
+    from repro.obs import SpanRecorder, Tracer
 
     args = build_report_parser().parse_args(argv)
     fmt = args.format
@@ -582,6 +596,9 @@ def report_main(argv=None) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    from repro.harness.config import ExperimentConfig
+    from repro.units import KB
+
     return ExperimentConfig(
         scheme=args.scheme,
         scheduler=args.scheduler,
@@ -628,6 +645,20 @@ def main(argv=None) -> int:
         # explicit subcommand form; bare flags still mean "run" for
         # backward compatibility
         argv = argv[1:]
+    from repro.harness.report import (
+        format_fct_rows,
+        format_port_breakdown,
+        format_stall_table,
+    )
+    from repro.harness.runner import run_experiment
+    from repro.obs import (
+        RunProfile,
+        SpanRecorder,
+        Tracer,
+        format_trace_summary,
+        summarize_events,
+    )
+
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     tracer = Tracer(capacity=args.trace_limit) if args.trace else None

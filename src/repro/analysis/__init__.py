@@ -25,20 +25,25 @@ See docs/STATIC_ANALYSIS.md for the rule catalog, suppression pragmas, and
 the re-baselining workflow.
 """
 
-from repro.analysis.engine import (
-    BASELINE_VERSION,
-    JSON_SCHEMA_VERSION,
-    Baseline,
-    Finding,
-    LintResult,
-    ModuleInfo,
-    Rule,
-    iter_python_files,
-    lint_paths,
-    registered_rules,
-    rule,
-    rule_range,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.engine import (
+        BASELINE_VERSION,
+        JSON_SCHEMA_VERSION,
+        Baseline,
+        Finding,
+        LintResult,
+        ModuleInfo,
+        Rule,
+        iter_python_files,
+        lint_paths,
+        registered_rules,
+        rule,
+        rule_range,
+    )
 
 __all__ = [
     "BASELINE_VERSION",
@@ -54,3 +59,20 @@ __all__ = [
     "rule",
     "rule_range",
 ]
+
+_EXPORTS = {
+    "BASELINE_VERSION": "repro.analysis.engine",
+    "JSON_SCHEMA_VERSION": "repro.analysis.engine",
+    "Baseline": "repro.analysis.engine",
+    "Finding": "repro.analysis.engine",
+    "LintResult": "repro.analysis.engine",
+    "ModuleInfo": "repro.analysis.engine",
+    "Rule": "repro.analysis.engine",
+    "iter_python_files": "repro.analysis.engine",
+    "lint_paths": "repro.analysis.engine",
+    "registered_rules": "repro.analysis.engine",
+    "rule": "repro.analysis.engine",
+    "rule_range": "repro.analysis.engine",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -86,14 +86,19 @@ class Project:
         self.calls: Dict[str, Set[str]] = {}
         #: caller qualname -> bare method names called on opaque receivers
         self.attr_calls: Dict[str, Set[str]] = {}
+        #: imported fq name -> its home after re-exports (`_home_of` memo)
+        self._homes: Dict[str, str] = {}
+        # every import table first: resolving a name may consult any of them
         for mod in modules:
-            self._index_module(mod)
+            self._index_imports(mod)
+        for mod in modules:
+            self._index_defs(mod)
         for mod in modules:
             self._index_calls(mod)
 
     # -- construction ----------------------------------------------------
 
-    def _index_module(self, mod: ModuleInfo) -> None:
+    def _index_imports(self, mod: ModuleInfo) -> None:
         table: Dict[str, str] = {}
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Import):
@@ -114,6 +119,7 @@ class Project:
                     table[local] = f"{base}.{alias.name}" if base else alias.name
         self.imports[mod.module] = table
 
+    def _index_defs(self, mod: ModuleInfo) -> None:
         for stmt in mod.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qn = f"{mod.module}.{stmt.name}"
@@ -178,11 +184,33 @@ class Project:
         """Resolve a bare name in ``module`` to a fully-qualified name."""
         target = self.imports.get(module, {}).get(name)
         if target is not None:
-            return target
+            return self._home_of(target)
         local = f"{module}.{name}"
         if local in self.functions or local in self.classes:
             return local
         return None
+
+    def _home_of(self, target: str) -> str:
+        """Follow ``pkg.name`` through ``pkg``'s own imports to its home.
+
+        A package ``__init__`` re-exports names it imports — eagerly, or
+        under ``if TYPE_CHECKING:`` beside a lazy export table; either way
+        the import table sees the statement — so ``from repro.net import
+        release`` must resolve to ``repro.net.packet.release``, the name
+        the rules key on, not to ``repro.net.release``.
+        """
+        home = self._homes.get(target)
+        if home is None:
+            home, seen = target, {target}
+            while True:
+                owner, _, leaf = home.rpartition(".")
+                onward = self.imports.get(owner, {}).get(leaf)
+                if onward is None or onward in seen:  # at home / a cycle
+                    break
+                seen.add(onward)
+                home = onward
+            self._homes[target] = home
+        return home
 
     def resolve_expr(self, module: str, node: ast.AST) -> Optional[str]:
         """Resolve a ``Name`` or dotted ``Attribute`` chain to a fq name.

@@ -13,16 +13,21 @@ Everything the paper evaluates lives here, plus the PIE extension:
 * :class:`repro.core.tcn.Tcn` — the paper's contribution (in ``repro.core``).
 """
 
-from repro.aqm.base import Aqm, NoopAqm
-from repro.aqm.red import RedMarker
-from repro.aqm.perqueue import PerQueueRed
-from repro.aqm.perport import PerPortRed, PerPoolRed, BufferPool
-from repro.aqm.dequeue_red import DequeueRed
-from repro.aqm.mqecn import MqEcn
-from repro.aqm.ratemeter import RateMeter
-from repro.aqm.ideal import IdealRed
-from repro.aqm.codel import CoDel
-from repro.aqm.pie import Pie
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.aqm.base import Aqm, NoopAqm
+    from repro.aqm.red import RedMarker
+    from repro.aqm.perqueue import PerQueueRed
+    from repro.aqm.perport import PerPortRed, PerPoolRed, BufferPool
+    from repro.aqm.dequeue_red import DequeueRed
+    from repro.aqm.mqecn import MqEcn
+    from repro.aqm.ratemeter import RateMeter
+    from repro.aqm.ideal import IdealRed
+    from repro.aqm.codel import CoDel
+    from repro.aqm.pie import Pie
 
 __all__ = [
     "Aqm",
@@ -39,3 +44,21 @@ __all__ = [
     "CoDel",
     "Pie",
 ]
+
+_EXPORTS = {
+    "Aqm": "repro.aqm.base",
+    "NoopAqm": "repro.aqm.base",
+    "RedMarker": "repro.aqm.red",
+    "PerQueueRed": "repro.aqm.perqueue",
+    "PerPortRed": "repro.aqm.perport",
+    "PerPoolRed": "repro.aqm.perport",
+    "BufferPool": "repro.aqm.perport",
+    "DequeueRed": "repro.aqm.dequeue_red",
+    "MqEcn": "repro.aqm.mqecn",
+    "RateMeter": "repro.aqm.ratemeter",
+    "IdealRed": "repro.aqm.ideal",
+    "CoDel": "repro.aqm.codel",
+    "Pie": "repro.aqm.pie",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -29,14 +29,19 @@ code execute the identical event sequence, so the deterministic fields
 double as a quick correctness fingerprint.
 """
 
-from repro.bench.runner import (
-    BenchResult,
-    compare_results,
-    load_results,
-    run_scenario,
-    write_result,
-)
-from repro.bench.scenarios import SCENARIOS, Scenario
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench.runner import (
+        BenchResult,
+        compare_results,
+        load_results,
+        run_scenario,
+        write_result,
+    )
+    from repro.bench.scenarios import SCENARIOS, Scenario
 
 __all__ = [
     "SCENARIOS",
@@ -47,3 +52,15 @@ __all__ = [
     "load_results",
     "compare_results",
 ]
+
+_EXPORTS = {
+    "BenchResult": "repro.bench.runner",
+    "compare_results": "repro.bench.runner",
+    "load_results": "repro.bench.runner",
+    "run_scenario": "repro.bench.runner",
+    "write_result": "repro.bench.runner",
+    "SCENARIOS": "repro.bench.scenarios",
+    "Scenario": "repro.bench.scenarios",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.harness.runner import ExperimentResult
+if TYPE_CHECKING:  # pragma: no cover - the tables never build a simulator
+    from repro.harness.runner import ExperimentResult
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from repro.harness.config import ExperimentConfig
 from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
 from repro.metrics.fct import FctCollector, FctSummary
+from repro.net.packet import freelist_stats
 from repro.obs import (
     MetricsRegistry,
     RssSampler,
@@ -39,7 +40,7 @@ from repro.topo.star import StarTopology
 from repro.transport.base import SenderBase
 from repro.transport.flow import Flow
 from repro.transport.receiver import Receiver
-from repro.units import MSEC, SEC
+from repro.units import MSEC, MSS, SEC
 from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
 from repro.workloads.generator import FlowGenerator
 
@@ -156,8 +157,6 @@ def run_experiment(
     prev_eq: Dict[str, int] = sim.equeue_stats() if spans_on else {}
     prev_alloc = prev_reuse = 0
     if spans_on:
-        from repro.net.packet import freelist_stats
-
         prev_alloc, prev_reuse, _free = freelist_stats()
     while collector.count < len(flows) and sim.now < deadline:
         sim_from = sim.now
@@ -424,7 +423,6 @@ def _wire_endpoints(
         if cfg.persistent_connections
         else None
     )
-    from repro.units import MSS
     bdp_pkts = cfg.link_rate_bps * cfg.base_rtt_ns / (8 * MSS * SEC)
     max_cwnd = max(64.0, cfg.max_cwnd_bdp_factor * bdp_pkts)
     base_ns = sim.now

@@ -47,6 +47,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from importlib import import_module
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -243,6 +244,14 @@ class SweepOutcome:
         return [r for r in self.results if not r.ok]
 
 
+#: payload keys `_result_from_payload` indexes (the rest have defaults);
+#: `run_sweep` treats a cached payload missing any of them as a miss
+_REQUIRED_PAYLOAD_KEYS = frozenset((
+    "completed", "total", "timeouts", "timeouts_small", "drops", "marks",
+    "sim_ns", "flow_stats",
+))
+
+
 def _result_from_payload(
     cfg: ExperimentConfig,
     payload: dict,
@@ -307,11 +316,16 @@ class ResultCache:
         try:
             with open(self.path_for(key)) as fh:
                 entry = json.load(fh)
-            if entry.get("key") != key or "payload" not in entry:
-                return None
-            return entry
         except (OSError, ValueError):
             return None
+        # valid JSON of the wrong shape is as unreadable as a torn file
+        if (
+            not isinstance(entry, dict)
+            or entry.get("key") != key
+            or not isinstance(entry.get("payload"), dict)
+        ):
+            return None
+        return entry
 
     def put(self, cfg: ExperimentConfig, payload: dict, wall_s: float) -> None:
         key = config_key(cfg)
@@ -391,6 +405,9 @@ def _child_main(conn, cfg_dict: dict) -> None:
         conn.close()
 
 
+#: what `_execute_config` runs a job with; see `_run_parallel`
+_RUNNER_MODULE = "repro.harness.runner"
+
 #: start methods the worker bootstrap supports, in preference order.
 #: ``fork`` is cheapest; ``spawn``/``forkserver`` work because the worker
 #: entry point (`_child_main`) is module-level and its arguments (a pipe
@@ -456,6 +473,15 @@ def _run_parallel(
 ) -> None:
     ctx = multiprocessing.get_context(start_method)
     queue = list(configs)[::-1]          # pop() takes them in input order
+    # This module does not import the simulator (a fully cached sweep
+    # never needs it), so left alone every one-job worker would import it
+    # afresh.  Load it once where the workers inherit it from: this
+    # process under fork, the fork server under forkserver.  (spawn
+    # children re-import whatever the parent holds.)
+    if queue and start_method == "fork":
+        import_module(_RUNNER_MODULE)
+    elif start_method == "forkserver":
+        ctx.set_forkserver_preload([_RUNNER_MODULE])
     running: Dict[object, Tuple[int, ExperimentConfig, object, float]] = {}
 
     def reap(conn, idx, cfg, proc, started, timed_out=False):
@@ -636,7 +662,9 @@ def run_sweep(
     to_run: List[Tuple[int, ExperimentConfig]] = []
     for idx, cfg in enumerate(configs):
         entry = cache.get(cfg) if cache is not None else None
-        if entry is not None:
+        if entry is not None and _REQUIRED_PAYLOAD_KEYS.issubset(
+            entry["payload"]
+        ):
             stats.cache_hits += 1
             finish(
                 idx,

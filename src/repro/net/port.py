@@ -23,8 +23,9 @@ Lifecycle of a packet through a port::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
+from repro.aqm.base import Aqm
 from repro.net.classifier import DscpClassifier
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -33,9 +34,6 @@ from repro.sched.base import Scheduler
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 from repro.units import SEC
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids cycle)
-    from repro.aqm.base import Aqm
 
 #: nanoseconds-per-second times bits-per-byte — serialization constant
 _BITS_NS = 8 * SEC
@@ -175,8 +173,6 @@ class EgressPort:
         # dequeue).  Instance-level hook overrides are still honoured —
         # only methods literally inherited from Aqm are elided.
         if aqm is not None:
-            from repro.aqm.base import Aqm
-
             enq = aqm.on_enqueue
             deq = aqm.on_dequeue
             self._aqm_enq = (

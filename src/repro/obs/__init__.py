@@ -22,32 +22,37 @@ Zero-overhead-when-off instrumentation for the whole pipeline:
 See ``docs/OBSERVABILITY.md`` for the event schema and extension guide.
 """
 
-from repro.obs.trace import (
-    DEFAULT_CAPACITY,
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-)
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import RssSampler, RunProfile, current_rss_bytes
-from repro.obs.spans import (
-    DEFAULT_SPAN_CAPACITY,
-    ROUND_PHASES,
-    SpanRecorder,
-    chrome_trace,
-    format_span_summary,
-    load_spans_jsonl,
-    stall_table,
-    trace_events_to_chrome,
-    write_chrome,
-)
-from repro.obs.summary import (
-    QueueSummary,
-    TraceSummary,
-    format_trace_summary,
-    summarize_events,
-    summarize_trace_file,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.trace import (
+        DEFAULT_CAPACITY,
+        NULL_TRACER,
+        NullTracer,
+        Tracer,
+    )
+    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.profile import RssSampler, RunProfile, current_rss_bytes
+    from repro.obs.spans import (
+        DEFAULT_SPAN_CAPACITY,
+        ROUND_PHASES,
+        SpanRecorder,
+        chrome_trace,
+        format_span_summary,
+        load_spans_jsonl,
+        stall_table,
+        trace_events_to_chrome,
+        write_chrome,
+    )
+    from repro.obs.summary import (
+        QueueSummary,
+        TraceSummary,
+        format_trace_summary,
+        summarize_events,
+        summarize_trace_file,
+    )
 
 __all__ = [
     "Tracer",
@@ -76,3 +81,33 @@ __all__ = [
     "summarize_trace_file",
     "format_trace_summary",
 ]
+
+_EXPORTS = {
+    "DEFAULT_CAPACITY": "repro.obs.trace",
+    "NULL_TRACER": "repro.obs.trace",
+    "NullTracer": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "RssSampler": "repro.obs.profile",
+    "RunProfile": "repro.obs.profile",
+    "current_rss_bytes": "repro.obs.profile",
+    "DEFAULT_SPAN_CAPACITY": "repro.obs.spans",
+    "ROUND_PHASES": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "chrome_trace": "repro.obs.spans",
+    "format_span_summary": "repro.obs.spans",
+    "load_spans_jsonl": "repro.obs.spans",
+    "stall_table": "repro.obs.spans",
+    "trace_events_to_chrome": "repro.obs.spans",
+    "write_chrome": "repro.obs.spans",
+    "QueueSummary": "repro.obs.summary",
+    "TraceSummary": "repro.obs.summary",
+    "format_trace_summary": "repro.obs.summary",
+    "summarize_events": "repro.obs.summary",
+    "summarize_trace_file": "repro.obs.summary",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

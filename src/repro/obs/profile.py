@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.sim.engine import Simulator
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulator
 
 
 @dataclass

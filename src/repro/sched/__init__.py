@@ -5,14 +5,19 @@ egress port (and any AQM) is agnostic to the discipline — the property that
 TCN exploits and queue-length ECN/RED cannot.
 """
 
-from repro.sched.base import Scheduler
-from repro.sched.fifo import FifoScheduler
-from repro.sched.sp import StrictPriorityScheduler
-from repro.sched.wrr import WrrScheduler
-from repro.sched.dwrr import DwrrScheduler
-from repro.sched.wfq import WfqScheduler
-from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
-from repro.sched.pifo import PifoScheduler, stfq_rank, lstf_rank
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sched.base import Scheduler
+    from repro.sched.fifo import FifoScheduler
+    from repro.sched.sp import StrictPriorityScheduler
+    from repro.sched.wrr import WrrScheduler
+    from repro.sched.dwrr import DwrrScheduler
+    from repro.sched.wfq import WfqScheduler
+    from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
+    from repro.sched.pifo import PifoScheduler, stfq_rank, lstf_rank
 
 __all__ = [
     "Scheduler",
@@ -27,3 +32,19 @@ __all__ = [
     "stfq_rank",
     "lstf_rank",
 ]
+
+_EXPORTS = {
+    "Scheduler": "repro.sched.base",
+    "FifoScheduler": "repro.sched.fifo",
+    "StrictPriorityScheduler": "repro.sched.sp",
+    "WrrScheduler": "repro.sched.wrr",
+    "DwrrScheduler": "repro.sched.dwrr",
+    "WfqScheduler": "repro.sched.wfq",
+    "SpDwrrScheduler": "repro.sched.hybrid",
+    "SpWfqScheduler": "repro.sched.hybrid",
+    "PifoScheduler": "repro.sched.pifo",
+    "stfq_rank": "repro.sched.pifo",
+    "lstf_rank": "repro.sched.pifo",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -40,7 +40,9 @@ Design notes
 from __future__ import annotations
 
 import gc
+import os
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -49,13 +51,16 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    cast,
 )
 
 from bisect import insort
 
 from repro.sim.equeue import EQueueSpec, EventQueue, make_equeue
 from repro.sim.equeue.heap import HeapEventQueue, heappop, heappush
-from repro.sim.equeue.ladder import LadderEventQueue
+
+if TYPE_CHECKING:  # pragma: no cover - the ladder loads only when asked for
+    from repro.sim.equeue.ladder import LadderEventQueue
 
 #: The opaque handle returned by ``schedule``/``schedule_at``/``schedule_call``
 #: — the queue entry itself.  ``handle[0]`` is the absolute fire time (ns);
@@ -134,16 +139,17 @@ class Simulator:
         self._cancelled: Set[int] = set()
         eq = make_equeue(equeue)
         #: the runtime sanitizer (repro.sanitize.Sanitizer) when armed —
-        #: ``sanitize=None`` defers to the REPRO_SANITIZE env switch, so
-        #: an unmodified test suite can run fully sanitized.  Arming wraps
-        #: the backend *before* the specialization probes below: the
-        #: wrapped queue is neither a raw heap nor a ladder, so every
-        #: schedule/pop/drain routes through the checked generic paths.
+        #: ``sanitize=None`` defers to the REPRO_SANITIZE env switch
+        #: (unset/``0`` = off, as :func:`repro.sanitize.env_enabled`
+        #: reads it — repeated here so an unarmed engine never imports
+        #: the sanitizer), so an unmodified test suite can run fully
+        #: sanitized.  Arming wraps the backend *before* the
+        #: specialization probes below: the wrapped queue is neither a
+        #: raw heap nor a ladder, so every schedule/pop/drain routes
+        #: through the checked generic paths.
         self._san = None
         if sanitize is None:
-            from repro.sanitize import env_enabled
-
-            sanitize = env_enabled()
+            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         if sanitize:
             from repro.sanitize import Sanitizer, SanitizingEventQueue
 
@@ -168,8 +174,9 @@ class Simulator:
         #: the ladder, when active — its bucket routing is cheap enough
         #: that the per-push method call would dominate it, so the
         #: schedule methods inline it exactly like the heap's heappush
+        #: (recognised by registry name: the class is not imported here)
         self._ladder: Optional[LadderEventQueue] = (
-            eq if isinstance(eq, LadderEventQueue) else None
+            cast("LadderEventQueue", eq) if eq.name == "ladder" else None
         )
         self._running = False
         #: lifetime count of executed (non-cancelled) events — profiling

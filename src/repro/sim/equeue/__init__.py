@@ -23,22 +23,61 @@ workload-aware version for experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Type, Union
+import sys
+from typing import TYPE_CHECKING, Iterator, Mapping, Type, Union
 
+from repro import _lazy_exports
 from repro.sim.equeue.base import Entry, EventQueue
 from repro.sim.equeue.heap import HeapEventQueue
-from repro.sim.equeue.ladder import LadderEventQueue
-from repro.sim.equeue.wheel import TimerWheelEventQueue
 
-#: registry of selectable backends (name -> class)
-BACKENDS: Dict[str, Type[EventQueue]] = {
-    HeapEventQueue.name: HeapEventQueue,
-    LadderEventQueue.name: LadderEventQueue,
-    TimerWheelEventQueue.name: TimerWheelEventQueue,
+if TYPE_CHECKING:
+    from repro.sim.equeue.ladder import LadderEventQueue
+    from repro.sim.equeue.wheel import TimerWheelEventQueue
+
+_EXPORTS = {
+    "LadderEventQueue": "repro.sim.equeue.ladder",
+    "TimerWheelEventQueue": "repro.sim.equeue.wheel",
 }
 
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+
+class _Backends(Mapping[str, Type[EventQueue]]):
+    """Backend name -> class; a backend's module loads on first lookup.
+
+    Iteration, ``in`` and ``sorted()`` work on the names alone, so option
+    parsing and config validation never import a backend they do not run.
+    """
+
+    _CLASSES = {
+        "heap": "HeapEventQueue",
+        "ladder": "LadderEventQueue",
+        "wheel": "TimerWheelEventQueue",
+    }
+
+    def __getitem__(self, name: str) -> Type[EventQueue]:
+        # plain attribute access on this package: heap is already bound,
+        # ladder and wheel arrive through the lazy table above
+        cls: Type[EventQueue] = getattr(
+            sys.modules[__name__], self._CLASSES[name]
+        )
+        return cls
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._CLASSES  # the mixin would call __getitem__
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._CLASSES)
+
+    def __len__(self) -> int:
+        return len(self._CLASSES)
+
+
+#: registry of selectable backends (name -> class)
+BACKENDS: Mapping[str, Type[EventQueue]] = _Backends()
+
 #: what ``auto`` means when nothing is known about the workload
-AUTO_BACKEND = LadderEventQueue.name
+AUTO_BACKEND = "ladder"
 
 EQueueSpec = Union[str, EventQueue, None]
 

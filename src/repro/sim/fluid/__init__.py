@@ -24,10 +24,15 @@ See ``docs/FLUID.md`` for the model, its invariants, and its known
 error bounds (and when *not* to trust it).
 """
 
-from repro.sim.fluid.build import build_fluid_network, split_flows
-from repro.sim.fluid.model import FluidFlow, FluidLink
-from repro.sim.fluid.network import FluidNetwork
-from repro.sim.fluid.solver import max_min_shares
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.fluid.build import build_fluid_network, split_flows
+    from repro.sim.fluid.model import FluidFlow, FluidLink
+    from repro.sim.fluid.network import FluidNetwork
+    from repro.sim.fluid.solver import max_min_shares
 
 __all__ = [
     "FluidFlow",
@@ -37,3 +42,14 @@ __all__ = [
     "max_min_shares",
     "split_flows",
 ]
+
+_EXPORTS = {
+    "build_fluid_network": "repro.sim.fluid.build",
+    "split_flows": "repro.sim.fluid.build",
+    "FluidFlow": "repro.sim.fluid.model",
+    "FluidLink": "repro.sim.fluid.model",
+    "FluidNetwork": "repro.sim.fluid.network",
+    "max_min_shares": "repro.sim.fluid.solver",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

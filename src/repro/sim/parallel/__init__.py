@@ -23,8 +23,13 @@ Equivalence with the serial engine is digest-checked by
 ``docs/PARALLEL.md``.
 """
 
-from repro.sim.parallel.partition import PartitionSimulator
-from repro.sim.parallel.protocol import INF, ChunkSync, min_handoff_latency_ns
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.parallel.partition import PartitionSimulator
+    from repro.sim.parallel.protocol import INF, ChunkSync, min_handoff_latency_ns
 
 __all__ = [
     "INF",
@@ -32,3 +37,12 @@ __all__ = [
     "PartitionSimulator",
     "min_handoff_latency_ns",
 ]
+
+_EXPORTS = {
+    "PartitionSimulator": "repro.sim.parallel.partition",
+    "INF": "repro.sim.parallel.protocol",
+    "ChunkSync": "repro.sim.parallel.protocol",
+    "min_handoff_latency_ns": "repro.sim.parallel.protocol",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,6 +27,9 @@ FIXTURE_ROOT = REPO_ROOT / "tests" / "simlint_fixtures"
 #: cross-module pragma fixtures — a separate root so the seeded SIM015
 #: stays out of the main fixture sweep (fixture_files rglobs repro/)
 XMOD_ROOT = FIXTURE_ROOT / "xmod"
+#: a package whose ``__init__`` re-exports only under ``TYPE_CHECKING``
+#: (the lazy-export idiom of ``src/repro``) plus a caller importing from it
+LAZY_ROOT = FIXTURE_ROOT / "lazy"
 EXPECT_RE = re.compile(r"#\s*expect:\s*(?P<rules>SIM\d{3}(?:\s*,\s*SIM\d{3})*)")
 
 
@@ -231,6 +234,25 @@ class TestCrossModulePragmas:
         )
         assert again.ok
         assert len(again.baselined) == 1
+
+
+class TestLazyPackageReexports:
+    """A name imported from a package resolves to its home module through
+    the package's ``TYPE_CHECKING`` re-exports, so the freelist rules see
+    ``from repro.net import release`` as ``repro.net.packet.release``."""
+
+    def test_finding_reached_through_the_package(self):
+        result = lint_paths([LAZY_ROOT / "repro"], root=LAZY_ROOT)
+        actual = {(f.rule, f.path, f.line) for f in result.findings}
+        expected = {
+            (rule_id, path.relative_to(LAZY_ROOT).as_posix(), line)
+            for path in sorted(LAZY_ROOT.rglob("*.py"))
+            for rule_id, line in expected_findings(path)
+        }
+        assert expected == {
+            ("SIM015", "repro/transport/bad_lazy_reexport.py", 12)
+        }
+        assert actual == expected
 
 
 class TestRuleRange:

@@ -203,6 +203,32 @@ class TestCache:
         assert again.stats.cache_hits == 0
         assert again[0].ok  # re-ran and re-cached
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            lambda key: None,
+            lambda key: [],
+            lambda key: {"key": key, "payload": {}},
+            lambda key: {"key": key, "payload": 3},
+        ],
+        ids=["null", "list", "empty-payload", "int-payload"],
+    )
+    def test_wrong_shape_entry_is_a_miss_and_heals(self, tmp_path, blob):
+        """Valid JSON of the wrong shape used to crash the whole sweep."""
+        cache = ResultCache(tmp_path)
+        cfg = ExperimentConfig(scheme="tcn", seed=1, **BASE)
+        path = cache.path_for(config_key(cfg))
+        with open(path, "w") as fh:
+            json.dump(blob(config_key(cfg)), fh)
+        first = run_sweep([cfg], processes=0, cache=cache)
+        assert first[0].ok and not first[0].from_cache
+        assert first.stats.cache_hits == 0 and first.stats.cache_misses == 1
+        # the re-run overwrote the bad entry: the next call is a clean hit
+        again = run_sweep([cfg], processes=0, cache=cache)
+        assert again[0].ok and again[0].from_cache
+        assert again.stats.cache_hits == 1
+        assert _canon(first[0]) == _canon(again[0])
+
     def test_errors_are_not_cached(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         cfg = ExperimentConfig(scheme="tcn", seed=1, **BASE)
