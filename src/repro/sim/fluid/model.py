@@ -23,6 +23,8 @@ class FluidFlow:
         "flow",
         "path",
         "path_delay_ns",
+        "path_q_delay_ns",
+        "q_delay_moved",
         "rate_bps",
         "remaining_bytes",
         "alpha",
@@ -42,6 +44,14 @@ class FluidFlow:
         self.path = path
         #: one-way propagation delay of the path (last-byte delivery)
         self.path_delay_ns = path_delay_ns
+        #: sum of ``q_delay_ns`` over the path's links: taken when the
+        #: flow starts, then moved with each link that enters or leaves
+        #: the bottleneck set, so the epoch never re-walks the path
+        self.path_q_delay_ns = 0
+        #: True until the epoch pass has taken ``alpha`` at the current
+        #: ``path_q_delay_ns`` (a flip on the path sets it again); a
+        #: flow whose share did not move either is then left as it is
+        self.q_delay_moved = True
         #: current goodput, bits/s (piecewise constant between epochs)
         self.rate_bps = 0.0
         self.remaining_bytes = float(flow.size_bytes)
@@ -69,6 +79,7 @@ class FluidLink:
         "q_delay_cap_ns",
         "fluid_rate_bps",
         "pkt_rate_bps",
+        "pkt_rate_tick",
         "pkt_bytes_prev",
         "saturated",
         "q_delay_ns",
@@ -96,8 +107,14 @@ class FluidLink:
         self.q_delay_cap_ns = q_delay_cap_ns
         #: total fluid rate allocated across this link, bits/s
         self.fluid_rate_bps = 0.0
-        #: EWMA of measured packet throughput (hybrid residual input)
+        #: EWMA of measured packet throughput (hybrid residual input),
+        #: as of its tick, read through ``FluidNetwork``: an idle link
+        #: is not touched, so the slot holds the value at measurement
+        #: tick ``pkt_rate_tick`` and ``FluidNetwork.pkt_rate_bps(li)``
+        #: halves it forward to the current tick
         self.pkt_rate_bps = 0.0
+        #: the measurement tick ``pkt_rate_bps`` was last written at
+        self.pkt_rate_tick = 0
         #: port.stats.tx_bytes at the last measurement
         self.pkt_bytes_prev = 0
         #: True while the max-min allocation exhausts this link

@@ -27,19 +27,24 @@ Hybrid coupling (both directions, applied in :meth:`_epoch_apply`):
   ``capacity − packet_rate`` and re-solves when any link's measured
   rate moved more than 1% of capacity.
 
-Epoch cost: one epoch walks each active flow's path a constant number
-of times and touches each link a constant number of times outside the
-solver's ``min`` — never a link × flow product.  The link→flows
-incidence the solver needs is kept up to date at flow start/finish
-instead of being rebuilt, and per-link sums are accumulated flow by
-flow in activation order, which is the order the per-link scan they
-replace added them in, so every float is bit-identical (docs/FLUID.md,
+Epoch cost: an epoch pays for what moved since the last one.  The
+solver, a finish projection per active flow and a load sum per link are
+the only per-epoch work that scales with what exists; everything else
+is kept incrementally — the link→flows incidence at flow start/finish,
+each flow's standing path delay at the saturation flips, its rate and
+alpha only when its share or that delay moved, the measured packet
+rates by touching a link only on a tick in which it sent or its decay
+could still trigger a re-solve (an idle link's rate is a value and the
+tick it was measured at, halved forward on demand by :func:`halved`).
+Per-link sums are taken in activation order, the order the scans they
+replace added in, so every float is bit-identical (docs/FLUID.md,
 "Epoch cost").
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import frexp, ldexp, sqrt
+from sys import float_info
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.spans import wall_ns
@@ -54,7 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.obs.spans import SpanRecorder
     from repro.sim.engine import EventHandle, Simulator
 
+#: ``bytes * _BITS_NS / ns`` is bits/s.  An int for the tick, whose
+#: byte counts it multiplies exactly; the same value as a double for
+#: the per-flow arithmetic, where an int operand would be converted to
+#: that double again on every use.
 _BITS_NS = 8 * SEC
+_BITS_NS_F = float(_BITS_NS)
 
 #: completion slack, bytes — settles within half a byte of zero count as
 #: done (float integration error over thousands of epochs stays far
@@ -66,9 +76,19 @@ _EPS_BYTES = 0.5
 #: and the water-filling well-conditioned even on saturated links
 _MIN_RATE_FRAC = 0.01
 
-#: EWMA gain for the measured packet rate (DCTCP's own g)
+#: EWMA gain for the measured packet rate (DCTCP's own g); `halved`
+#: relies on it being one half exactly
 _PKT_EWMA_G = 0.5
 _PKT_EWMA_KEEP = 1.0 - _PKT_EWMA_G
+
+#: the smallest normal double, ``2**(_MIN_EXP - 1)``
+_MIN_NORMAL = float_info.min
+_MIN_EXP = float_info.min_exp
+
+#: a measured rate below this fraction of nominal capacity is under half
+#: an ulp of the capacity, so ``capacity − rate == capacity`` whatever
+#: the rate decays to from there
+_QUIET_FRAC = 2.0**-54
 
 #: re-solve when a link's measured packet rate moves by more than this
 #: fraction of nominal capacity since the last solve
@@ -96,6 +116,30 @@ _WINDOW_DENOM = 8e9 * MSS
 _RAMP_DENOM = 128.0 * MSS
 
 
+def halved(rate: float, n: int) -> float:
+    """``rate`` after ``n`` measurement ticks in which its link sent nothing.
+
+    Bit for bit what ``n`` rounds of the EWMA update leave: with no
+    bytes sent each is ``0.5 * rate + 0.5 * 0.0``, a halving.  Halving
+    a double is exact while the result stays normal, so those steps are
+    one ``ldexp``; below ``2**-1022`` each step rounds to even on the
+    last bit, so the subnormal tail (54 steps at most, ending on 0.0) is
+    walked one step at a time.  ``rate`` is never negative (it averages
+    the increments of a byte counter).
+    """
+    if n > 0 and rate >= _MIN_NORMAL:
+        # rate = m * 2**e, 0.5 <= m < 1, is normal down to e == _MIN_EXP
+        exact = frexp(rate)[1] - _MIN_EXP
+        if exact > n:
+            exact = n
+        rate = ldexp(rate, -exact)
+        n -= exact
+    while n > 0 and rate != 0.0:
+        rate = _PKT_EWMA_KEEP * rate
+        n -= 1
+    return rate
+
+
 class FluidNetwork:
     """Epoch-driven rate evolution for the promoted flows."""
 
@@ -117,6 +161,12 @@ class FluidNetwork:
         "_saturated",
         "_caps",
         "_measured",
+        "_tx_stats",
+        "_tx_prev",
+        "_tick",
+        "_solve_tick",
+        "_hot",
+        "_warm",
         "_finish_handle",
         "_last_settle_ns",
         "_pkt_at_solve",
@@ -165,28 +215,42 @@ class FluidNetwork:
         self._saturated: Set[int] = set()
         #: per link, the capacity the solver may hand out: nominal minus
         #: the measured packet rate, floored (refreshed at each solve
-        #: for the links that have a port to measure)
+        #: for the warm links)
         self._caps: List[float] = []
         #: the links that shadow a port, with the per-link constants of
-        #: the measurement tick: (index, link, port counters, rate
-        #: floor, re-solve threshold)
-        self._measured: List[
-            Tuple[int, FluidLink, "PortStats", float, float]
-        ] = []
+        #: the measurement tick: (index, link, rate floor, re-solve
+        #: threshold, quiet bound).  ``_tx_stats``, ``_tx_prev``,
+        #: ``_hot`` and ``_warm`` go by position in this list.
+        self._measured: List[Tuple[int, FluidLink, float, float, float]] = []
+        #: their port counters, and ``tx_bytes`` of each at the last tick
+        self._tx_stats: List["PortStats"] = []
+        self._tx_prev: List[int] = []
+        #: links whose idle decay can still move a rate past the
+        #: re-solve threshold (stored rate or ``_pkt_at_solve`` entry
+        #: above it): the tick updates these every time, and any
+        #: other link only on a tick in which it sent
+        self._hot: Set[int] = set()
         for li, link in enumerate(self.links):
             floor = _MIN_RATE_FRAC * link.capacity_bps
             residual = link.capacity_bps - link.pkt_rate_bps
             self._caps.append(residual if residual > floor else floor)
             if link.port is not None:
+                threshold = _RESOLVE_FRAC * link.capacity_bps
+                if link.pkt_rate_bps > threshold:
+                    self._hot.add(len(self._measured))
                 self._measured.append(
-                    (
-                        li,
-                        link,
-                        link.port.stats,
-                        floor,
-                        _RESOLVE_FRAC * link.capacity_bps,
-                    )
+                    (li, link, floor, threshold, _QUIET_FRAC * link.capacity_bps)
                 )
+                self._tx_stats.append(link.port.stats)
+                self._tx_prev.append(link.pkt_bytes_prev)
+        #: links whose rate can still show in ``capacity − rate``: the
+        #: hot ones and those not yet below the quiet bound.  Only
+        #: these have ``_caps`` and ``_pkt_at_solve`` refreshed by a
+        #: solve; a link re-enters when it next sends.
+        self._warm: Set[int] = set(range(len(self._measured)))
+        #: measurement ticks taken, and the count at the last solve
+        self._tick = 0
+        self._solve_tick = 0
         self._finish_handle: Optional["EventHandle"] = None
         self._last_settle_ns = 0
         #: per-link packet rate the current allocation was solved with
@@ -218,9 +282,13 @@ class FluidNetwork:
         fl = self.flows[i]
         fl.active = True
         self._active.append(i)
+        links = self.links
         link_flows = self._link_flows
+        q_delay_ns = 0
         for li in fl.path:
             link_flows[li].append(i)
+            q_delay_ns += links[li].q_delay_ns
+        fl.path_q_delay_ns = q_delay_ns
         self._epoch_resolve("start")
 
     def on_finish_due(self) -> None:
@@ -254,35 +322,84 @@ class FluidNetwork:
             self._epoch_restore()
 
     def on_tick(self) -> None:
-        """Hybrid measurement tick: fold packet throughput back in."""
+        """Hybrid measurement tick: fold packet throughput back in.
+
+        By exception.  The EWMA update of a link that sent nothing is a
+        halving — :func:`halved` applies any number of them at once —
+        and can trip the re-solve test only while the rate or the rate
+        at the last solve is above the threshold (neither is negative,
+        so they differ by at most the larger).  So a tick updates the
+        links whose byte counter moved and the hot ones, and leaves
+        every other rate as it was stored, with the tick it is as of;
+        most ticks find no such link.
+        """
         if self._done:
             return
-        tick_ns = self.tick_ns
-        at_solve = self._pkt_at_solve
-        moved = False
-        for li, link, stats, _floor, threshold in self._measured:
-            sent = stats.tx_bytes
-            prev = link.pkt_bytes_prev
-            rate = link.pkt_rate_bps
-            if sent == prev and rate == 0.0:
-                # Nothing sent and nothing to decay: the update would
-                # leave 0.0.  The re-solve test cannot fire either: it
-                # did not on the tick that brought the rate to 0.0 (or
-                # it re-solved, which zeroed at_solve[li]).
-                continue
-            link.pkt_bytes_prev = sent
-            link.pkt_rate_bps = rate = _PKT_EWMA_KEEP * rate + _PKT_EWMA_G * (
-                (sent - prev) * _BITS_NS / tick_ns
-            )
-            drift = rate - at_solve[li]
-            if drift > threshold or -drift > threshold:
-                moved = True
-        if moved:
-            self._epoch_settle()
-            self._epoch_resolve("tick")
-        self.sim.schedule(tick_ns, self.on_tick)
+        self._tick += 1
+        sent_now = [stats.tx_bytes for stats in self._tx_stats]
+        if sent_now != self._tx_prev or self._hot:
+            if self._epoch_measure(sent_now):
+                self._epoch_settle()
+                self._epoch_resolve("tick")
+        self.sim.schedule(self.tick_ns, self.on_tick)
 
     # -- epoch helpers (the only other mutation sites) ------------------
+
+    def _epoch_measure(self, sent_now: List[int]) -> bool:
+        """Update the links that sent since last tick and the hot ones.
+
+        ``sent_now`` is every measured port's ``tx_bytes``.  True when
+        some link's rate has drifted from the rate at the last solve by
+        more than the re-solve threshold.
+        """
+        tick_ns = self.tick_ns
+        tick = self._tick
+        hot = self._hot
+        sent_prev = self._tx_prev
+        if sent_now == sent_prev:
+            touched = sorted(hot)  # a copy: the loop moves links in and out
+        else:
+            self._tx_prev = sent_now
+            touched = [
+                k
+                for k, sent in enumerate(sent_now)
+                if sent != sent_prev[k] or k in hot
+            ]
+        measured = self._measured
+        warm = self._warm
+        at_solve = self._pkt_at_solve
+        solve_tick = self._solve_tick
+        moved = False
+        for k in touched:
+            li, link, _floor, threshold, _quiet = measured[k]
+            rate = link.pkt_rate_bps
+            as_of = link.pkt_rate_tick
+            if k not in warm:
+                # Back from quiet (so last written before the solve that
+                # dropped it): the solves since skipped this link, and
+                # the last one would have recorded the rate it saw.
+                at_solve[li] = halved(rate, solve_tick - as_of)
+                warm.add(k)
+            sent = sent_now[k]
+            link.pkt_rate_bps = rate = (
+                _PKT_EWMA_KEEP * halved(rate, tick - 1 - as_of)
+                + _PKT_EWMA_G
+                * ((sent - link.pkt_bytes_prev) * _BITS_NS / tick_ns)
+            )
+            link.pkt_rate_tick = tick
+            link.pkt_bytes_prev = sent
+            solved = at_solve[li]
+            drift = rate - solved
+            if drift > threshold or -drift > threshold:
+                moved = True
+            # (the re-solve this leads to sets the entry to ``rate``:
+            # that can only take the link out of the set, which the
+            # next tick will see — hot one tick longer than needed)
+            if rate > threshold or solved > threshold:
+                hot.add(k)
+            else:
+                hot.discard(k)
+        return moved
 
     def _epoch_settle(self) -> None:
         """Integrate the constant-rate interval since the last epoch."""
@@ -291,10 +408,11 @@ class FluidNetwork:
         self._last_settle_ns = now
         if dt <= 0:
             return
+        elapsed_ns = float(dt)
         flows = self.flows
         for i in self._active:
             fl = flows[i]
-            left = fl.remaining_bytes - fl.rate_bps * dt / _BITS_NS
+            left = fl.remaining_bytes - fl.rate_bps * elapsed_ns / _BITS_NS_F
             fl.remaining_bytes = left if left > 0.0 else 0.0
 
     def _epoch_resolve(self, why: str) -> None:
@@ -306,78 +424,113 @@ class FluidNetwork:
         active = self._active
         link_flows = self._link_flows
         caps = self._caps
+        # Residual capacity of the links whose measured rate can still
+        # show in it.  One that has decayed under the quiet bound (and
+        # cannot trip a re-solve) gets its last refresh here: capacity −
+        # rate is the capacity from now on.
         at_solve = self._pkt_at_solve
-        for li, link, _stats, floor, _threshold in self._measured:
-            at_solve[li] = rate = link.pkt_rate_bps
+        measured = self._measured
+        warm = self._warm
+        hot = self._hot
+        tick = self._solve_tick = self._tick
+        cooled: List[int] = []
+        for k in warm:
+            li, link, floor, _threshold, quiet = measured[k]
+            at_solve[li] = rate = halved(
+                link.pkt_rate_bps, tick - link.pkt_rate_tick
+            )
             residual = link.capacity_bps - rate
             caps[li] = residual if residual > floor else floor
+            if rate < quiet and k not in hot:
+                cooled.append(k)
+        warm.difference_update(cooled)
         rates, bottlenecks, iters = water_fill(
             caps[:], link_flows, self._paths, len(active)
         )
         self.epochs += 1
         self.solver_iterations += iters
         # One pass over the active flows, in activation order: the new
-        # rate and DCTCP-style alpha of each, its contribution to every
-        # link on its path, and the earliest projected finish.
-        fluid_bps = [0.0] * len(links)
-        alpha_sums = [0.0] * len(links)
-        finish_in = -1
+        # rate and DCTCP-style alpha of each, and the earliest projected
+        # finish.  A start, a finish or a moved capacity shifts the
+        # shares of the flows it meets, not of all: a flow whose share
+        # and standing path delay are what they were keeps its rate and
+        # alpha as they are, and only has its finish projected again
+        # (it has drained since the last epoch like every other).
+        finish_in = -1.0
         for i in active:
             fl = flows[i]
             new_rate = rates[i]
             old_rate = fl.rate_bps
-            path = fl.path
-            # effective RTT: propagation both ways plus the standing
-            # queues currently held on the path (assumed symmetric for
-            # the ACK direction, as in the bulk scenarios)
-            rtt_ns = fl.path_delay_ns
-            for li in path:
-                rtt_ns += links[li].q_delay_ns
-            rtt_ns *= 2
-            if 0.0 < old_rate < new_rate:
-                # Congestion-avoidance ramp deficit: a real DCTCP flow
-                # claims a raised share at +1 MSS of window per RTT
-                # (linear), not instantly.  Versus the solver's step
-                # jump it under-transfers (dr)^2 * RTT^2 / (2 * MSS)
-                # bits during the ramp; charge that back as remaining
-                # bytes so completion times carry the convergence lag.
-                # Flows *starting* are exempt: slow start is
-                # exponential and reaches these shares within a few
-                # RTTs (a documented error bound, not worth modelling).
-                dr = new_rate - old_rate
-                rtt_s = rtt_ns / 1e9
-                fl.remaining_bytes += _RAMP_DEFICIT_SCALE * (
-                    dr * dr * rtt_s * rtt_s / _RAMP_DENOM
-                )
-            fl.rate_bps = new_rate
-            w_pkts = new_rate * rtt_ns / _WINDOW_DENOM
-            alpha = sqrt(2.0 / w_pkts) if w_pkts > 2.0 else 1.0
-            fl.alpha = alpha
-            for li in path:
-                fluid_bps[li] += new_rate
-                alpha_sums[li] += alpha
+            if new_rate != old_rate or fl.q_delay_moved:
+                fl.q_delay_moved = False
+                # effective RTT: propagation both ways plus the standing
+                # queues currently held on the path (assumed symmetric
+                # for the ACK direction, as in the bulk scenarios)
+                rtt_ns = 2 * (fl.path_delay_ns + fl.path_q_delay_ns)
+                if 0.0 < old_rate < new_rate:
+                    # Congestion-avoidance ramp deficit: a real DCTCP
+                    # flow claims a raised share at +1 MSS of window per
+                    # RTT (linear), not instantly.  Versus the solver's
+                    # step jump it under-transfers (dr)^2 * RTT^2 /
+                    # (2 * MSS) bits during the ramp; charge that back
+                    # as remaining bytes so completion times carry the
+                    # convergence lag.  Flows *starting* are exempt:
+                    # slow start is exponential and reaches these shares
+                    # within a few RTTs (a documented error bound, not
+                    # worth modelling).
+                    dr = new_rate - old_rate
+                    rtt_s = rtt_ns / 1e9
+                    fl.remaining_bytes += _RAMP_DEFICIT_SCALE * (
+                        dr * dr * rtt_s * rtt_s / _RAMP_DENOM
+                    )
+                fl.rate_bps = new_rate
+                w_pkts = new_rate * rtt_ns / _WINDOW_DENOM
+                fl.alpha = sqrt(2.0 / w_pkts) if w_pkts > 2.0 else 1.0
             if new_rate > 0.0:
-                delay = int(-(-(fl.remaining_bytes * _BITS_NS) // new_rate))
-                if finish_in < 0 or delay < finish_in:
+                # ns to drain, rounded up (a whole number, still a float)
+                delay = -(-(fl.remaining_bytes * _BITS_NS_F) // new_rate)
+                if finish_in < 0.0 or delay < finish_in:
                     finish_in = delay
-        for link, bps in zip(links, fluid_bps):
+        # Fluid load of each link: the rates of the flows crossing it,
+        # added in activation order from 0.0.
+        for link, crossing in zip(links, link_flows):
+            bps = 0.0
+            for f in crossing:
+                bps += rates[f]
             link.fluid_rate_bps = bps
         # Saturation, standing queue and marking fraction.  An
         # unsaturated link holds no queue and marks nothing, so only
         # the links entering, staying in or leaving the bottleneck set
         # have state to move — and only the first and last kind change
-        # what their port must do.
+        # what their port must do and what delay their flows stand in.
         flipped: List[FluidLink] = []
         for li in bottlenecks:
             link = links[li]
-            link.mark_frac = alpha_sums[li] / len(link_flows[li])
+            crossing = link_flows[li]
+            # mean alpha of the flows crossing, summed in activation
+            # order from 0.0 (never sum(): 3.12 compensates, 3.9 not)
+            alpha_sum = 0.0
+            for f in crossing:
+                alpha_sum += flows[f].alpha
+            link.mark_frac = alpha_sum / len(crossing)
             if not link.saturated:
                 link.saturated = True
-                link.q_delay_ns = link.q_delay_cap_ns
+                link.q_delay_ns = q_delay_ns = link.q_delay_cap_ns
+                if q_delay_ns:
+                    for f in crossing:
+                        fl = flows[f]
+                        fl.path_q_delay_ns += q_delay_ns
+                        fl.q_delay_moved = True
                 flipped.append(link)
         for li in self._saturated - bottlenecks:
             link = links[li]
             link.saturated = False
+            q_delay_ns = link.q_delay_ns
+            if q_delay_ns:
+                for f in link_flows[li]:
+                    fl = flows[f]
+                    fl.path_q_delay_ns -= q_delay_ns
+                    fl.q_delay_moved = True
             link.q_delay_ns = 0
             link.mark_frac = 0.0
             link.mark_acc = 0.0
@@ -386,7 +539,7 @@ class FluidNetwork:
         self.threshold_crossings += len(flipped)
         if self.hybrid:
             self._epoch_apply(flipped)
-        self._epoch_arm(finish_in)
+        self._epoch_arm(int(finish_in))
         if spans is not None:
             spans.add(
                 "fluid",
@@ -469,6 +622,19 @@ class FluidNetwork:
     @property
     def done(self) -> bool:
         return self._done
+
+    def pkt_rate_bps(self, li: int) -> float:
+        """Link ``li``'s measured packet rate as of the last tick.
+
+        The way to read it outside the epoch code: the link's slot may
+        be ticks old.  Computes and returns, stores nothing: a link
+        back from quiet has its ``_pkt_at_solve`` entry rebuilt from
+        the tick its rate is as of, and a read must not move that.
+        """
+        link = self.links[li]
+        if link.port is None:  # never measured, never decays
+            return link.pkt_rate_bps
+        return halved(link.pkt_rate_bps, self._tick - link.pkt_rate_tick)
 
     def stats_dict(self) -> Dict[str, int]:
         """The ``fluid_stats`` payload for RunProfile / bench results."""

@@ -67,12 +67,19 @@ class EmpiricalCdf:
     # -- analytics --------------------------------------------------------------
 
     def mean(self) -> float:
-        """Expected flow size under piecewise-linear interpolation."""
+        """Expected flow size under piecewise-linear interpolation.
+
+        A convex combination of the knot sizes, so it lies between the
+        smallest and the largest; the float sum can land an ulp outside
+        (three knots at 516467 sum to 516467.00000000006) and is
+        clamped back.
+        """
+        sizes = self.sizes
         total = 0.0
-        for i in range(1, len(self.sizes)):
+        for i in range(1, len(sizes)):
             dp = self.probs[i] - self.probs[i - 1]
-            total += dp * (self.sizes[i] + self.sizes[i - 1]) / 2.0
-        return total
+            total += dp * (sizes[i] + sizes[i - 1]) / 2.0
+        return min(max(total, sizes[0]), sizes[-1])
 
     def byte_fraction_below(self, size_bytes: float) -> float:
         """Fraction of all *bytes* contributed by flows of size <= ``size_bytes``."""

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.units import KB, MB
 from repro.workloads.cdf import EmpiricalCdf
@@ -124,6 +124,8 @@ def test_property_quantile_monotone(p):
         max_size=10,
     )
 )
+# hypothesis-found: the float sum of the mean read 516467.00000000006
+@example(knots=[(516467, 0.0), (516467, 1.0), (516467, 0.3556061908804678)])
 def test_property_cdf_roundtrip_or_reject(knots):
     """Any knot list either builds a consistent CDF or raises ValueError."""
     sizes = sorted(k[0] for k in knots)
@@ -133,4 +135,4 @@ def test_property_cdf_roundtrip_or_reject(knots):
     rng = random.Random(0)
     for _ in range(50):
         assert 1 <= cdf.sample(rng) <= sizes[-1]
-    assert cdf.mean() <= sizes[-1]
+    assert sizes[0] <= cdf.mean() <= sizes[-1]
