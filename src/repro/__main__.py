@@ -52,7 +52,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 # Each sub-command imports its own machinery when it runs, so `lint`,
 # `trace` and `timeline` never load the simulator and `run`/`sweep` never
@@ -61,12 +61,6 @@ from typing import TYPE_CHECKING, List
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.config import ExperimentConfig
     from repro.harness.sweep import SweepResult
-
-
-def _equeue_choices() -> List[str]:
-    from repro.sim.equeue import BACKENDS
-
-    return sorted(BACKENDS) + ["auto"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,26 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-port traffic/mark/drop breakdown",
     )
     parser.add_argument(
-        "--equeue", default="heap", choices=_equeue_choices(),
-        help=(
-            "event-queue backend (results are identical across backends; "
-            "'auto' picks by workload shape)"
-        ),
-    )
-    parser.add_argument(
         "--workers", type=int, default=0,
         help=(
             "partition the fabric across N worker processes (leafspine "
             "only; 0 = the serial engine; results are identical — see "
             "docs/PARALLEL.md)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch", action="store_false", dest="batch",
-        help=(
-            "disable the batched hot path (same-timestamp run draining "
-            "and inline transmit trains); pure performance knob — "
-            "results are bit-identical either way"
         ),
     )
     parser.add_argument(
@@ -299,14 +278,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--equeue", default="auto", choices=_equeue_choices(),
-        help=(
-            "event-queue backend for every grid point (default auto: "
-            "picked per config from its workload shape; results are "
-            "identical across backends)"
-        ),
-    )
-    parser.add_argument(
         "--mode", default="packet", choices=("packet", "fluid", "hybrid"),
         help=(
             "simulation mode for every grid point (result-affecting: "
@@ -416,7 +387,6 @@ def sweep_main(argv=None) -> int:
             n_queues=args.queues,
             pias=args.pias,
             buffer_bytes=args.buffer_kb * KB,
-            equeue=args.equeue,
             mode=args.mode,
             fluid_size_bytes=args.fluid_size_bytes,
         )
@@ -611,9 +581,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         pias=args.pias,
         seed=args.seed,
         buffer_bytes=args.buffer_kb * KB,
-        equeue=args.equeue,
         workers=args.workers,
-        batch=args.batch,
         sanitize=args.sanitize,
         mode=args.mode,
         fluid_size_bytes=args.fluid_size_bytes,

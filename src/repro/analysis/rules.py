@@ -788,17 +788,19 @@ def check_freelist_discipline(mod: ModuleInfo) -> Iterator[Finding]:
                     break
 
 
-# -- API confinement (SIM011/SIM012/SIM013/SIM017) --------------------------
+# -- API confinement (SIM011/SIM012/SIM017) ---------------------------------
 #
 # The confinement rules share one declarative table: each entry names a
 # confined API, where it may be used, and the one-line contract the
-# confinement protects.  SIM011/SIM012/SIM013 keep their historical ids
-# (and fixtures/baselines keyed on them); SIM017 carries the entries added
-# by the whole-program pass, whose call detection resolves names through
-# the project symbol table so aliased imports cannot dodge it.
+# confinement protects.  SIM011/SIM012 keep their historical ids (and
+# fixtures/baselines keyed on them); SIM017 carries the entries added by
+# the whole-program pass, whose call detection resolves names through the
+# project symbol table so aliased imports cannot dodge it.  SIM013 (event-
+# queue draining outside the engine) is retired with the queue backends it
+# guarded; its id is not reused.
 
-_EQUEUE_PKG = ("repro", "sim", "equeue")
 _ENGINE_PKG = ("repro", "sim", "engine")
+_SANITIZE_PKG = ("repro", "sanitize")
 _PARALLEL_PKG = ("repro", "sim", "parallel")
 _SWEEP_PKG = ("repro", "harness", "sweep")
 _NET_PKG = ("repro", "net")
@@ -811,65 +813,46 @@ class Confinement(NamedTuple):
     rule_id: str
     #: "import"      — the whole module is confined (import / from-import)
     #: "from-import" — only ``names`` imported from ``api`` are confined
-    #: "call"        — method calls named in ``names`` are confined
     kind: str
-    api: str  # module dotted name ("" for call kind)
+    api: str  # module dotted name
     names: Tuple[str, ...]  # confined names (empty = the whole module)
     allowed: Tuple[Tuple[str, ...], ...]  # package prefixes allowed to use it
-    #: call kind only: "equeue-like" restricts to receivers named like an
-    #: event queue (name contains "equeue" or is exactly "eq")
-    receiver: str
-    #: call kind only: flag only zero-argument calls
-    no_args_only: bool
     message: str
 
 
 CONFINEMENTS: Tuple[Confinement, ...] = (
     Confinement(
-        "SIM011", "import", "heapq", (), (_EQUEUE_PKG,), "", False,
-        "heapq imported outside repro.sim.equeue — event "
-        "ordering belongs to the pluggable queue backends",
+        "SIM011", "import", "heapq", (), (_ENGINE_PKG, _SANITIZE_PKG),
+        "heapq imported outside repro.sim.engine and repro.sanitize — "
+        "event ordering belongs to the engine's heap and its checked "
+        "twins",
     ),
     Confinement(
         "SIM012", "import", "multiprocessing", (),
-        (_SWEEP_PKG, _PARALLEL_PKG), "", False,
+        (_SWEEP_PKG, _PARALLEL_PKG),
         "multiprocessing imported outside the sweep/parallel "
         "drivers — process fan-out belongs to repro.harness.sweep "
         "and repro.sim.parallel",
     ),
     Confinement(
-        "SIM013", "call", "", ("drain_run",),
-        (_ENGINE_PKG, _EQUEUE_PKG), "", False,
-        "drain_run() called outside repro.sim.engine and "
-        "repro.sim.equeue — run draining (tombstones, clock "
-        "rule, batch accounting) belongs to Simulator.run",
-    ),
-    Confinement(
-        "SIM013", "call", "", ("pop",),
-        (_ENGINE_PKG, _EQUEUE_PKG), "equeue-like", True,
-        "{receiver}.pop() outside repro.sim.engine and "
-        "repro.sim.equeue — event consumption belongs to "
-        "the engine run loop",
-    ),
-    Confinement(
-        "SIM017", "import", "gc", (), (_ENGINE_PKG,), "", False,
+        "SIM017", "import", "gc", (), (_ENGINE_PKG,),
         "gc control outside repro.sim.engine — the run loop owns the "
         "collector pause window; a second owner desynchronizes the "
         "gc.enable/disable pairing the engine guarantees",
     ),
     Confinement(
-        "SIM017", "from-import", "repro.sim.equeue.heap",
+        "SIM017", "from-import", "repro.sim.engine",
         ("heappush", "heappop", "heapreplace", "heapify"),
-        (_EQUEUE_PKG, _ENGINE_PKG, _PARALLEL_PKG), "", False,
-        "raw heap primitives of the event-queue backend used outside the "
-        "engine/equeue/parallel core — pushing entries behind the "
-        "backends' backs bypasses the (time, seq) contract and the "
-        "tombstone bookkeeping",
+        (_ENGINE_PKG,),
+        "the engine's raw heap primitives used outside repro.sim.engine "
+        "— pushing entries behind the Simulator's back bypasses the "
+        "(time, seq) contract, the tombstone bookkeeping and the "
+        "sanitizer's checked primitives",
     ),
     Confinement(
         "SIM017", "from-import", "repro.net.packet",
         ("make_data", "make_ack", "make_data_run", "release"),
-        (_NET_PKG, _TRANSPORT_PKG), "", False,
+        (_NET_PKG, _TRANSPORT_PKG),
         "packet freelist constructors/release used outside repro.net and "
         "repro.transport — frame lifetime (and the sanitizer's poisoning "
         "protocol) is the endpoint layer's contract",
@@ -877,7 +860,7 @@ CONFINEMENTS: Tuple[Confinement, ...] = (
     Confinement(
         "SIM017", "from-import", "repro.net.boundary",
         ("BoundaryMux", "import_packet"),
-        (_NET_PKG, _PARALLEL_PKG), "", False,
+        (_NET_PKG, _PARALLEL_PKG),
         "partition boundary plumbing used outside repro.net and "
         "repro.sim.parallel — cross-partition handoff must flow through "
         "the coordinator's insert_arrival protocol",
@@ -895,16 +878,15 @@ def _module_allowed(
 def _confinement_hits(
     mod: ModuleInfo, entries: Sequence[Confinement]
 ) -> Iterator[Tuple[Confinement, Finding]]:
-    """Run the import/call entries of the table against one module,
-    yielding ``(entry, finding)`` pairs so callers can track which
-    entries already reported (SIM017 uses this to dedupe its
-    call-graph pass against the import pass)."""
+    """Run the import entries of the table against one module, yielding
+    ``(entry, finding)`` pairs so callers can track which entries already
+    reported (SIM017 uses this to dedupe its call-graph pass against the
+    import pass)."""
     live = [e for e in entries if not _module_allowed(mod, e.allowed)]
     if not live:
         return
     imports = [e for e in live if e.kind == "import"]
     from_imports = [e for e in live if e.kind == "from-import"]
-    calls = [e for e in live if e.kind == "call"]
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -924,30 +906,6 @@ def _confinement_hits(
                 )
                 if hit:
                     yield e, mod.finding(e.rule_id, node, e.message)
-        elif isinstance(node, ast.Call) and calls:
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            for e in calls:
-                if func.attr not in e.names:
-                    continue
-                if e.no_args_only and (node.args or node.keywords):
-                    continue
-                if e.receiver == "equeue-like":
-                    recv = func.value
-                    if isinstance(recv, ast.Attribute):
-                        name = recv.attr
-                    elif isinstance(recv, ast.Name):
-                        name = recv.id
-                    else:
-                        continue
-                    if "equeue" not in name and name != "eq":
-                        continue
-                    yield e, mod.finding(
-                        e.rule_id, node, e.message.format(receiver=name)
-                    )
-                else:
-                    yield e, mod.finding(e.rule_id, node, e.message)
 
 
 def _confinement_findings(
@@ -964,20 +922,21 @@ def _table_entries(rule_id: str) -> Tuple[Confinement, ...]:
 
 @rule(
     "SIM011",
-    "heapq-in-equeue-only",
+    "heapq-in-engine-only",
     rationale=(
-        "Event ordering is the event-queue backends' contract: an ad-hoc "
-        "heapq elsewhere in simulation code re-implements the (time, seq) "
-        "total order in private and silently diverges from the pluggable "
-        "backends and their cross-backend equivalence tests."
+        "Event ordering is the engine's contract: an ad-hoc heapq "
+        "elsewhere in simulation code re-implements the (time, seq) total "
+        "order in private, outside the lazy-cancel bookkeeping and the "
+        "sanitizer's checked push/pop."
     ),
 )
 def check_heapq_confined(mod: ModuleInfo) -> Iterator[Finding]:
-    """``heapq`` may be imported only under ``repro.sim.equeue``: every
-    other module must order time-keyed work through the ``Simulator``
-    scheduling API so it runs identically on all backends.  Non-event
-    priority queues (e.g. a packet-ranking scheduler) are legitimate —
-    suppress with a pragma naming the ordering domain."""
+    """``heapq`` may be imported only by ``repro.sim.engine`` (the event
+    heap) and ``repro.sanitize`` (its checked push/pop twins): every other
+    module must order time-keyed work through the ``Simulator``
+    scheduling API.  Non-event priority queues (e.g. a packet-ranking
+    scheduler) are legitimate — suppress with a pragma naming the
+    ordering domain."""
     yield from _confinement_findings(mod, _table_entries("SIM011"))
 
 
@@ -1002,32 +961,6 @@ def check_multiprocessing_confined(mod: ModuleInfo) -> Iterator[Finding]:
     components tested for serial-equivalent results.  A genuinely new
     driver belongs next to them, not behind a pragma."""
     yield from _confinement_findings(mod, _table_entries("SIM012"))
-
-
-# -- SIM013: event-queue draining confinement --------------------------------
-
-
-@rule(
-    "SIM013",
-    "equeue-drain-in-engine-only",
-    rationale=(
-        "Event consumption is the run loop's contract: popping or "
-        "run-draining an event queue advances the (time, seq) order, the "
-        "tombstone filter and the batched clock rule.  A module that "
-        "drains the queue directly bypasses run accounting and the "
-        "batched/unbatched equivalence the engine guarantees."
-    ),
-)
-def check_equeue_drain_confined(mod: ModuleInfo) -> Iterator[Finding]:
-    """``pop()``/``drain_run()`` on an event queue may appear only in
-    ``repro.sim.engine`` and the backends under ``repro.sim.equeue``:
-    every other module observes events solely through ``Simulator``
-    callbacks.  ``drain_run`` is unambiguous and flagged on any receiver;
-    a bare zero-argument ``.pop()`` is flagged only when the receiver is
-    named like an event queue (name contains ``equeue`` or is exactly
-    ``eq``), so everyday list/deque/dict pops stay silent.  A genuinely
-    new run driver belongs next to the engine, not behind a pragma."""
-    yield from _confinement_findings(mod, _table_entries("SIM013"))
 
 
 # -- SIM014: partition-ownership races (project scope) -----------------------
@@ -1494,8 +1427,8 @@ def check_callback_purity(
     scope=SCOPE_PROJECT,
     rationale=(
         "Some APIs are contracts of exactly one subsystem: gc pausing "
-        "belongs to the run loop, raw heap primitives to the event-queue "
-        "core, frame construction to the endpoint layer, boundary "
+        "belongs to the run loop, raw heap primitives to the engine, "
+        "frame construction to the endpoint layer, boundary "
         "plumbing to the parallel coordinator.  The declarative table "
         "(CONFINEMENTS) states who may use what; resolution through the "
         "project symbol table means aliased imports cannot dodge it."

@@ -8,12 +8,10 @@ Examples::
     # two scenarios, best-of-3, results under out/
     python -m repro bench -s engine_churn -s incast --repeat 3 --out out/
 
-    # CI gate: fail (exit 1) if any scenario lost >30% events/sec
-    python -m repro bench --compare benchmarks/baselines
-
-    # same gate on the ladder event-queue backend, comparison as JSON
-    python -m repro bench -s engine_churn --equeue ladder \\
-        --compare benchmarks/baselines --compare-json compare.json
+    # CI gate: fail (exit 1) if any scenario lost >30% events/sec,
+    # comparison also written as JSON
+    python -m repro bench --compare benchmarks/baselines \\
+        --compare-json compare.json
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.bench.runner import (
     write_result,
 )
 from repro.bench.scenarios import SCENARIOS
-from repro.sim.equeue import BACKENDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repetitions per scenario; the fastest is kept (default 1)",
     )
     parser.add_argument(
-        "--equeue",
-        choices=sorted(BACKENDS) + ["auto"],
-        default="heap",
-        help=(
-            "event-queue backend to run the scenarios on (default heap; "
-            "results are bit-identical across backends, only speed moves)"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -77,17 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
             "partitioned-engine worker count for leafspine scenarios "
             "(default 0 = serial; fingerprints are worker-count "
             "invariant, so --compare stays apples-to-apples)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_false",
-        dest="batch",
-        help=(
-            "disable the batched hot path (same-timestamp run draining "
-            "and inline transmit trains); results are bit-identical, "
-            "only speed moves — useful for before/after measurements "
-            "and as a CI cross-check"
         ),
     )
     parser.add_argument(
@@ -224,10 +201,8 @@ def main(argv=None) -> int:
             result = run_scenario(
                 name,
                 repeat=args.repeat,
-                equeue=args.equeue,
                 workers=args.workers,
                 spans=spans,
-                batch=args.batch,
                 sanitize=args.sanitize,
                 mode=args.mode,
             )
@@ -268,8 +243,6 @@ def main(argv=None) -> int:
         print(f"(no baseline for: {', '.join(missing)})")
     if args.compare_json is not None:
         payload = {
-            "equeue": args.equeue,
-            "batch": args.batch,
             "threshold": args.threshold,
             "regressed": regressed,
             "geomean_ratio": round(geomean, 4) if geomean else None,

@@ -49,10 +49,6 @@ class BenchResult:
     schema: int = SCHEMA_VERSION
     python: str = ""
     machine: str = ""
-    #: event-queue backend the scenario ran on (repro.sim.equeue name)
-    equeue: str = "heap"
-    #: the backend's structure counters from the kept repetition
-    equeue_stats: Dict[str, int] = field(default_factory=dict)
     #: partitioned-engine worker count the scenario ran with (0 = serial)
     workers: int = 0
     #: CPUs the host exposed — context for judging parallel numbers
@@ -66,13 +62,6 @@ class BenchResult:
     #: per-phase stall attribution (stall_table output) when the scenario
     #: ran with span recording — empty otherwise
     phase_stats: Dict[str, object] = field(default_factory=dict)
-    #: whether the batched hot path was on (old baselines default True —
-    #: pre-batching engines and batch=True are throughput-comparable
-    #: claims about the same scenario)
-    batch: bool = True
-    #: batched hot-path counters (runs_drained, trains, train_pkts,
-    #: train_fallbacks, run/train histograms); empty in old baselines
-    batch_stats: Dict[str, object] = field(default_factory=dict)
     #: simulation mode the scenario ran in (packet / fluid / hybrid);
     #: baselines of different modes are not throughput-comparable
     mode: str = "packet"
@@ -95,16 +84,12 @@ class BenchResult:
             "repeat": self.repeat,
             "python": self.python,
             "machine": self.machine,
-            "equeue": self.equeue,
-            "equeue_stats": self.equeue_stats,
             "workers": self.workers,
             "cpu_count": self.cpu_count,
             "rounds": self.rounds,
             "sync_stall_s": round(self.sync_stall_s, 6),
             "start_method": self.start_method,
             "phase_stats": self.phase_stats,
-            "batch": self.batch,
-            "batch_stats": self.batch_stats,
             "mode": self.mode,
             "fluid_stats": self.fluid_stats,
         }
@@ -124,19 +109,13 @@ class BenchResult:
             schema=int(data.get("schema", SCHEMA_VERSION)),  # type: ignore[arg-type]
             python=str(data.get("python", "")),
             machine=str(data.get("machine", "")),
-            equeue=str(data.get("equeue", "heap")),
-            equeue_stats=dict(data.get("equeue_stats", {})),  # type: ignore[arg-type]
             workers=int(data.get("workers", 0)),  # type: ignore[arg-type]
             cpu_count=int(data.get("cpu_count", 0)),  # type: ignore[arg-type]
             rounds=int(data.get("rounds", 0)),  # type: ignore[arg-type]
             sync_stall_s=float(data.get("sync_stall_s", 0.0)),  # type: ignore[arg-type]
             start_method=str(data.get("start_method", "")),
             phase_stats=dict(data.get("phase_stats", {})),  # type: ignore[arg-type]
-            # default-tolerant: baselines written before the batched hot
-            # path carry neither key
-            batch=bool(data.get("batch", True)),
-            batch_stats=dict(data.get("batch_stats", {})),  # type: ignore[arg-type]
-            # default-tolerant too: pre-fluid baselines are packet runs
+            # default-tolerant: pre-fluid baselines are packet runs
             mode=str(data.get("mode", "packet")),
             fluid_stats=dict(data.get("fluid_stats", {})),  # type: ignore[arg-type]
         )
@@ -148,7 +127,6 @@ class BenchResult:
             total = alloc["packets_allocated"] + alloc["packets_reused"]
             pct = 100.0 * alloc["packets_reused"] / total if total else 0.0
             reuse = f", {pct:.0f}% pkt reuse"
-        backend = f", equeue {self.equeue}" if self.equeue != "heap" else ""
         fluid = ""
         if self.mode != "packet":
             fluid = f", {self.mode} mode"
@@ -170,28 +148,25 @@ class BenchResult:
         return (
             f"{self.scenario}: {self.events_per_sec / 1e3:.0f}k ev/s "
             f"({self.events} events, {self.wall_s:.2f}s wall, "
-            f"heap hwm {self.heap_hwm}{reuse}{backend}{fluid}{par})"
+            f"heap hwm {self.heap_hwm}{reuse}{fluid}{par})"
         )
 
 
 def run_scenario(
     name: str,
     repeat: int = 1,
-    equeue: str = "heap",
     workers: int = 0,
     spans: Optional["SpanRecorder"] = None,
-    batch: bool = True,
     sanitize: bool = False,
     mode: Optional[str] = None,
 ) -> BenchResult:
     """Run one pinned scenario ``repeat`` times; keep the fastest.
 
-    ``equeue`` selects the event-queue backend and ``workers`` the
-    partitioned-engine worker count (leafspine scenarios only; 0 runs
-    the serial engine); the scenario's deterministic fingerprint must
-    come out identical regardless, which the cross-repetition assertion
-    below extends to the cross-backend and serial-vs-partitioned
-    comparisons made by the CLI and CI.
+    ``workers`` selects the partitioned-engine worker count (leafspine
+    scenarios only; 0 runs the serial engine); the scenario's
+    deterministic fingerprint must come out identical regardless, which
+    the cross-repetition assertion below extends to the
+    serial-vs-partitioned comparisons made by the CLI and CI.
 
     ``spans`` turns the flight recorder on for every repetition: the
     kept (fastest) repetition's spans land in the recorder and its
@@ -218,8 +193,7 @@ def run_scenario(
         if spans_on and spans is not None:
             rep_spans = SpanRecorder(capacity=spans.capacity, pid=spans.pid)
         profile, run_fingerprint = scenario.run(
-            equeue=equeue, workers=workers, spans=rep_spans, batch=batch,
-            sanitize=sanitize, mode=mode,
+            workers=workers, spans=rep_spans, sanitize=sanitize, mode=mode,
         )
         allocated, reused, _free = freelist_stats()
         if fingerprint is not None and dict(run_fingerprint) != dict(
@@ -256,8 +230,6 @@ def run_scenario(
         repeat=max(1, repeat),
         python=platform.python_version(),
         machine=platform.machine(),
-        equeue=str(best_profile.get("equeue", "heap")),
-        equeue_stats=dict(best_profile.get("equeue_stats", {})),  # type: ignore[arg-type,call-overload]
         workers=int(best_profile.get("workers", 0)),  # type: ignore[call-overload]
         cpu_count=int(best_profile.get("cpu_count", os.cpu_count() or 1)),  # type: ignore[call-overload]
         rounds=int(best_profile.get("rounds", 0)),  # type: ignore[call-overload]
@@ -266,19 +238,6 @@ def run_scenario(
         phase_stats=dict(best_profile.get("phase_stats", {})),  # type: ignore[call-overload]
         mode=effective_mode,
         fluid_stats=dict(best_profile.get("fluid_stats", {})),  # type: ignore[arg-type,call-overload]
-        batch=batch,
-        batch_stats={
-            k: best_profile[k]
-            for k in (
-                "runs_drained",
-                "run_hist",
-                "trains",
-                "train_pkts",
-                "train_hist",
-                "train_fallbacks",
-            )
-            if k in best_profile
-        },
     )
 
 

@@ -1,8 +1,8 @@
 """The pinned scenarios: what each one stresses, and how it runs.
 
 A scenario is a name, a one-line description, and a ``run()`` (taking
-optional ``equeue`` backend-name, ``workers`` count, ``spans`` recorder,
-and ``batch`` toggle keywords) returning ``(profile, fingerprint)``:
+optional ``workers`` count, ``spans`` recorder, ``sanitize`` and
+``mode`` keywords) returning ``(profile, fingerprint)``:
 
 * ``profile`` — the :class:`~repro.obs.profile.RunProfile` dict for the
   run (events, heap_hwm, wall_s, events_per_sec, rss_hwm_bytes);
@@ -41,10 +41,8 @@ class Scenario(NamedTuple):
 
 
 def _engine_churn(
-    equeue: str = "heap",
     workers: int = 0,
     spans: Optional[SpanRecorder] = None,
-    batch: bool = True,
     sanitize: bool = False,
     mode: Optional[str] = None,
 ) -> Tuple[Profile, Fingerprint]:
@@ -74,7 +72,7 @@ def _engine_churn(
     steps = 200_000
     k_timers = 256
     timer_horizon_ns = 5_000
-    sim = Simulator(equeue=equeue, batch=batch, sanitize=sanitize or None)
+    sim = Simulator(sanitize=sanitize or None)
     timers = deque()
 
     def noop() -> None:
@@ -109,10 +107,8 @@ def _engine_churn(
 
 def _experiment(**overrides) -> RunFn:
     def run(
-        equeue: str = "heap",
         workers: int = 0,
         spans: Optional[SpanRecorder] = None,
-        batch: bool = True,
         sanitize: bool = False,
         mode: Optional[str] = None,
     ) -> Tuple[Profile, Fingerprint]:
@@ -120,10 +116,7 @@ def _experiment(**overrides) -> RunFn:
         if mode is not None:
             params["mode"] = mode
         result = run_experiment(
-            ExperimentConfig(
-                equeue=equeue, workers=workers, batch=batch,
-                sanitize=sanitize, **params
-            ),
+            ExperimentConfig(workers=workers, sanitize=sanitize, **params),
             spans=spans,
         )
         fingerprint = {

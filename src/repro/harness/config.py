@@ -88,7 +88,7 @@ class ExperimentConfig:
     # fluid while short flows stay packet-exact, with two-way coupling
     # (fluid load sets residual port rates / standing-queue delay /
     # marking; measured packet throughput feeds back into the solver).
-    # Unlike equeue/workers/batch this is NOT a pure performance knob —
+    # Unlike workers/sanitize this is NOT a pure performance knob —
     # fluid results are an approximation — so the sweep cache
     # fingerprint includes both fields.  See docs/FLUID.md.
     mode: str = "packet"
@@ -97,10 +97,6 @@ class ExperimentConfig:
     # bookkeeping
     seed: int = 1
     max_sim_ns: int = 0            # 0 -> auto (generous multiple of last arrival)
-    # future-event-list backend: a repro.sim.equeue.BACKENDS name, or
-    # "auto" to let resolved_equeue pick from the workload shape.  Pure
-    # performance knob — every backend yields bit-identical results.
-    equeue: str = "heap"
     # Parallel engine (repro.sim.parallel): 0 = the classic serial engine;
     # >= 1 shards the leaf-spine fabric into one sub-simulator per leaf
     # pod, spread over `workers` processes (1 = the same partitioned
@@ -109,30 +105,18 @@ class ExperimentConfig:
     # engine is digest-checked by tests/test_parallel.py, which is why
     # the sweep cache fingerprint excludes this knob.
     workers: int = 0
-    # Batched hot path (run draining + inline transmit trains): a pure
-    # performance knob, bit-identical on and off — pinned by the golden
-    # digests and the batched-vs-unbatched fuzz — so, like `workers`,
-    # the sweep cache fingerprint excludes it.  False = `--no-batch`.
-    batch: bool = True
     # Runtime sanitizer (repro.sanitize): invariant checks with zero
     # effect on results — a sanitized run either raises or is
     # bit-identical to an unsanitized one — so the sweep cache
-    # fingerprint excludes it like `equeue`/`workers`/`batch`.  False
-    # still defers to the REPRO_SANITIZE environment switch at engine
-    # construction, so an unmodified suite can run fully sanitized.
+    # fingerprint excludes it like `workers`.  False still defers to the
+    # REPRO_SANITIZE environment switch at engine construction, so an
+    # unmodified suite can run fully sanitized.
     sanitize: bool = False
 
     def validate(self) -> None:
         """Fail fast on inconsistent combinations."""
-        from repro.sim.equeue import BACKENDS
-
         if self.topology not in ("star", "leafspine"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.equeue != "auto" and self.equeue not in BACKENDS:
-            raise ValueError(
-                f"unknown equeue backend {self.equeue!r}: expected one of "
-                f"{sorted(BACKENDS)} or 'auto'"
-            )
         if not 0.0 < self.load < 1.0:
             raise ValueError(f"load must be in (0,1), got {self.load}")
         if self.n_flows < 1:
@@ -202,19 +186,3 @@ class ExperimentConfig:
     def n_low(self) -> int:
         """Low-priority (fair-queued) queues under sp_* schedulers."""
         return self.n_queues - self.n_high
-
-    @property
-    def resolved_equeue(self) -> str:
-        """The concrete backend name after applying the ``auto`` heuristic.
-
-        The heap wins at small event populations (its sifts are pure C);
-        the ladder wins once the future-event list carries a few hundred
-        entries.  Leaf-spine fabrics and large flow counts are the
-        populations where that crossover is behind us, so ``auto`` picks
-        the ladder there and stays on the heap for small star runs.
-        """
-        if self.equeue != "auto":
-            return self.equeue
-        if self.topology == "leafspine" or self.n_flows >= 100:
-            return "ladder"
-        return "heap"

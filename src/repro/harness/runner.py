@@ -68,8 +68,7 @@ class ExperimentResult:
     #: value is derived from simulated state, so it is deterministic.
     metrics: Dict[str, dict] = field(repr=False, default_factory=dict)
     #: RunProfile.as_dict() — events, heap high-water mark, wall time,
-    #: plus the event-queue backend name and its structure counters.
-    #: Wall-clock derived, hence *not* deterministic (kept out of sweep
+    #: RSS high-water mark and fluid counters.  Wall-clock derived, hence *not* deterministic (kept out of sweep
     #: cache payloads).
     profile: Dict[str, object] = field(repr=False, default_factory=dict)
 
@@ -94,7 +93,7 @@ def run_experiment(
 
     Pass a :class:`repro.obs.SpanRecorder` to additionally record the
     harness-side flight recorder: one span per ``Simulator.run`` chunk
-    here (the GC-paused window, with event-queue and freelist deltas),
+    here (the GC-paused window, with freelist deltas),
     and the full round-phase decomposition when the run is partitioned.
     Spans are pure observation too — ``tests/test_spans.py`` pins a
     spans-on run to the spans-off golden results.
@@ -106,10 +105,7 @@ def run_experiment(
         from repro.sim.parallel.cluster import run_parallel_experiment
 
         return run_parallel_experiment(cfg, tracer, spans)
-    sim = Simulator(
-        equeue=cfg.resolved_equeue, batch=cfg.batch,
-        sanitize=cfg.sanitize or None,
-    )
+    sim = Simulator(sanitize=cfg.sanitize or None)
     rng = RngFactory(cfg.seed)
     topo = _build_topology(sim, cfg)
     flows = _build_flows(cfg, rng, topo)
@@ -154,7 +150,6 @@ def run_experiment(
     rss = RssSampler()
     spans_on = spans is not None and spans.enabled
     chunk_idx = 0
-    prev_eq: Dict[str, int] = sim.equeue_stats() if spans_on else {}
     prev_alloc = prev_reuse = 0
     if spans_on:
         prev_alloc, prev_reuse, _free = freelist_stats()
@@ -182,12 +177,6 @@ def run_experiment(
                 # span is also the GC-pause window
                 "gc_paused": True,
             }
-            eq = sim.equeue_stats()
-            for key, value in eq.items():
-                delta = value - prev_eq.get(key, 0)
-                if delta:
-                    args[f"equeue.{key}"] = delta
-            prev_eq = eq
             alloc, reuse, _free = freelist_stats()
             if alloc - prev_alloc:
                 args["freelist_allocated"] = alloc - prev_alloc

@@ -43,7 +43,6 @@ def _config_lines(cfg: ExperimentConfig) -> str:
         ["load", f"{cfg.load:g}"],
         ["flows", str(cfg.n_flows)],
         ["seed", str(cfg.seed)],
-        ["equeue", cfg.equeue],
         ["workers", str(cfg.workers)],
     ]
     return format_table(["parameter", "value"], rows)
@@ -70,7 +69,6 @@ def _profile_lines(profile: Dict[str, object]) -> str:
             "RSS high-water",
             f"{int(profile.get('rss_hwm_bytes', 0)) / 2**20:.0f} MB",  # type: ignore[call-overload]
         ],
-        ["event queue", str(profile.get("equeue", "heap"))],
     ]
     if profile.get("workers"):
         rows += [

@@ -93,18 +93,14 @@ def code_version() -> str:
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Canonical JSON of every result-affecting config field.
 
-    The event-queue backend is excluded on purpose: every backend
-    produces bit-identical results (the golden-digest tests enforce it),
-    so a sweep re-run with ``--equeue ladder`` still hits the cache
-    entries a heap run populated.  ``workers`` is excluded for the same
-    reason: the partitioned engine is digest-checked against the serial
-    one (``tests/test_parallel.py``), so serial and parallel runs of one
-    config share a cache entry.
+    ``workers`` is excluded on purpose: the partitioned engine is
+    digest-checked against the serial one (``tests/test_parallel.py``),
+    so serial and parallel runs of one config share a cache entry.
+    ``sanitize`` is excluded for the same reason: a sanitized run either
+    raises or is bit-identical to an unsanitized one.
     """
     fields = dataclasses.asdict(cfg)
-    fields.pop("equeue", None)
     fields.pop("workers", None)
-    fields.pop("batch", None)
     fields.pop("sanitize", None)
     return json.dumps(
         fields, sort_keys=True, separators=(",", ":"), default=str,

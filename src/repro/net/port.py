@@ -98,7 +98,6 @@ class EgressPort:
         "_link_dst",
         "_link_delay",
         "_tx_cache",
-        "_batch",
     )
 
     def __init__(
@@ -156,10 +155,6 @@ class EgressPort:
         # schedulers rewrite queue.index to band-local values, so position
         # in scheduler.queues is the only trustworthy global identity.
         self._qindex = {id(q): i for i, q in enumerate(scheduler.queues)}
-        # batched transmit trains (see _tx_done): follows the engine's
-        # --no-batch escape hatch; cached because the flag never changes
-        # mid-run and the check sits on the per-frame path
-        self._batch = sim.batch
         # Single-queue FIFO bypass: host NICs (the most numerous ports)
         # run a plain FIFO, where the generic dequeue indirection buys
         # nothing — _transmit pops the queue directly instead.
@@ -341,175 +336,10 @@ class EgressPort:
         stats.tx_bytes += size
 
     def _tx_done(self) -> None:
-        """Serializer-done tick: transmit the next queued frame, if any.
-
-        On the batched path this is the *anchor* of a potential transmit
-        train: the first frame is processed with exactly ``_transmit``'s
-        body (no hoisting — in a busy fabric the global event queue
-        almost always denies the inline step, so the attempt must cost
-        nothing beyond a floor probe), and only when the engine proves
-        the frame's done tick safe and runs it inline does the hoisted
-        train loop (:meth:`_tx_train`) take over for the rest.
-        """
-        scheduler = self.scheduler
-        if not scheduler.total_bytes:
-            self.busy = False
-            return
-        if not self._batch or self._link_dst is None:
-            self.busy = False
+        """Serializer-done tick: the link idles, or the next frame starts."""
+        self.busy = False
+        if self.scheduler.total_bytes:
             self._transmit()
-            return
-        # -- frame 1: _transmit's body, minus the redundant busy store
-        #    (busy is already True on every done tick), with the
-        #    schedule_tx -> schedule_tx_train swap at the end
-        sim = self.sim
-        now = sim.now
-        fifo = self._fifo
-        if fifo is not None:
-            # single-queue FIFO bypass (see _transmit)
-            pkts = fifo._pkts
-            pkt = pkts.popleft()
-            queue = fifo
-            size = pkt.wire_size
-            fifo.bytes -= size
-            fifo.dequeued_pkts += 1
-            fifo.dequeued_bytes += size
-            scheduler.total_bytes -= size
-        else:
-            result = scheduler.dequeue(now)
-            if result is None:
-                # non-work-conserving corner: mirrors _transmit's early
-                # return with the link left idle
-                self.busy = False
-                return
-            pkt, queue = result
-            size = pkt.wire_size
-        if self.tracer is not None:
-            self.tracer.dequeue(
-                now, self.name, self._qindex[id(queue)], pkt, now - pkt.enq_ts
-            )
-        aqm_deq = self._aqm_deq
-        if aqm_deq is not None and aqm_deq(self, queue, pkt, now):
-            self._mark(pkt, queue, "deq")
-        self.occupancy -= size
-        pool = self.pool
-        if pool is not None:
-            pool.occupancy -= size
-        if self.occupancy_tracker is not None:
-            self.occupancy_tracker(now, self.occupancy)
-        try:
-            tx_ns = self._tx_cache[size]
-        except KeyError:
-            tx_ns = -(-size * _BITS_NS // self.rate_bps)
-            self._tx_cache[size] = tx_ns
-        stats = self.stats
-        stats.tx_pkts += 1
-        stats.tx_bytes += size
-        if sim.schedule_tx_train(
-            tx_ns,
-            self._tx_done_cb,
-            tx_ns + self._link_delay,
-            self._link_dst.receive,
-            pkt,
-        ):
-            # the done tick ran inline: the train is live, keep feeding
-            # it frames from the (now advanced) clock
-            self._tx_train(scheduler)
-        else:
-            # the pair was scheduled normally; the done tick will
-            # re-enter _tx_done through the queue (busy stays True,
-            # exactly as _transmit would have left it)
-            sim.train_fallbacks += 1
-
-    def _tx_train(self, scheduler: Scheduler) -> None:
-        """Continue the transmit train whose first frame just ran inline.
-
-        The serializer-done tick of frame 1 was executed inside the
-        anchor event (:meth:`_tx_done`), so the next transmission starts
-        *now* — and as long as the engine keeps proving no competing
-        event fires before each frame's done tick
-        (:meth:`Simulator.schedule_tx_train`), the whole train runs
-        inside this one event: dequeue → AQM-on-dequeue → serialize,
-        advancing the clock frame by frame.  Every per-frame observable
-        — sojourn time, mark decision, trace record, occupancy sample —
-        is produced at exactly the timestamp the per-frame path would
-        have used, because the clock *is* at that timestamp when the
-        frame is processed.  The first frame whose done tick cannot be
-        proven safe falls back to a normally scheduled pair and the
-        train ends; per-frame dispatch resumes at that tick.
-        """
-        sim = self.sim
-        fifo = self._fifo
-        tracer = self.tracer
-        aqm_deq = self._aqm_deq
-        pool = self.pool
-        occ_tracker = self.occupancy_tracker
-        tx_cache = self._tx_cache
-        delay = self._link_delay
-        done_cb = self._tx_done_cb
-        rx_fn = self._link_dst.receive
-        train = sim.schedule_tx_train
-        stats = self.stats
-        n = 1  # frame 1 already rode this event (its done tick ran inline)
-        while scheduler.total_bytes:
-            now = sim.now
-            if fifo is not None:
-                # single-queue FIFO bypass (see _transmit)
-                pkt = fifo._pkts.popleft()
-                queue = fifo
-                size = pkt.wire_size
-                fifo.bytes -= size
-                fifo.dequeued_pkts += 1
-                fifo.dequeued_bytes += size
-                scheduler.total_bytes -= size
-            else:
-                result = scheduler.dequeue(now)
-                if result is None:
-                    # non-work-conserving corner: mirrors _transmit's
-                    # early return with the link left idle
-                    self.busy = False
-                    break
-                pkt, queue = result
-                size = pkt.wire_size
-            if tracer is not None:
-                tracer.dequeue(
-                    now,
-                    self.name,
-                    self._qindex[id(queue)],
-                    pkt,
-                    now - pkt.enq_ts,
-                )
-            if aqm_deq is not None and aqm_deq(self, queue, pkt, now):
-                self._mark(pkt, queue, "deq")
-            self.occupancy -= size
-            if pool is not None:
-                pool.occupancy -= size
-            if occ_tracker is not None:
-                occ_tracker(now, self.occupancy)
-            try:
-                tx_ns = tx_cache[size]
-            except KeyError:
-                tx_ns = -(-size * _BITS_NS // self.rate_bps)
-                tx_cache[size] = tx_ns
-            stats.tx_pkts += 1
-            stats.tx_bytes += size
-            n += 1
-            if not train(tx_ns, done_cb, tx_ns + delay, rx_fn, pkt):
-                # fallback: the pair was scheduled normally, the done
-                # tick re-enters _tx_done through the queue (busy stays
-                # True, exactly as _transmit would have left it)
-                sim.train_fallbacks += 1
-                break
-        else:
-            # every queued frame's done tick ran inline: the link goes
-            # idle at the clock's current (advanced) time, just as the
-            # last scheduled tick would have left it
-            self.busy = False
-        sim.trains += 1
-        sim.train_pkts += n
-        h = n.bit_length()
-        hist = sim.train_hist
-        hist[h if h < 17 else 17] += 1
 
     # -- helpers -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -24,11 +24,7 @@ class RunProfile:
     ``events`` and ``heap_hwm`` are deterministic properties of the run;
     ``wall_s`` / ``events_per_sec`` / ``rss_hwm_bytes`` describe the host
     executing it and vary between machines (the sweep cache therefore
-    persists only the deterministic fields).  ``equeue`` names the
-    future-event-list backend that ran the simulation and
-    ``equeue_stats`` carries its structure counters (bucket refills,
-    resizes, overflow migrations, ...), so perf trajectories can
-    attribute an events/sec move to the right data structure.
+    persists only the deterministic fields).
     """
 
     events: int = 0
@@ -37,23 +33,6 @@ class RunProfile:
     events_per_sec: float = 0.0
     #: process high-water RSS (bytes), 0 where the platform can't say
     rss_hwm_bytes: int = 0
-    #: event-queue backend name (repro.sim.equeue registry key)
-    equeue: str = "heap"
-    #: backend structure counters (EventQueue.stats(); empty for the heap)
-    equeue_stats: Dict[str, int] = field(default_factory=dict)
-    # -- batched hot path (all zero when batching is off) ----------------
-    #: same-timestamp runs dispatched by the batched run loops
-    runs_drained: int = 0
-    #: run-length histogram, bucketed by bit_length(run_len)
-    run_hist: List[int] = field(default_factory=lambda: [0] * 18)
-    #: back-to-back transmit trains executed by ports
-    trains: int = 0
-    #: frames those trains carried
-    train_pkts: int = 0
-    #: train-length histogram, bucketed by bit_length(train_len)
-    train_hist: List[int] = field(default_factory=lambda: [0] * 18)
-    #: trains cut short by an unsafe inline step (competing event)
-    train_fallbacks: int = 0
     # -- fluid/hybrid mode (empty for pure packet runs) ------------------
     #: FluidNetwork.stats_dict(): promoted flows, epochs, solver
     #: iterations, threshold crossings — deterministic properties of the
@@ -84,14 +63,6 @@ class RunProfile:
             wall_s=wall_s,
             events_per_sec=events / wall_s if wall_s > 0 else 0.0,
             rss_hwm_bytes=max(_rss_high_water(), rss_floor),
-            equeue=sim.equeue_name,
-            equeue_stats=sim.equeue_stats(),
-            runs_drained=sim.runs_drained,
-            run_hist=list(sim.run_hist),
-            trains=sim.trains,
-            train_pkts=sim.train_pkts,
-            train_hist=list(sim.train_hist),
-            train_fallbacks=sim.train_fallbacks,
             fluid_stats=dict(fluid_stats) if fluid_stats else {},
         )
 
@@ -113,14 +84,6 @@ class RunProfile:
                 "wall_s",
                 "events_per_sec",
                 "rss_hwm_bytes",
-                "equeue",
-                "equeue_stats",
-                "runs_drained",
-                "run_hist",
-                "trains",
-                "train_pkts",
-                "train_hist",
-                "train_fallbacks",
                 "fluid_stats",
             )
             if f in d
@@ -134,14 +97,6 @@ class RunProfile:
             "wall_s": self.wall_s,
             "events_per_sec": self.events_per_sec,
             "rss_hwm_bytes": self.rss_hwm_bytes,
-            "equeue": self.equeue,
-            "equeue_stats": dict(self.equeue_stats),
-            "runs_drained": self.runs_drained,
-            "run_hist": list(self.run_hist),
-            "trains": self.trains,
-            "train_pkts": self.train_pkts,
-            "train_hist": list(self.train_hist),
-            "train_fallbacks": self.train_fallbacks,
             "fluid_stats": dict(self.fluid_stats),
         }
 
@@ -152,8 +107,6 @@ class RunProfile:
             f"{self.events_per_sec / 1e3:.0f}k ev/s",
             f"heap high-water {self.heap_hwm}",
         ]
-        if self.equeue != "heap":
-            parts.append(f"equeue {self.equeue}")
         if self.rss_hwm_bytes:
             parts.append(f"rss high-water {self.rss_hwm_bytes / 2**20:.0f} MB")
         if self.fluid_stats:

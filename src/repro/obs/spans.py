@@ -15,9 +15,8 @@ Three layers record spans:
 =========  ======  =========================================================
 engine     chunk   ``harness.runner.run_experiment`` — one span per
                    ``Simulator.run`` chunk (the GC-paused window), with
-                   sim-time bounds, executed events, event-queue backend
-                   structure-counter deltas (resizes / cascades / purges),
-                   and packet-freelist pressure deltas
+                   sim-time bounds, executed events and packet-freelist
+                   pressure deltas
 round      merge   ``parallel.cluster._Partition`` — applying the round's
                    boundary handoffs into the partition's event queue
 round      compute ``_Partition`` — the ``sim.run(until=horizon)`` slice

@@ -14,20 +14,21 @@ checks before it:
   ``make_*`` constructors rewrite every field of a recycled frame, so
   poisoning is invisible to a correct simulation — bit-identical
   results, asserted by ``tests/test_sanitize.py``.
-* **event-queue order** (SIM013 and the batched-train proofs) — the
-  :class:`~repro.sim.equeue.sanitize.SanitizingEventQueue` wrapper
-  checks monotone ``(time, seq)`` pop order, clock regressions,
-  ``peek_floor`` honesty and ``drain_run`` shape on every transition.
+* **event-queue order** — :meth:`Sanitizer.push` and
+  :meth:`Sanitizer.pop`, drop-in twins of ``heapq.heappush``/``heappop``,
+  check every heap transition: no push behind the clock, no duplicate
+  live ``seq``, ``(time, seq)`` pop order, and no pop behind the clock.
 * **partition ownership at handoff** (SIM014's twin) —
   ``PartitionSimulator.insert_arrival`` validates the composite arrival
   key: the ARRIVAL bit must be set, the source partition must be remote,
   and the stamped send time must not postdate the delivery.
 
-Everything is **zero overhead when off**: the engine wraps its backend
-only when sanitizing, and the freelist hooks are one module-global
-``None`` check per call.  Violations raise :class:`SanitizeError` by
-default (``raise_on_violation=False`` collects them instead) and are
-recorded with simulated-time context — pass a
+Everything is **zero overhead when off**: the engine binds the checked
+primitives in place of ``heapq``'s only when sanitizing, and the
+freelist hooks are one module-global ``None`` check per call.
+Violations raise :class:`SanitizeError` by default
+(``raise_on_violation=False`` collects them instead) and are recorded
+with simulated-time context — pass a
 :class:`repro.obs.spans.SpanRecorder` to also land each violation on the
 flight-recorder timeline.
 
@@ -38,10 +39,9 @@ by the most recently constructed sanitizing ``Simulator``; use
 
 from __future__ import annotations
 
+import heapq
 import os
-from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional
-
-from repro.sim.equeue.sanitize import SanitizingEventQueue
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanRecorder
@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "POISON",
     "SanitizeError",
-    "SanitizingEventQueue",
     "Sanitizer",
     "Violation",
     "detach",
@@ -81,14 +80,16 @@ def env_enabled() -> bool:
 
 
 class Sanitizer:
-    """Violation collector and freelist-poisoning protocol.
+    """Violation collector, checked heap primitives, freelist poisoning.
 
     One instance per sanitizing :class:`~repro.sim.engine.Simulator`;
-    the engine threads it into the event-queue wrapper and (via
-    :meth:`attach_freelist`) into the packet freelist hooks.
+    the engine binds :meth:`push`/:meth:`pop` as its heap primitives and
+    (via :meth:`attach_freelist`) installs the packet freelist hooks.
     """
 
-    __slots__ = ("sim", "violations", "raise_on_violation", "spans")
+    __slots__ = (
+        "sim", "violations", "raise_on_violation", "spans", "_bar", "_live",
+    )
 
     def __init__(
         self,
@@ -100,6 +101,11 @@ class Sanitizer:
         self.violations: List[Violation] = []
         self.raise_on_violation = raise_on_violation
         self.spans = spans
+        #: the least ``(time, seq)`` the next pop may surface: the last
+        #: popped key, lowered by any later push below it
+        self._bar: Tuple[int, int] = (-1, -1)
+        #: seqs of entries in the heap (tombstones included)
+        self._live: Set[int] = set()
 
     # -- reporting --------------------------------------------------------
 
@@ -122,6 +128,61 @@ class Sanitizer:
             )
         if self.raise_on_violation:
             raise SanitizeError(f"[{kind}] t={now}ns: {message}")
+
+    # -- heap primitives ----------------------------------------------------
+
+    def push(self, heap: List[Any], entry: Any) -> None:
+        """Checked ``heapq.heappush``: nothing behind the clock, no live
+        duplicate ``seq`` (it would break cancel bookkeeping and the
+        totality of the ``(time, seq)`` order)."""
+        t = entry[0]
+        s = entry[1]
+        sim = self.sim
+        if sim is not None and t < sim.now:
+            self.record(
+                "push-into-past",
+                f"entry (t={t}, seq={s}) pushed behind the clock "
+                f"(now={sim.now})",
+            )
+        if s in self._live:
+            self.record(
+                "duplicate-seq",
+                f"seq {s} pushed while already live (t={t}) — cancel "
+                "bookkeeping and tie-order totality are broken",
+            )
+        else:
+            self._live.add(s)
+        if (t, s) < self._bar:
+            # lawful: the run loop returning an entry it popped past its
+            # bound, or a push after a tombstone past the bound was dropped
+            self._bar = (t, s)
+        heapq.heappush(heap, entry)
+
+    def pop(self, heap: List[Any]) -> Any:
+        """Checked ``heapq.heappop``: entries surface in non-decreasing
+        ``(time, seq)`` order and never behind the clock.  An empty heap
+        raises ``IndexError``, as ``heappop`` does."""
+        entry = heapq.heappop(heap)
+        t = entry[0]
+        s = entry[1]
+        bar = self._bar
+        if (t, s) < bar:
+            self.record(
+                "pop-order",
+                f"entry (t={t}, seq={s}) surfaced after "
+                f"(t={bar[0]}, seq={bar[1]}) — (time, seq) pop order "
+                "violated",
+            )
+        sim = self.sim
+        if sim is not None and t < sim.now:
+            self.record(
+                "time-regression",
+                f"entry (t={t}, seq={s}) popped behind the clock "
+                f"(now={sim.now})",
+            )
+        self._bar = (t, s)
+        self._live.discard(s)
+        return entry
 
     # -- freelist protocol ------------------------------------------------
 

@@ -147,7 +147,7 @@ class _Partition:
         spans_on: bool = False,
     ) -> None:
         self.pid = pid
-        sim = PartitionSimulator(pid, batch=cfg.batch, sanitize=cfg.sanitize or None)
+        sim = PartitionSimulator(pid, sanitize=cfg.sanitize or None)
         self.sim = sim
         rng = RngFactory(cfg.seed)
         topo = _build_topology(sim, cfg)
@@ -275,12 +275,6 @@ class _Partition:
                 # this process's peak: getrusage at completion, floored
                 # by the in-run round-boundary samples
                 "rss_hwm_bytes": max(_rss_high_water(), self.rss.hwm_bytes),
-                "runs_drained": self.sim.runs_drained,
-                "run_hist": list(self.sim.run_hist),
-                "trains": self.sim.trains,
-                "train_pkts": self.sim.train_pkts,
-                "train_hist": list(self.sim.train_hist),
-                "train_fallbacks": self.sim.train_fallbacks,
             },
         }
 
@@ -788,21 +782,6 @@ def _merge_results(
                 (p.get("rss_hwm_bytes", 0) for p in per_partition),
                 default=0,
             ),
-        ),
-        "equeue": "parallel:heap",
-        "equeue_stats": {},
-        "runs_drained": sum(p.get("runs_drained", 0) for p in per_partition),
-        "run_hist": [
-            sum(h) for h in zip(*(p.get("run_hist", [0] * 18) for p in per_partition))
-        ] if per_partition else [0] * 18,
-        "trains": sum(p.get("trains", 0) for p in per_partition),
-        "train_pkts": sum(p.get("train_pkts", 0) for p in per_partition),
-        "train_hist": [
-            sum(h)
-            for h in zip(*(p.get("train_hist", [0] * 18) for p in per_partition))
-        ] if per_partition else [0] * 18,
-        "train_fallbacks": sum(
-            p.get("train_fallbacks", 0) for p in per_partition
         ),
         "workers": n_workers,
         "start_method": start_method or "in-process",

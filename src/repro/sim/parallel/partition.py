@@ -17,7 +17,7 @@ independent partitions.  Here every entry's ``seq`` is the composite key
   14) | handoff_counter`` assigned by the *sending* partition.
 
 Since ``now`` never decreases and counters reset per timestamp, keys are
-unique — all any backend needs (see ``EventQueue.push``) — and two
+unique — all the heap needs — and two
 events whose scheduling times differ order exactly as the serial
 engine's global counter would have ordered them.  Only the interleaving
 of *same fire-time, same scheduling-time* events from different
@@ -35,11 +35,6 @@ surrendered to the sink (exported to plain fields, released to the
 freelist).  The receiving partition rebuilds the packet and inserts the
 delivery with :meth:`insert_arrival` — one event, exactly like the
 serial engine's ``rx_fn(pkt)`` entry, so event counts match.
-
-Partitions always run the **heap** backend: per-partition event
-populations are a fraction of the global run's (below the heap/ladder
-crossover the ``auto`` heuristic encodes), and the heap keeps these
-overrides as single inlined ``heappush`` calls.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from typing import (
 )
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.equeue.heap import heappush
 
 #: composite-key layout: time in the high bits, then one arrival flag,
 #: 9 bits of source partition, 14 bits of per-timestamp counter
@@ -94,37 +88,23 @@ class PartitionSimulator(Simulator):
     __slots__ = (
         "pid",
         "outbox",
-        "_events",
         "_sinks",
         "_seq_time",
         "_seq_cnt",
         "_handoff_cnt",
     )
 
-    def __init__(
-        self, pid: int, batch: bool = True, sanitize: Any = None
-    ) -> None:
+    def __init__(self, pid: int, sanitize: Any = None) -> None:
         if not 0 <= pid < MAX_PARTITIONS:
             raise ValueError(
                 f"partition id {pid} outside [0, {MAX_PARTITIONS})"
             )
-        super().__init__(equeue="heap", batch=batch, sanitize=sanitize)
+        super().__init__(sanitize=sanitize)
         self.pid = pid
         #: handoffs captured since the coordinator last drained them
         self.outbox: List[Handoff] = []
         #: delivery callback -> boundary sink (identity/equality keyed)
         self._sinks: Dict[Any, BoundarySink] = {}
-        # the heap backend's raw entry list.  The constructor above pinned
-        # the heap backend, so this is only None when the sanitizer wrapped
-        # it — then the wrapped heap's list still serves the *read-only*
-        # train floor probe, while writes go through the checked wrapper
-        # push (see _push/schedule_many).
-        events = self._heap
-        if events is None:
-            inner = getattr(self._equeue, "inner", None)
-            assert inner is not None, "partition backend is not a heap"
-            events = inner.entries
-        self._events: List[EventHandle] = events
         #: timestamp the counters below are valid for
         self._seq_time = -1
         self._seq_cnt = 0
@@ -155,14 +135,11 @@ class PartitionSimulator(Simulator):
         self._seq_cnt = nc
         return (now << TIME_SHIFT) | c
 
-    def _push(self, entry: EventHandle) -> None:
-        if self._san is not None:
-            self._eq_push(entry)
-        else:
-            heappush(self._events, entry)
-        n = len(self._events)
-        if n > self.heap_hwm:
-            self.heap_hwm = n
+    def _put(self, entry: EventHandle) -> None:
+        heap = self._heap
+        self._push(heap, entry)
+        if len(heap) > self.heap_hwm:
+            self.heap_hwm = len(heap)
 
     # -- scheduling overrides --------------------------------------------
 
@@ -170,7 +147,7 @@ class PartitionSimulator(Simulator):
         if delay_ns < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay_ns})")
         entry = (self.now + delay_ns, self._alloc(1), fn)
-        self._push(entry)
+        self._put(entry)
         return entry
 
     def schedule_at(self, time_ns: int, fn: Callable[[], None]) -> EventHandle:
@@ -179,31 +156,26 @@ class PartitionSimulator(Simulator):
                 f"cannot schedule at {time_ns} before now ({self.now})"
             )
         entry = (time_ns, self._alloc(1), fn)
-        self._push(entry)
+        self._put(entry)
         return entry
 
     def schedule_call(
         self, delay_ns: int, fn: Callable[[Any], None], arg: Any
     ) -> EventHandle:
         entry = (self.now + delay_ns, self._alloc(1), fn, arg)
-        self._push(entry)
+        self._put(entry)
         return entry
 
     def schedule_many(
         self, items: Iterable[Tuple[int, Callable[[], None]]]
     ) -> None:
         now = self.now
-        events = self._events
-        if self._san is not None:
-            push = self._eq_push
-            for delay_ns, fn in items:
-                push((now + delay_ns, self._alloc(1), fn))
-        else:
-            for delay_ns, fn in items:
-                heappush(events, (now + delay_ns, self._alloc(1), fn))
-        n = len(events)
-        if n > self.heap_hwm:
-            self.heap_hwm = n
+        heap = self._heap
+        push = self._push
+        for delay_ns, fn in items:
+            push(heap, (now + delay_ns, self._alloc(1), fn))
+        if len(heap) > self.heap_hwm:
+            self.heap_hwm = len(heap)
 
     def schedule_tx(
         self,
@@ -234,8 +206,8 @@ class PartitionSimulator(Simulator):
                     f"at t={now}"
                 )
             self._seq_cnt = c + 2
-            self._push((now + tx_ns, base | c, done_fn))
-            self._push((now + rx_ns, base | (c + 1), rx_fn, pkt))
+            self._put((now + tx_ns, base | c, done_fn))
+            self._put((now + rx_ns, base | (c + 1), rx_fn, pkt))
             return
         if c + 1 > LOCAL_LIMIT:
             raise RuntimeError(
@@ -243,7 +215,7 @@ class PartitionSimulator(Simulator):
                 f"at t={now}"
             )
         self._seq_cnt = c + 1
-        self._push((now + tx_ns, base | c, done_fn))
+        self._put((now + tx_ns, base | c, done_fn))
         h = self._handoff_cnt
         if h >= HANDOFF_LIMIT:
             raise RuntimeError(
@@ -253,74 +225,6 @@ class PartitionSimulator(Simulator):
         self._handoff_cnt = h + 1
         aseq = base | ARRIVAL_BIT | (self.pid << SRC_SHIFT) | h
         self.outbox.append((now + rx_ns, aseq, sink.spine_id, sink.export(pkt)))
-
-    def schedule_tx_train(
-        self,
-        tx_ns: int,
-        done_fn: Callable[[], None],
-        rx_ns: int,
-        rx_fn: Callable[[Any], None],
-        pkt: Any,
-    ) -> bool:
-        """Batched boundary capture: the inline train, composite-keyed.
-
-        Same proof obligation as the serial engine's
-        :meth:`Simulator.schedule_tx_train` — the done tick runs inline
-        only when nothing else can fire at or before it and the tick is
-        inside the coordinator's horizon (``run(until=...)`` sets
-        ``_run_bound``), so partitioned runs stay bit-identical.  The
-        composite key the done event would have carried is burned by
-        reserving its per-timestamp counter, exactly as ``schedule_tx``
-        would have: local deliveries take the next counter, boundary
-        deliveries become outbox handoffs stamped at the *scheduling*
-        time, so arrival keys — and therefore the merged digests — are
-        unchanged.  Lookahead is preserved: the clock only moves up to
-        the horizon, and arrivals are strictly later than it.
-        """
-        t_next = self.now + tx_ns
-        if t_next <= self._run_bound and not self._drain_left:
-            events = self._events
-            if not events or events[0][0] > t_next:
-                sink = self._sinks.get(rx_fn)
-                now = self.now
-                if now != self._seq_time:
-                    self._seq_time = now
-                    self._seq_cnt = 0
-                    self._handoff_cnt = 0
-                c = self._seq_cnt
-                base = now << TIME_SHIFT
-                if sink is None:
-                    if c + 2 > LOCAL_LIMIT:
-                        raise RuntimeError(
-                            f"partition {self.pid}: composite key space "
-                            f"exhausted at t={now}"
-                        )
-                    self._seq_cnt = c + 2
-                    self._push((now + rx_ns, base | (c + 1), rx_fn, pkt))
-                else:
-                    if c + 1 > LOCAL_LIMIT:
-                        raise RuntimeError(
-                            f"partition {self.pid}: composite key space "
-                            f"exhausted at t={now}"
-                        )
-                    self._seq_cnt = c + 1
-                    h = self._handoff_cnt
-                    if h >= HANDOFF_LIMIT:
-                        raise RuntimeError(
-                            f"partition {self.pid}: more than "
-                            f"{HANDOFF_LIMIT} handoffs at t={now} — "
-                            f"composite key space exhausted"
-                        )
-                    self._handoff_cnt = h + 1
-                    aseq = base | ARRIVAL_BIT | (self.pid << SRC_SHIFT) | h
-                    self.outbox.append(
-                        (now + rx_ns, aseq, sink.spine_id, sink.export(pkt))
-                    )
-                self.now = t_next
-                self._inline_ct += 1
-                return True
-        self.schedule_tx(tx_ns, done_fn, rx_ns, rx_fn, pkt)
-        return False
 
     # -- coordinator interface -------------------------------------------
 
@@ -363,7 +267,7 @@ class PartitionSimulator(Simulator):
                     f"partition {self.pid}: arrival stamped at send time "
                     f"{seq >> TIME_SHIFT} but delivered at {time_ns}",
                 )
-        self._push((time_ns, seq, fn, arg))
+        self._put((time_ns, seq, fn, arg))
 
     def drain_outbox(self) -> List[Handoff]:
         """Hand the captured handoffs to the coordinator (and reset)."""

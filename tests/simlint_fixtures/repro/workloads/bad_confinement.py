@@ -4,7 +4,7 @@ import gc  # expect: SIM017
 import repro.net.boundary as boundary
 
 from repro.net.packet import freelist_stats
-from repro.sim.equeue.heap import heappush  # expect: SIM017
+from repro.sim.engine import heappush  # expect: SIM017
 
 
 def pause_collector():

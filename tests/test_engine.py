@@ -1,8 +1,14 @@
-"""The discrete-event engine: ordering, cancellation, run bounds."""
+"""The discrete-event engine: ordering, cancellation, run bounds, and
+end-to-end runs of every scheduling discipline on it."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_experiment
+from repro.harness.schemes import SCHEDULERS
+from repro.net import packet
+from repro.sanitize import detach
 from repro.sim.engine import Simulator
 
 
@@ -285,8 +291,6 @@ class TestPendingAndIdle:
         sim.cancel(evs[0])
         sim.cancel(evs[2])
         heap = sim._heap
-        if heap is None:  # sanitizer wrapper active (REPRO_SANITIZE=1)
-            heap = sim._equeue.inner.entries
         before = list(heap)
         assert sim.pending == 4
         assert sim.pending == 4  # repeated reads agree
@@ -362,3 +366,28 @@ def test_property_cancelled_subset_never_fires(plan):
     sim.run()
     expected.sort()
     assert fired == [i for _, i in expected]
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_every_discipline_is_sanitizer_transparent(scheduler):
+    """End to end, per scheduling discipline: the checked heap primitives
+    see every push and pop of the run and change nothing."""
+    base = dict(
+        scheme="tcn", scheduler=scheduler, workload="cache",
+        load=0.4, n_flows=8, seed=3,
+    )
+    try:
+        plain = run_experiment(ExperimentConfig(**base))
+        packet.reset_freelist()
+        checked = run_experiment(ExperimentConfig(sanitize=True, **base))
+    finally:
+        detach()
+        packet.reset_freelist()
+
+    def facts(result):
+        fcts = [(f.id, f.fct_ns) for f in result.flows]
+        return (fcts, result.completed, result.timeouts, result.drops,
+                result.marks, result.sim_ns, result.events)
+
+    assert plain.completed == plain.total
+    assert facts(checked) == facts(plain)

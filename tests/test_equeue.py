@@ -1,19 +1,19 @@
-"""The pluggable event-queue backends are interchangeable, bit for bit.
+"""The event heap dispatches in exact ``(time, seq)`` order.
 
-Three layers of evidence, from the structure up to the paper's pinned
-experiments:
+The one run loop can be bound to two push/pop primitive pairs: plain
+``heapq`` ("heap") and the runtime sanitizer's checked twins
+("checked").  Three layers of evidence, from the structure up to the
+paper's pinned experiments, hold for both:
 
-1. raw-backend fuzz — randomized push/pop/peek/cancel sequences against a
-   sorted-list reference model, including the clustered/far-future delay
-   mixes that exercise the ladder's resize/migration and the wheel's
-   cascades;
-2. Simulator-level fuzz — re-entrant scheduling (callbacks that schedule
-   and cancel more work) must execute the identical event sequence on
-   every backend;
-3. end-to-end — both pinned golden configs produce byte-identical trace
-   and FCT digests on all three backends (the heap's digests are the
-   SHA-256 pins in test_trace_determinism.py, so equality here chains all
-   backends to the committed goldens).
+1. engine fuzz — randomized schedule/cancel/step/peek sequences against a
+   sorted-list reference model, over clustered, bimodal and far-future
+   delay mixes;
+2. Simulator-level re-entrant fuzz — callbacks that schedule and cancel
+   more work (including zero-delay and far-future events) must execute
+   the identical event sequence as the reference model with lazy
+   cancellation, the minimal correct event queue;
+3. end-to-end — both pinned golden configs land on the trace and FCT
+   digests committed in test_trace_determinism.py.
 """
 
 import hashlib
@@ -25,24 +25,29 @@ import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
+from repro.net import packet
 from repro.obs import Tracer
+from repro.sanitize import detach
 from repro.sim.engine import Simulator
-from repro.sim.equeue import BACKENDS, make_equeue
-from repro.sim.equeue.ladder import LadderEventQueue
-from repro.sim.equeue.wheel import TimerWheelEventQueue
 
-ALL = sorted(BACKENDS)
-
-
-def _backend_name(recorded):
-    """Strip the sanitizer wrapper so backend-name pins hold under
-    REPRO_SANITIZE=1 (the profile then records e.g. "sanitize(heap)")."""
-    if recorded.startswith("sanitize(") and recorded.endswith(")"):
-        return recorded[len("sanitize(") : -1]
-    return recorded
+#: primitive pair name -> the ``sanitize`` flag that binds it
+BACKENDS = {"heap": False, "checked": True}
+ALL = list(BACKENDS)
 
 
-# -- layer 1: raw backends against a reference model ----------------------
+@pytest.fixture(autouse=True)
+def _clean_freelist():
+    """A checked engine installs the process-global freelist hook."""
+    yield
+    detach()
+    packet.reset_freelist()
+
+
+def _make_sim(backend):
+    return Simulator(sanitize=BACKENDS[backend])
+
+
+# -- layer 1: the engine against a reference model ---------------------------
 
 
 class _RefModel:
@@ -56,11 +61,11 @@ class _RefModel:
         self.entries.append(entry)
         self.entries.sort()
 
-    def cancel(self, entry, physical):
-        if physical:
-            self.entries.remove(entry)
-        else:
-            self.cancelled.add(entry[1])
+    def cancel(self, entry):
+        self.cancelled.add(entry[1])
+
+    def live(self):
+        return [e for e in self.entries if e[1] not in self.cancelled]
 
     def pop_live(self):
         while self.entries:
@@ -90,77 +95,106 @@ def _delay_mixes():
 def test_fuzz_backend_matches_reference_model(backend, mix, seed):
     rng = random.Random(seed)
     delay = _delay_mixes()[mix]
-    eq = make_equeue(backend)
-    cancelled = set()
-    eq.attach(cancelled)
+    sim = _make_sim(backend)
     ref = _RefModel()
-    now, seq = 0, 0
-    live = []
+    fired = []
+    handles = {}  # reference entry -> engine handle, while still live
+    tag = 0
+
+    def step_both():
+        expect = ref.pop_live()
+        assert sim.step() == (expect is not None)
+        if expect is not None:
+            assert (sim.now, fired[-1]) == expect
+            del handles[expect]
+        return expect
+
     for _ in range(4000):
         op = rng.random()
         if op < 0.55 or not ref.entries:
-            seq += 1
-            entry = (now + delay(rng), seq, None)
-            eq.push(entry)
+            tag += 1
+            entry = (sim.now + delay(rng), tag)
+            handles[entry] = sim.schedule_call(
+                entry[0] - sim.now, fired.append, tag
+            )
             ref.push(entry)
-            live.append(entry)
-        elif op < 0.70 and live:
-            victim = live.pop(rng.randrange(len(live)))
-            if victim[1] not in ref.cancelled:
-                physical = eq.cancel(victim)
-                ref.cancel(victim, physical)
-                if not physical:
-                    cancelled.add(victim[1])
+        elif op < 0.70 and handles:
+            victim = rng.choice(sorted(handles))
+            sim.cancel(handles.pop(victim))
+            ref.cancel(victim)
         else:
-            expect = ref.pop_live()
-            got = eq.pop()
-            while got is not None and got[1] in cancelled:
-                cancelled.discard(got[1])
-                got = eq.pop()
-            assert got == expect
-            if expect is not None:
-                now = expect[0]
-                if expect in live:
-                    live.remove(expect)
-        # exact-length equality would be too strict: the wheel cancels
-        # physically and the ladder purges far-heap tombstones, both of
-        # which also clean the shared cancelled set.  The invariant that
-        # always holds: backend size == live entries + pending tombstones.
-        live_ref = len(ref.entries) - len(ref.cancelled)
-        assert len(eq) == live_ref + len(cancelled)
+            step_both()
+        live = ref.live()
+        assert sim.pending == len(live)
+        assert sim.peek_time() == (live[0][0] if live else None)
     # drain: the full remaining order must match
-    while True:
-        expect = ref.pop_live()
-        got = eq.pop()
-        while got is not None and got[1] in cancelled:
-            cancelled.discard(got[1])
-            got = eq.pop()
-        assert got == expect
-        if expect is None:
-            break
+    while step_both() is not None:
+        pass
+    assert sim.idle and sim.pending == 0
 
 
 @pytest.mark.parametrize("backend", ALL)
 def test_peek_is_nondestructive_and_matches_pop(backend):
-    eq = make_equeue(backend)
-    eq.attach(set())
+    sim = _make_sim(backend)
     rng = random.Random(3)
-    for seq in range(200):
-        eq.push((rng.randrange(0, 1_000_000), seq, None))
+    handles = [
+        sim.schedule(rng.randrange(0, 1_000_000), lambda: None)
+        for _ in range(200)
+    ]
+    for handle in handles[::5]:
+        sim.cancel(handle)
     while True:
-        head = eq.peek()
-        assert eq.peek() == head
-        assert eq.pop() == head
+        head = sim.peek_time()
+        pending = sim.pending
+        assert sim.peek_time() == head
+        assert sim.pending == pending
+        assert sim.step() == (head is not None)
         if head is None:
             break
+        assert sim.now == head
+        assert sim.pending == pending - 1
+    assert sim.events_executed == 160
 
 
-# -- layer 2: Simulator-level re-entrant equivalence -----------------------
+# -- layer 2: Simulator-level re-entrant equivalence -------------------------
 
 
-def _run_reentrant(backend, seed):
+class _RefSim:
+    """Sorted list + lazy-cancel set: the minimal correct event loop."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_executed = 0
+        self._entries = []
+        self._cancelled = set()
+        self._seq = 0
+
+    def schedule_call(self, delay, fn, arg):
+        self._seq += 1
+        entry = (self.now + delay, self._seq, fn, arg)
+        self._entries.append(entry)
+        self._entries.sort(key=lambda e: e[:2])
+        return entry
+
+    def cancel(self, handle):
+        self._cancelled.add(handle[1])
+
+    def run(self, max_events):
+        executed = 0
+        while self._entries and executed < max_events:
+            entry = self._entries.pop(0)
+            if entry[1] in self._cancelled:
+                self._cancelled.discard(entry[1])
+                continue
+            self.now = entry[0]
+            entry[2](entry[3])
+            executed += 1
+        self.events_executed += executed
+        return executed
+
+
+def _run_reentrant(sim, seed):
     """A self-scheduling workload: every callback logs and spawns more."""
-    sim = Simulator(equeue=backend)
     rng = random.Random(seed)
     log = []
     pending = []
@@ -176,20 +210,20 @@ def _run_reentrant(backend, seed):
 
     for tag in range(40):
         pending.append(sim.schedule_call(rng.randrange(0, 5_000), fire, tag))
-    sim.run(max_events=6000)
-    return log, sim.now, sim.events_executed
+    executed = sim.run(max_events=6000)
+    return log, sim.now, sim.events_executed, executed
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_reentrant_schedules_execute_identically_on_all_backends(seed):
-    runs = {b: _run_reentrant(b, seed) for b in ALL}
-    reference = runs["heap"]
-    assert reference[0], "workload generated no events"
-    for backend, run in runs.items():
-        assert run == reference, f"{backend} diverged from heap"
+    reference = _run_reentrant(_RefSim(), seed)
+    assert len(reference[0]) > 1000, "workload generated too few events"
+    for backend in ALL:
+        run = _run_reentrant(_make_sim(backend), seed)
+        assert run == reference, f"{backend} diverged from the reference"
 
 
-# -- layer 3: end-to-end golden digests ------------------------------------
+# -- layer 3: end-to-end golden digests --------------------------------------
 
 # the single source of truth for the pinned configs and their digests
 from tests.test_trace_determinism import _GOLDEN  # noqa: E402
@@ -198,149 +232,28 @@ from tests.test_trace_determinism import _GOLDEN  # noqa: E402
 def _digests(config, backend):
     tracer = Tracer()
     result = run_experiment(
-        ExperimentConfig(equeue=backend, **config), tracer=tracer
+        ExperimentConfig(sanitize=BACKENDS[backend], **config), tracer=tracer
     )
+    detach()
+    packet.reset_freelist()
     buf = io.StringIO()
     tracer.export_jsonl(buf)
     trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     fcts = [f.fct_ns for f in result.flows]
     fct_sha = hashlib.sha256(json.dumps(fcts).encode()).hexdigest()
-    return trace_sha, fct_sha, result.profile["equeue"]
+    return trace_sha, fct_sha
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_golden_digests_identical_across_backends(name):
     golden = _GOLDEN[name]
-    results = {b: _digests(golden["config"], b) for b in ALL}
-    for backend, (trace_sha, fct_sha, recorded) in results.items():
-        assert _backend_name(recorded) == backend
-        # every backend must land on the committed pins — not just agree
-        # with each other
+    for backend in ALL:
+        trace_sha, fct_sha = _digests(golden["config"], backend)
+        # both primitive pairs must land on the committed pins — not just
+        # agree with each other
         assert trace_sha == golden["trace_sha256"], (
             f"{backend} trace digest diverges from the pin on {name}"
         )
         assert fct_sha == golden["fct_sha256"], (
             f"{backend} FCT digest diverges from the pin on {name}"
         )
-
-
-# -- backend internals ------------------------------------------------------
-
-
-class TestLadderInternals:
-    def test_resize_adapts_width_and_preserves_order(self):
-        lad = LadderEventQueue(shift=20)
-        lad.attach(set())
-        # dense same-bucket bursts: long consumed runs force narrowing
-        seq = 0
-        out = []
-        for burst in range(40):
-            for _ in range(600):
-                seq += 1
-                lad.push((burst * 2_000_000 + seq % 1000, seq, None))
-            for _ in range(600):
-                out.append(lad.pop())
-        assert lad.stats()["resizes"] >= 1
-        assert lad.stats()["width_ns"] < (1 << 20)
-        assert out == sorted(out)
-        assert lad.pop() is None
-
-    def test_far_heap_migrates_into_ring(self):
-        lad = LadderEventQueue(shift=4, nbuckets=16)
-        lad.attach(set())
-        horizon = 16 << 4
-        entries = [(i * horizon * 2, i, None) for i in range(1, 50)]
-        for e in entries:
-            lad.push(e)
-        assert lad.stats()["far_pushes"] > 0
-        assert [lad.pop() for _ in entries] == entries
-        assert lad.stats()["migrated"] > 0
-
-    def test_far_heap_purges_cancelled_tombstones(self):
-        cancelled = set()
-        lad = LadderEventQueue(shift=2, nbuckets=4)
-        lad.attach(cancelled)
-        n = 6000  # past the purge floor of 4096
-        entries = [(10**9 + i, i, None) for i in range(n)]
-        for e in entries:
-            lad.push(e)
-            cancelled.add(e[1])  # engine-style lazy cancel
-        # the purge triggers on the far heap doubling past the floor
-        assert lad.stats()["purges"] >= 1
-        assert lad.stats()["purged_tombstones"] > 0
-        assert len(lad) < n
-        # purged seqs are consumed from the cancelled set exactly like lazy
-        # pops; entries pushed after the last purge threshold remain pending
-        assert len(cancelled) == len(lad)
-        assert len(cancelled) < n
-
-    def test_validates_construction(self):
-        with pytest.raises(ValueError):
-            LadderEventQueue(nbuckets=100)
-        with pytest.raises(ValueError):
-            LadderEventQueue(shift=99)
-
-
-class TestWheelInternals:
-    def test_cancel_is_physical(self):
-        wheel = TimerWheelEventQueue()
-        wheel.attach(set())
-        assert wheel.physical_cancel
-        keep = (5_000_000, 1, None)
-        drop = (5_000_000, 2, None)
-        wheel.push(keep)
-        wheel.push(drop)
-        assert wheel.cancel(drop)
-        assert wheel.stats()["physical_cancels"] == 1
-        assert len(wheel) == 1
-        assert wheel.pop() == keep
-        assert wheel.pop() is None
-
-    def test_cancel_in_bottom_run_falls_back_to_lazy(self):
-        wheel = TimerWheelEventQueue()
-        wheel.attach(set())
-        near = (1, 1, None)
-        wheel.push(near)
-        assert wheel.peek() == near  # drained into the bottom run
-        assert not wheel.cancel(near)
-
-    def test_long_deadlines_cascade_down_in_order(self):
-        wheel = TimerWheelEventQueue(g0_shift=2, levels=4)
-        wheel.attach(set())
-        entries = [(1 << (2 * i + 3), i, None) for i in range(12)]
-        for e in reversed(entries):
-            wheel.push(e)
-        assert [wheel.pop() for _ in entries] == entries
-        assert wheel.stats()["cascades"] > 0
-
-    def test_validates_construction(self):
-        with pytest.raises(ValueError):
-            TimerWheelEventQueue(g0_shift=99)
-        with pytest.raises(ValueError):
-            TimerWheelEventQueue(levels=1)
-
-
-class TestEngineIntegration:
-    @pytest.mark.parametrize("backend", ALL)
-    def test_profile_records_backend_and_stats(self, backend):
-        result = run_experiment(
-            ExperimentConfig(
-                scheme="tcn", scheduler="dwrr", workload="cache",
-                load=0.5, n_flows=3, seed=1, equeue=backend,
-            )
-        )
-        assert _backend_name(result.profile["equeue"]) == backend
-        assert isinstance(result.profile["equeue_stats"], dict)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(equeue="nope")
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                scheme="tcn", scheduler="dwrr", workload="cache",
-                load=0.5, n_flows=3, seed=1, equeue="nope",
-            ).validate()
-
-    def test_auto_resolves_to_a_real_backend(self):
-        sim = Simulator(equeue="auto")
-        assert _backend_name(sim.equeue_name) in BACKENDS

@@ -360,8 +360,7 @@ _CACHE_BASE = dict(
 class TestModeInSweepCacheFingerprint:
     """New-field invalidation: ``mode``/``fluid_size_bytes`` are part
     of the cache identity (the fingerprint strips only the
-    result-invariant execution knobs: equeue, workers, batch,
-    sanitize)."""
+    result-invariant execution knobs: workers, sanitize)."""
 
     def test_fingerprint_includes_the_new_fields(self):
         fields = json.loads(

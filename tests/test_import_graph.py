@@ -70,16 +70,13 @@ ENGINE_ONLY = {
     "repro",
     "repro.sim",
     "repro.sim.engine",
-    "repro.sim.equeue",
-    "repro.sim.equeue.base",
-    "repro.sim.equeue.heap",
     "repro.obs",
     "repro.obs.profile",
 }
 
 
 class TestEngineOnly:
-    def test_event_loop_loads_eight_modules(self):
+    def test_event_loop_loads_five_modules(self):
         modules, facts = _run(
             "from repro import Simulator, RunProfile\n"
             "sim = Simulator()\n"
@@ -92,31 +89,15 @@ class TestEngineOnly:
         assert _repro(modules) == ENGINE_ONLY
         assert facts["stdlib"] == []
 
-    def test_named_backends_load_only_themselves(self):
-        modules, facts = _run(
-            "from repro import Simulator\n"
-            "from repro.sim.equeue import BACKENDS\n"
-            "facts['names'] = sorted(BACKENDS)\n"
-            "facts['known'] = 'wheel' in BACKENDS\n"
-            "facts['name'] = Simulator(equeue='ladder').equeue_name\n"
-        )
-        assert facts == {
-            "names": ["heap", "ladder", "wheel"], "known": True,
-            "name": "ladder",
-        }
-        assert "repro.sim.equeue.ladder" in modules
-        assert "repro.sim.equeue.wheel" not in modules
-
     def test_sanitizer_loads_only_when_armed(self):
         code = (
             "from repro import Simulator\n"
-            "facts['armed'] = Simulator().equeue_name.startswith('sanitize')\n"
+            "facts['armed'] = Simulator()._san is not None\n"
         )
         for value, armed in (("0", False), ("1", True)):
             modules, facts = _run(code, {"REPRO_SANITIZE": value})
             assert facts["armed"] is armed
-            assert bool(_under(modules, "repro.sanitize")) is armed
-            assert ("repro.sim.equeue.sanitize" in modules) is armed
+            assert ("repro.sanitize" in modules) is armed
 
 
 class TestRunExperiment:
@@ -137,7 +118,6 @@ class TestRunExperiment:
         assert _under(
             modules, "repro.analysis", "repro.bench", "repro.sim.parallel",
             "repro.harness.sweep", "repro.sanitize",
-            "repro.sim.equeue.sanitize",
         ) == []
 
 
@@ -241,7 +221,7 @@ class TestSweepWorkers:
 HOT_PATH = sorted(
     p.relative_to(PKG).as_posix()
     for pattern in (
-        "sim/engine.py", "sim/equeue/*.py", "sim/fluid/network.py",
+        "sim/engine.py", "sim/fluid/network.py",
         "sim/fluid/solver.py", "net/*.py", "sched/*.py", "aqm/*.py",
         "core/*.py", "transport/*.py", "harness/runner.py",
     )

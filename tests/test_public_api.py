@@ -22,7 +22,7 @@ PACKAGES = ["repro"] + [
     "repro." + name
     for name in (
         "analysis apps aqm bench core harness metrics net obs pias sched "
-        "sim sim.equeue sim.fluid sim.parallel topo transport workloads"
+        "sim sim.fluid sim.parallel topo transport workloads"
     ).split()
 ]
 
@@ -99,10 +99,7 @@ class TestEveryPackage:
 
 
 def test_lazy_packages_export_exactly_their_table():
-    # repro.sim.equeue also defines names of its own (make_equeue, BACKENDS)
     for package in PACKAGES:
-        if package == "repro.sim.equeue":
-            continue
         pkg = importlib.import_module(package)
         assert set(pkg.__all__) == set(_table(_init_tree(package))), package
 

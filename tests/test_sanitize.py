@@ -6,16 +6,17 @@ Three properties are pinned here:
   nothing and produces bit-identical results (FCTs, counters, sim_ns)
   to the unsanitized run, on both the serial and partitioned engines;
 * **detection** — each invariant class (freelist double-release /
-  use-after-release / direct-tampering, event-queue pop order / floor
-  claims / drain shape, partition-ownership handoff keys) has a seeded
-  violation the sanitizer catches;
-* **zero footprint when off** — an unsanitized engine carries no
-  wrapper and no freelist hook.
+  use-after-release / direct-tampering, heap push-into-past / duplicate
+  seq / pop order / time regression on both engines, partition-ownership
+  handoff keys) has a seeded violation the sanitizer catches;
+* **zero footprint when off** — an unsanitized engine runs on
+  ``heapq``'s own push/pop and carries no freelist hook.
 
 The freelist hook is process-global, so every test detaches it on the
 way out (autouse fixture) to keep the rest of the suite unaffected.
 """
 
+import heapq
 import os
 import subprocess
 import sys
@@ -31,13 +32,11 @@ from repro.sanitize import (
     POISON,
     SanitizeError,
     Sanitizer,
-    SanitizingEventQueue,
     Violation,
     detach,
     env_enabled,
 )
 from repro.sim.engine import Simulator
-from repro.sim.equeue.heap import HeapEventQueue
 from repro.sim.parallel.partition import (
     ARRIVAL_BIT,
     SRC_SHIFT,
@@ -136,77 +135,111 @@ class TestFreelistPoisoning:
         assert san.violations == [Violation("demo", "msg", 777)]
 
 
-class _ShuffledQueue(HeapEventQueue):
-    """A deliberately broken backend: pops the *last* heap entry."""
+def _noop():
+    pass
 
-    def pop(self):
-        if not self.entries:
-            return None
-        return self.entries.pop()
+
+def _kinds(sim):
+    return [v.kind for v in sim._san.violations]
 
 
 class TestEventQueueChecks:
-    def test_name_wraps_inner(self):
-        eq = SanitizingEventQueue(HeapEventQueue(), _collecting_sanitizer())
-        assert eq.name == "sanitize(heap)"
+    """Seeded heap faults on the serial engine (the partitioned engine
+    reruns every case below through the subclass)."""
 
-    def test_pop_order_violation(self):
-        san = _collecting_sanitizer()
-        eq = SanitizingEventQueue(_ShuffledQueue(), san)
-        eq.push((10, 1, None))
-        eq.push((20, 2, None))
-        eq.pop()  # surfaces t=20 first
-        eq.pop()  # then t=10: out of order
-        assert [v.kind for v in san.violations] == ["pop-order"]
+    @staticmethod
+    def _make():
+        return Simulator(sanitize=True)
+
+    def _armed(self):
+        """A sanitizing engine collecting violations."""
+        sim = self._make()
+        sim._san.raise_on_violation = False
+        return sim
+
+    def test_push_into_past(self):
+        armed = self._armed()
+        armed.schedule(10, _noop)
+        armed.run()
+        armed._push(armed._heap, (5, 10**12, _noop))
+        assert _kinds(armed) == ["push-into-past"]
 
     def test_duplicate_seq_and_push_into_past(self):
-        sim = Simulator()
-        sim.now = 100
-        san = _collecting_sanitizer(sim=sim)
-        eq = SanitizingEventQueue(HeapEventQueue(), san)
-        eq.push((200, 7, None))
-        eq.push((210, 7, None))
-        eq.push((50, 8, None))
-        kinds = [v.kind for v in san.violations]
-        assert kinds == ["duplicate-seq", "push-into-past"]
+        armed = self._armed()
+        handle = armed.schedule(200, _noop)
+        armed._push(armed._heap, (210, handle[1], _noop))
+        armed.run(until=100)
+        armed._push(armed._heap, (50, 10**12, _noop))
+        assert _kinds(armed) == ["duplicate-seq", "push-into-past"]
 
-    def test_floor_overclaim(self):
-        san = _collecting_sanitizer()
-        inner = HeapEventQueue()
-        eq = SanitizingEventQueue(inner, san)
-        eq.push((30, 1, None))
-        assert eq.peek_floor() == 30
-        # sneak an earlier entry in behind the wrapper's back
-        inner.push((10, 2, None))
-        eq.pop()
-        assert [v.kind for v in san.violations] == ["floor-overclaim"]
+    def test_pop_order_violation(self):
+        armed = self._armed()
+        for t in (10, 20, 30):
+            armed.schedule(t, _noop)
+        heap = armed._heap
+        # corrupt the heap: the latest entry sits at the root
+        i = heap.index(max(heap))
+        heap[0], heap[i] = heap[i], heap[0]
+        armed._san.raise_on_violation = True
+        with pytest.raises(SanitizeError, match="pop-order"):
+            armed.run()
 
-    def test_push_after_probe_lawfully_lowers_the_claim(self):
-        san = _collecting_sanitizer()
-        eq = SanitizingEventQueue(HeapEventQueue(), san)
-        eq.push((30, 1, None))
-        assert eq.peek_floor() == 30
-        eq.push((10, 2, None))  # the claim never covered this push
-        eq.pop()
-        assert san.violations == []
+    def test_time_regression(self):
+        armed = self._armed()
+        armed.run(until=50)
+        # an entry behind the clock that bypassed the checked push
+        armed._heap.append((20, 10**12, _noop))
+        armed.run()
+        assert _kinds(armed) == ["time-regression"]
 
-    def test_drain_run_checks_pass_on_honest_backend(self):
-        san = _collecting_sanitizer()
-        eq = SanitizingEventQueue(HeapEventQueue(), san)
-        for s in range(4):
-            eq.push((10, s, None))
-        eq.push((20, 9, None))
-        run = eq.drain_run(100, 64)
-        assert [e[1] for e in run] == [0, 1, 2, 3]
-        assert len(eq) == 1
-        assert san.violations == []
+    def test_push_back_and_dropped_tombstones_are_lawful(self):
+        """run(until=...) pops past its bound before it stops: the entry
+        it pushes back, or the tombstone it drops, must not make a later
+        earlier push look like a pop-order violation."""
+        armed = self._armed()
+        armed.schedule(150, _noop)
+        armed.cancel(armed.schedule(140, _noop))
+        armed.run(until=100)
+        armed.schedule(20, _noop)
+        armed.run(until=130)
+        armed.cancel(armed.schedule(60, _noop))
+        armed.run(until=180)
+        armed.schedule(10, _noop)
+        armed.run()
+        assert armed.events_executed == 3 and armed.now == 190
+        assert armed._san.violations == []
 
     def test_cancel_is_lazy(self):
-        eq = SanitizingEventQueue(HeapEventQueue(), _collecting_sanitizer())
-        entry = (10, 1, None)
-        eq.push(entry)
-        assert eq.cancel(entry) is False
-        assert not eq.physical_cancel
+        armed = self._armed()
+        handle = armed.schedule(10, _noop)
+        armed.cancel(handle)
+        # the tombstone stays heap-visible and flows through the checks
+        assert handle in armed._heap
+        assert armed.run() == 0
+        assert armed._heap == [] and armed._san.violations == []
+
+    def test_push_after_probe_lawfully_lowers_the_claim(self):
+        """A probe that drops a head tombstone pops it through the checked
+        pop, raising the order bar; a later push of an earlier (but not
+        past) event lowers the bar again instead of tripping pop-order."""
+        armed = self._armed()
+        armed.schedule(30, _noop)
+        armed.cancel(armed.schedule(20, _noop))
+        assert armed.peek_time() == 30  # the tombstone at 20 is dropped
+        armed.schedule(10, _noop)
+        fired = []
+        armed.schedule(10, lambda: fired.append(armed.now))
+        assert armed.run() == 3
+        assert fired == [10] and armed.now == 30
+        assert armed._san.violations == []
+
+
+class TestPartitionEventQueueChecks(TestEventQueueChecks):
+    """The same seeded heap faults on the partitioned engine."""
+
+    @staticmethod
+    def _make():
+        return PartitionSimulator(0, sanitize=True)
 
 
 class TestPartitionOwnership:
@@ -265,7 +298,6 @@ class TestTransparency:
         packet.reset_freelist()
         sanitized = run_experiment(ExperimentConfig(sanitize=True, **self.CFG))
         assert self._facts(plain) == self._facts(sanitized)
-        assert sanitized.profile["equeue"] == "sanitize(heap)"
 
     def test_leafspine_slice_is_bit_identical(self):
         cfg = dict(
@@ -283,13 +315,12 @@ class TestTransparency:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         sim = Simulator()
         assert sim._san is None
-        assert sim._heap is not None
+        assert sim._push is heapq.heappush and sim._pop is heapq.heappop
         assert packet._san is None
 
-    def test_on_disables_backend_specialization(self):
+    def test_on_binds_the_checked_primitives(self):
         sim = Simulator(sanitize=True)
-        assert sim._heap is None and sim._ladder is None
-        assert sim.equeue_name == "sanitize(heap)"
+        assert sim._push == sim._san.push and sim._pop == sim._san.pop
         assert packet._san is sim._san
 
     def test_config_fingerprint_ignores_sanitize(self):
@@ -316,7 +347,7 @@ class TestEnvSwitch:
             "import sys; sys.path.insert(0, 'src')\n"
             "from repro.sim.engine import Simulator\n"
             "sim = Simulator()\n"
-            "assert sim.equeue_name == 'sanitize(heap)', sim.equeue_name\n"
+            "assert sim._san is not None\n"
             "print('armed')\n"
         )
         env = dict(os.environ, REPRO_SANITIZE="1", PYTHONPATH="src")
