@@ -15,11 +15,11 @@ Examples::
     python -m repro trace out.jsonl --format chrome --out trace.json
 
     # record the harness flight recorder, then inspect / export it
-    python -m repro run --topology leafspine --workers 2 --spans spans.jsonl
+    python -m repro run --topology leafspine --spans spans.jsonl
     python -m repro timeline spans.jsonl --chrome timeline.json
 
     # one self-contained run report (markdown or HTML)
-    python -m repro report --topology leafspine --workers 2 --out report.md
+    python -m repro report --topology leafspine --out report.md
 
     # cartesian sweep (repeat a flag to add grid points), 4 workers,
     # results cached under benchmarks/.cache/
@@ -43,7 +43,7 @@ Examples::
     python -m repro lint --changed origin/main
 
     # run with every runtime invariant check armed (freelist poisoning,
-    # pop-order, partition-ownership); zero overhead when off
+    # pop-order); zero overhead when off
     python -m repro run --topology leafspine --sanitize
 """
 
@@ -56,8 +56,8 @@ from typing import TYPE_CHECKING
 
 # Each sub-command imports its own machinery when it runs, so `lint`,
 # `trace` and `timeline` never load the simulator and `run`/`sweep` never
-# load the linter, the bench harness or (without --workers) the parallel
-# engine.  Only what annotations need is named here.
+# load the linter or the bench harness.  Only what annotations need is
+# named here.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.config import ExperimentConfig
     from repro.harness.sweep import SweepResult
@@ -103,20 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-port traffic/mark/drop breakdown",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help=(
-            "partition the fabric across N worker processes (leafspine "
-            "only; 0 = the serial engine; results are identical — see "
-            "docs/PARALLEL.md)"
-        ),
-    )
-    parser.add_argument(
         "--sanitize", action="store_true",
         help=(
             "arm the runtime sanitizer: freelist use-after-release / "
-            "double-release poisoning, event-queue order checks, "
-            "partition-ownership assertions (see docs/STATIC_ANALYSIS.md; "
-            "also REPRO_SANITIZE=1)"
+            "double-release poisoning, event-queue order checks (see "
+            "docs/STATIC_ANALYSIS.md; also REPRO_SANITIZE=1)"
         ),
     )
     parser.add_argument(
@@ -139,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--spans", metavar="PATH", default=None,
         help=(
-            "record the harness flight recorder (chunk / round-phase / "
-            "sync spans) and write it as JSONL to PATH — feed it to "
+            "record the harness flight recorder (chunk and fluid-epoch "
+            "spans) and write it as JSONL to PATH — feed it to "
             "`repro timeline`"
         ),
     )
@@ -154,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--span-limit", type=int, default=DEFAULT_SPAN_CAPACITY,
         help=(
-            "span ring capacity (oldest rounds evicted first; default "
+            "span ring capacity (oldest spans evicted first; default "
             f"{DEFAULT_SPAN_CAPACITY})"
         ),
     )
@@ -193,9 +184,8 @@ def build_timeline_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect a flight-recorder JSONL export (written by "
             "`run --spans` / `sweep --spans` / `bench --spans`): prints "
-            "the per-span-type digest and, for parallel runs, the "
-            "round-phase stall-attribution table; optionally exports "
-            "Chrome trace-event JSON for https://ui.perfetto.dev."
+            "the per-span-type digest; optionally exports Chrome "
+            "trace-event JSON for https://ui.perfetto.dev."
         ),
     )
     parser.add_argument("path", help="span JSONL file")
@@ -211,8 +201,8 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser.prog = "python -m repro report"
     parser.description = (
         "Run one experiment with the flight recorder on and render a "
-        "self-contained run report (config, profile, FCT, stall "
-        "attribution, hottest ports, timeline digest)."
+        "self-contained run report (config, profile, FCT, hottest "
+        "ports, timeline digest)."
     )
     parser.add_argument(
         "--out", metavar="PATH", default=None,
@@ -499,13 +489,7 @@ def trace_main(argv=None) -> int:
 
 
 def timeline_main(argv=None) -> int:
-    from repro.harness.report import format_stall_table
-    from repro.obs import (
-        format_span_summary,
-        load_spans_jsonl,
-        stall_table,
-        write_chrome,
-    )
+    from repro.obs import format_span_summary, load_spans_jsonl, write_chrome
 
     args = build_timeline_parser().parse_args(argv)
     try:
@@ -514,10 +498,6 @@ def timeline_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_span_summary(spans))
-    phase_stats = stall_table(spans)
-    if phase_stats is not None:
-        print()
-        print(format_stall_table(phase_stats))
     if args.chrome is not None:
         n = write_chrome(spans, args.chrome)
         print(
@@ -581,7 +561,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         pias=args.pias,
         seed=args.seed,
         buffer_bytes=args.buffer_kb * KB,
-        workers=args.workers,
         sanitize=args.sanitize,
         mode=args.mode,
         fluid_size_bytes=args.fluid_size_bytes,
@@ -613,11 +592,7 @@ def main(argv=None) -> int:
         # explicit subcommand form; bare flags still mean "run" for
         # backward compatibility
         argv = argv[1:]
-    from repro.harness.report import (
-        format_fct_rows,
-        format_port_breakdown,
-        format_stall_table,
-    )
+    from repro.harness.report import format_fct_rows, format_port_breakdown
     from repro.harness.runner import run_experiment
     from repro.obs import (
         RunProfile,
@@ -644,16 +619,7 @@ def main(argv=None) -> int:
         f"{result.timeouts} timeouts, {result.drops} drops, "
         f"{result.marks} ECN marks"
     )
-    # from_dict tolerates the partitioned runner's extra profile keys
-    profile_line = RunProfile.from_dict(result.profile).describe()
-    if "workers" in result.profile:
-        profile_line += (
-            f", {result.profile['workers']} workers "
-            f"({result.profile['start_method']}, "
-            f"{result.profile['rounds']} sync rounds, "
-            f"{result.profile['sync_stall_s']:.1f}s stalled)"
-        )
-    print("profile: " + profile_line)
+    print("profile: " + RunProfile.from_dict(result.profile).describe())
     if args.ports:
         print()
         print(format_port_breakdown(result.metrics))
@@ -682,10 +648,6 @@ def main(argv=None) -> int:
                 f"\nwrote {n} timeline slices to {args.spans_chrome} "
                 f"(open at https://ui.perfetto.dev){evicted}"
             )
-        phase_stats = result.profile.get("phase_stats")
-        if isinstance(phase_stats, dict):
-            print()
-            print(format_stall_table(phase_stats))
     return 0 if result.all_completed else 1
 
 

@@ -145,7 +145,7 @@ def registered_rules() -> Dict[str, Rule]:
 
 
 def rule_range() -> str:
-    """The registry-derived id span, e.g. ``"SIM001..SIM017"``.
+    """The registry-derived id span, e.g. ``"SIM001..SIM018"``.
 
     User-facing text (CLI help, docs pointers) must use this instead of a
     hardcoded span so the advertised range can never rot as rules are

@@ -797,11 +797,11 @@ def check_freelist_discipline(mod: ModuleInfo) -> Iterator[Finding]:
 # the whole-program pass, whose call detection resolves names through the
 # project symbol table so aliased imports cannot dodge it.  SIM013 (event-
 # queue draining outside the engine) is retired with the queue backends it
-# guarded; its id is not reused.
+# guarded, and the partition-ownership rule that followed it with the
+# partitioned engine; neither id is reused.
 
 _ENGINE_PKG = ("repro", "sim", "engine")
 _SANITIZE_PKG = ("repro", "sanitize")
-_PARALLEL_PKG = ("repro", "sim", "parallel")
 _SWEEP_PKG = ("repro", "harness", "sweep")
 _NET_PKG = ("repro", "net")
 _TRANSPORT_PKG = ("repro", "transport")
@@ -828,11 +828,9 @@ CONFINEMENTS: Tuple[Confinement, ...] = (
         "twins",
     ),
     Confinement(
-        "SIM012", "import", "multiprocessing", (),
-        (_SWEEP_PKG, _PARALLEL_PKG),
-        "multiprocessing imported outside the sweep/parallel "
-        "drivers — process fan-out belongs to repro.harness.sweep "
-        "and repro.sim.parallel",
+        "SIM012", "import", "multiprocessing", (), (_SWEEP_PKG,),
+        "multiprocessing imported outside the sweep driver — process "
+        "fan-out belongs to repro.harness.sweep",
     ),
     Confinement(
         "SIM017", "import", "gc", (), (_ENGINE_PKG,),
@@ -856,14 +854,6 @@ CONFINEMENTS: Tuple[Confinement, ...] = (
         "packet freelist constructors/release used outside repro.net and "
         "repro.transport — frame lifetime (and the sanitizer's poisoning "
         "protocol) is the endpoint layer's contract",
-    ),
-    Confinement(
-        "SIM017", "from-import", "repro.net.boundary",
-        ("BoundaryMux", "import_packet"),
-        (_NET_PKG, _PARALLEL_PKG),
-        "partition boundary plumbing used outside repro.net and "
-        "repro.sim.parallel — cross-partition handoff must flow through "
-        "the coordinator's insert_arrival protocol",
     ),
 )
 
@@ -947,265 +937,19 @@ def check_heapq_confined(mod: ModuleInfo) -> Iterator[Finding]:
     "SIM012",
     "multiprocessing-in-drivers-only",
     rationale=(
-        "Process fan-out is the drivers' contract: the sweep runner and "
-        "the partitioned engine own the start-method fallbacks, "
-        "spawn-safe bootstrap and digest-checked determinism.  An ad-hoc "
-        "multiprocessing use elsewhere forks simulation state mid-run "
-        "and bypasses every one of those guarantees."
+        "Process fan-out is the sweep driver's contract: it owns the "
+        "start-method fallbacks, the spawn-safe bootstrap and the "
+        "serial-equivalent results.  An ad-hoc multiprocessing use "
+        "elsewhere forks simulation state mid-run and bypasses every one "
+        "of those guarantees."
     ),
 )
 def check_multiprocessing_confined(mod: ModuleInfo) -> Iterator[Finding]:
-    """``multiprocessing`` may be imported only by ``repro.harness.sweep``
-    and under ``repro.sim.parallel``: everywhere else, parallelism must go
-    through those drivers (``run_sweep`` / ``cfg.workers``), which are the
-    components tested for serial-equivalent results.  A genuinely new
-    driver belongs next to them, not behind a pragma."""
+    """``multiprocessing`` may be imported only by ``repro.harness.sweep``:
+    everywhere else, parallelism must go through ``run_sweep`` (one
+    config per process), which is tested for serial-equivalent results.
+    A genuinely new driver belongs next to it, not behind a pragma."""
     yield from _confinement_findings(mod, _table_entries("SIM012"))
-
-
-# -- SIM014: partition-ownership races (project scope) -----------------------
-
-#: the coordinator-facing surface of a partition: the only methods other
-#: code may invoke on a partition it does not own (the round protocol)
-_PARTITION_API = frozenset(
-    {
-        "insert_arrival",
-        "drain_outbox",
-        "register_boundary",
-        "run",
-        "peek_time",
-        "schedule_many",
-        "apply_and_run",
-        "initial_report",
-        "final",
-    }
-)
-
-_PARTITION_BASE = "PartitionSimulator"
-
-
-def _is_partition_class(
-    project: Project, qualname: Optional[str], depth: int = 0
-) -> bool:
-    """Is/wraps a PartitionSimulator (one wrapper level, e.g. _Partition)."""
-    if qualname is None:
-        return False
-    if project.is_subclass_of(qualname, _PARTITION_BASE):
-        return True
-    info = project.classes.get(qualname)
-    if info is not None and depth < 1:
-        init = info.methods.get("__init__")
-        if init is not None:
-            for callee in project.calls.get(init, ()):
-                if _is_partition_class(project, callee, depth + 1):
-                    return True
-    return False
-
-
-def _chain_key(expr: ast.AST) -> Optional[str]:
-    """``parts`` -> "parts"; ``self._parts`` -> "self._parts"; else None."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return f"self.{expr.attr}"
-    return None
-
-
-def _partition_collections_in(
-    project: Project,
-    module: str,
-    class_name: Optional[str],
-    nodes: Iterator[ast.AST],
-) -> Set[str]:
-    """Chain keys of names bound to collections of partition objects."""
-    found: Set[str] = set()
-    for node in nodes:
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        value = node.value
-        if value is None:
-            continue
-        elements: List[ast.expr] = []
-        if isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            elements.append(value.elt)
-        elif isinstance(value, ast.DictComp):
-            elements.append(value.value)
-        elif isinstance(value, (ast.List, ast.Tuple)):
-            elements.extend(value.elts)
-        if not any(
-            isinstance(e, ast.Call)
-            and _is_partition_class(
-                project,
-                project.resolve_callable(module, class_name, e.func),
-            )
-            for e in elements
-        ):
-            continue
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            key = _chain_key(target)
-            if key is not None:
-                found.add(key)
-    return found
-
-
-def _elem_rooted(
-    expr: ast.AST, collections: Set[str], elems: Set[str]
-) -> bool:
-    """Does an attribute/subscript chain root at a partition element?"""
-    cur = expr
-    subscripted = False
-    while True:
-        if isinstance(cur, ast.Attribute):
-            cur = cur.value
-        elif isinstance(cur, ast.Subscript):
-            key = _chain_key(cur.value)
-            if key is not None and key in collections:
-                return True
-            subscripted = True
-            cur = cur.value
-        else:
-            break
-    if subscripted:
-        return False
-    if isinstance(expr, ast.Name):
-        return expr.id in elems
-    return isinstance(cur, ast.Name) and cur.id in elems and cur.id != "self"
-
-
-def _iter_collection_key(it: ast.AST) -> Optional[str]:
-    """The chain key iterated by a for loop (``coll`` / ``coll.values()``)."""
-    if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute):
-        if it.func.attr in ("values", "itervalues") and not it.args:
-            return _chain_key(it.func.value)
-        return None
-    return _chain_key(it)
-
-
-@rule(
-    "SIM014",
-    "partition-ownership-race",
-    scope=SCOPE_PROJECT,
-    rationale=(
-        "Each partition owns its event queue and node state; the only "
-        "sanctioned cross-partition channel is the BoundaryMux export/"
-        "insert_arrival handoff the coordinator replays at barrier "
-        "rounds.  Direct mutation of another partition's internals is a "
-        "race against its event loop and breaks the serial-equivalence "
-        "digest the parallel engine guarantees."
-    ),
-)
-def check_partition_ownership(
-    mod: ModuleInfo, project: Project
-) -> Iterator[Finding]:
-    """Flag code holding a *collection* of partitions that mutates an
-    element's internals — attribute stores through ``parts[i]...`` or
-    method calls outside the round-protocol allowlist (``insert_arrival``,
-    ``apply_and_run``, ``drain_outbox``, ...).  Applies to
-    ``repro.sim.parallel`` and to modules importing from it (the code
-    that can hold partition handles).  Known false negatives: a single
-    partition reference aliased out of its collection, and collections
-    passed across functions as parameters, are not tracked."""
-    in_scope = mod.module.startswith("repro.sim.parallel")
-    if not in_scope:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.ImportFrom):
-                if (node.module or "").startswith("repro.sim.parallel"):
-                    in_scope = True
-                    break
-            elif isinstance(node, ast.Import):
-                if any(
-                    a.name.startswith("repro.sim.parallel")
-                    for a in node.names
-                ):
-                    in_scope = True
-                    break
-    if not in_scope:
-        return
-
-    # class-wide partition-collection attributes (self._parts et al.)
-    class_colls: Dict[str, Set[str]] = {}
-    for stmt in mod.tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            class_colls[stmt.name] = _partition_collections_in(
-                project, mod.module, stmt.name, ast.walk(stmt)
-            )
-
-    for fn_qual, info in sorted(project.functions.items()):
-        if info.module != mod.module:
-            continue
-        collections = set(class_colls.get(info.class_name or "", ()))
-        collections |= _partition_collections_in(
-            project, mod.module, info.class_name, ast.walk(info.node)
-        )
-        if not collections:
-            continue
-        # element names: loop vars over a collection, or subscript results
-        elems: Set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.For):
-                if (
-                    _iter_collection_key(node.iter) in collections
-                    and isinstance(node.target, ast.Name)
-                ):
-                    elems.add(node.target.id)
-            elif isinstance(node, ast.Assign):
-                if (
-                    isinstance(node.value, ast.Subscript)
-                    and _chain_key(node.value.value) in collections
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            elems.add(target.id)
-
-        for node in ast.walk(info.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                    if isinstance(node, ast.AugAssign)
-                    else node.targets
-                )
-                for target in targets:
-                    if not isinstance(
-                        target, (ast.Attribute, ast.Subscript)
-                    ):
-                        continue
-                    # mutating *internals* (at least one attribute hop);
-                    # rebinding a collection slot is the owner's business
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    if _elem_rooted(target, collections, elems):
-                        yield mod.finding(
-                            "SIM014",
-                            target,
-                            "direct store into another partition's state "
-                            "— cross-partition effects must flow through "
-                            "BoundaryMux export / insert_arrival",
-                        )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                method = node.func.attr
-                if method in _PARTITION_API:
-                    continue
-                if _elem_rooted(node.func.value, collections, elems):
-                    yield mod.finding(
-                        "SIM014",
-                        node,
-                        f"call to non-protocol method .{method}() on a "
-                        "partition owned elsewhere — only the round "
-                        "protocol surface "
-                        "(insert_arrival/apply_and_run/...) may cross "
-                        "partition boundaries",
-                    )
 
 
 # -- SIM015: freelist escape analysis (project scope) ------------------------
@@ -1428,8 +1172,7 @@ def check_callback_purity(
     rationale=(
         "Some APIs are contracts of exactly one subsystem: gc pausing "
         "belongs to the run loop, raw heap primitives to the engine, "
-        "frame construction to the endpoint layer, boundary "
-        "plumbing to the parallel coordinator.  The declarative table "
+        "frame construction to the endpoint layer.  The declarative table "
         "(CONFINEMENTS) states who may use what; resolution through the "
         "project symbol table means aliased imports cannot dodge it."
     ),
@@ -1440,7 +1183,7 @@ def check_api_confinement(
     """Enforce the SIM017 rows of :data:`CONFINEMENTS`: flag disallowed
     imports of confined names, and — via the call graph — call sites that
     *resolve* to a confined API even when the import itself was innocent
-    (``import repro.net.boundary as b; b.import_packet(...)``).  Call
+    (``import repro.net.packet as p; p.release(...)``).  Call
     findings are skipped for an entry whose import was already flagged in
     the module, so one smuggled API reports once per acquisition path."""
     entries = _table_entries("SIM017")

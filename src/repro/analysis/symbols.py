@@ -12,9 +12,8 @@ Layer 1 of the two-layer toolchain (see ``docs/STATIC_ANALYSIS.md``): a
   the linted file set — resolution is lexical, which is what lets a
   single-file fixture exercise a cross-module rule).
 * **Definitions** — functions, methods and classes keyed by qualname
-  (``repro.sim.parallel.cluster._Partition.apply_and_run``), with class
-  bases resolved so "is-a / wraps-a ``PartitionSimulator``" questions are
-  answerable.
+  (``repro.net.port.EgressPort.receive``), with class bases resolved so
+  ``self.method()`` calls find inherited definitions.
 * **A call graph** — resolved edges for ``Name`` calls, dotted-attribute
   calls and ``self.method()`` calls, plus a conservative bag of *bare*
   attribute-call names (``obj.meth(...)`` on an unresolvable receiver).
@@ -273,27 +272,6 @@ class Project:
                 return info.methods[method]
             stack.extend(info.bases)
         return None
-
-    def is_subclass_of(self, class_qualname: str, base_suffix: str) -> bool:
-        """True when the class or any resolved ancestor matches ``base_suffix``.
-
-        ``base_suffix`` matches a full qualname or a trailing dotted suffix
-        (``partition.PartitionSimulator``), so the check works even when
-        the base's defining module is outside the linted file set.
-        """
-        seen: Set[str] = set()
-        stack = [class_qualname]
-        while stack:
-            cq = stack.pop()
-            if cq in seen:
-                continue
-            seen.add(cq)
-            if cq == base_suffix or cq.endswith("." + base_suffix):
-                return True
-            info = self.classes.get(cq)
-            if info is not None:
-                stack.extend(info.bases)
-        return False
 
     # -- reachability ----------------------------------------------------
 

@@ -58,16 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repetitions per scenario; the fastest is kept (default 1)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "partitioned-engine worker count for leafspine scenarios "
-            "(default 0 = serial; fingerprints are worker-count "
-            "invariant, so --compare stays apples-to-apples)"
-        ),
-    )
-    parser.add_argument(
         "--mode",
         choices=("packet", "fluid", "hybrid"),
         default=None,
@@ -83,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "arm the runtime sanitizer for every scenario (freelist "
-            "poisoning, event-queue order checks, partition-ownership "
-            "assertions).  Checking costs wall time, so do not gate "
-            "(--compare) against sanitizer-off baselines"
+            "poisoning, event-queue order checks).  Checking costs "
+            "wall time, so do not gate (--compare) against "
+            "sanitizer-off baselines"
         ),
     )
     parser.add_argument(
@@ -102,10 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
             "record the flight recorder during each scenario and write "
             "the kept repetition's timeline there as "
             "SPANS_<scenario>.jsonl + TRACE_<scenario>.json "
-            "(Perfetto-loadable); also folds the stall-attribution "
-            "table into BENCH_<scenario>.json.  Recording costs a "
-            "little wall time, so do not gate (--compare) against "
-            "spans-off baselines"
+            "(Perfetto-loadable).  Recording costs a little wall "
+            "time, so do not gate (--compare) against spans-off "
+            "baselines"
         ),
     )
     parser.add_argument(
@@ -201,7 +190,6 @@ def main(argv=None) -> int:
             result = run_scenario(
                 name,
                 repeat=args.repeat,
-                workers=args.workers,
                 spans=spans,
                 sanitize=args.sanitize,
                 mode=args.mode,
@@ -254,10 +242,6 @@ def main(argv=None) -> int:
                     "ratio": round(c.ratio, 4),
                     "regressed": c.regressed,
                     "fingerprint_changed": c.fingerprint_changed,
-                    "workers": c.workers,
-                    "rounds": c.rounds,
-                    "sync_stall_s": round(c.sync_stall_s, 6),
-                    "start_method": c.start_method,
                 }
                 for c in comparisons
             ],

@@ -49,19 +49,6 @@ class BenchResult:
     schema: int = SCHEMA_VERSION
     python: str = ""
     machine: str = ""
-    #: partitioned-engine worker count the scenario ran with (0 = serial)
-    workers: int = 0
-    #: CPUs the host exposed — context for judging parallel numbers
-    cpu_count: int = 0
-    #: barrier rounds the partitioned run synchronised through (0 = serial)
-    rounds: int = 0
-    #: coordinator wall time spent blocked on worker round reports
-    sync_stall_s: float = 0.0
-    #: multiprocessing start method of the partitioned run ("" = serial)
-    start_method: str = ""
-    #: per-phase stall attribution (stall_table output) when the scenario
-    #: ran with span recording — empty otherwise
-    phase_stats: Dict[str, object] = field(default_factory=dict)
     #: simulation mode the scenario ran in (packet / fluid / hybrid);
     #: baselines of different modes are not throughput-comparable
     mode: str = "packet"
@@ -84,18 +71,14 @@ class BenchResult:
             "repeat": self.repeat,
             "python": self.python,
             "machine": self.machine,
-            "workers": self.workers,
-            "cpu_count": self.cpu_count,
-            "rounds": self.rounds,
-            "sync_stall_s": round(self.sync_stall_s, 6),
-            "start_method": self.start_method,
-            "phase_stats": self.phase_stats,
             "mode": self.mode,
             "fluid_stats": self.fluid_stats,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "BenchResult":
+        # Reads known keys only, so files carrying fields this class no
+        # longer has (the partitioned engine's workers/rounds/...) load.
         return cls(
             scenario=str(data["scenario"]),
             events=int(data["events"]),  # type: ignore[arg-type]
@@ -109,12 +92,6 @@ class BenchResult:
             schema=int(data.get("schema", SCHEMA_VERSION)),  # type: ignore[arg-type]
             python=str(data.get("python", "")),
             machine=str(data.get("machine", "")),
-            workers=int(data.get("workers", 0)),  # type: ignore[arg-type]
-            cpu_count=int(data.get("cpu_count", 0)),  # type: ignore[arg-type]
-            rounds=int(data.get("rounds", 0)),  # type: ignore[arg-type]
-            sync_stall_s=float(data.get("sync_stall_s", 0.0)),  # type: ignore[arg-type]
-            start_method=str(data.get("start_method", "")),
-            phase_stats=dict(data.get("phase_stats", {})),  # type: ignore[arg-type]
             # default-tolerant: pre-fluid baselines are packet runs
             mode=str(data.get("mode", "packet")),
             fluid_stats=dict(data.get("fluid_stats", {})),  # type: ignore[arg-type]
@@ -135,43 +112,25 @@ class BenchResult:
                     f" ({self.fluid_stats.get('flows', 0)} fluid flows, "
                     f"{self.fluid_stats.get('epochs', 0)} epochs)"
                 )
-        par = ""
-        if self.workers:
-            par = f", {self.workers} workers on {self.cpu_count} cpus"
-            if self.start_method:
-                par += f" via {self.start_method}"
-            if self.rounds:
-                par += (
-                    f", {self.rounds} rounds, "
-                    f"{self.sync_stall_s:.2f}s sync stall"
-                )
         return (
             f"{self.scenario}: {self.events_per_sec / 1e3:.0f}k ev/s "
             f"({self.events} events, {self.wall_s:.2f}s wall, "
-            f"heap hwm {self.heap_hwm}{reuse}{fluid}{par})"
+            f"heap hwm {self.heap_hwm}{reuse}{fluid})"
         )
 
 
 def run_scenario(
     name: str,
     repeat: int = 1,
-    workers: int = 0,
     spans: Optional["SpanRecorder"] = None,
     sanitize: bool = False,
     mode: Optional[str] = None,
 ) -> BenchResult:
     """Run one pinned scenario ``repeat`` times; keep the fastest.
 
-    ``workers`` selects the partitioned-engine worker count (leafspine
-    scenarios only; 0 runs the serial engine); the scenario's
-    deterministic fingerprint must come out identical regardless, which
-    the cross-repetition assertion below extends to the
-    serial-vs-partitioned comparisons made by the CLI and CI.
-
     ``spans`` turns the flight recorder on for every repetition: the
-    kept (fastest) repetition's spans land in the recorder and its
-    stall-attribution table in ``BenchResult.phase_stats``.  Recording
-    costs a little wall time per chunk/round boundary, so spans-on
+    kept (fastest) repetition's spans land in the recorder.  Recording
+    costs a little wall time per chunk boundary, so spans-on
     numbers are not comparable with spans-off baselines — keep the flag
     off for regression gating.
 
@@ -193,7 +152,7 @@ def run_scenario(
         if spans_on and spans is not None:
             rep_spans = SpanRecorder(capacity=spans.capacity, pid=spans.pid)
         profile, run_fingerprint = scenario.run(
-            workers=workers, spans=rep_spans, sanitize=sanitize, mode=mode,
+            spans=rep_spans, sanitize=sanitize, mode=mode,
         )
         allocated, reused, _free = freelist_stats()
         if fingerprint is not None and dict(run_fingerprint) != dict(
@@ -230,12 +189,6 @@ def run_scenario(
         repeat=max(1, repeat),
         python=platform.python_version(),
         machine=platform.machine(),
-        workers=int(best_profile.get("workers", 0)),  # type: ignore[call-overload]
-        cpu_count=int(best_profile.get("cpu_count", os.cpu_count() or 1)),  # type: ignore[call-overload]
-        rounds=int(best_profile.get("rounds", 0)),  # type: ignore[call-overload]
-        sync_stall_s=float(best_profile.get("sync_stall_s", 0.0)),  # type: ignore[arg-type]
-        start_method=str(best_profile.get("start_method", "")),
-        phase_stats=dict(best_profile.get("phase_stats", {})),  # type: ignore[call-overload]
         mode=effective_mode,
         fluid_stats=dict(best_profile.get("fluid_stats", {})),  # type: ignore[arg-type,call-overload]
     )
@@ -282,28 +235,14 @@ class Comparison:
     ratio: float  # new / baseline
     regressed: bool
     fingerprint_changed: bool
-    #: parallel context of the *new* run (zero/empty when serial) — a
-    #: parallel regression is diagnosed through rounds and sync stall,
-    #: not throughput alone
-    workers: int = 0
-    rounds: int = 0
-    sync_stall_s: float = 0.0
-    start_method: str = ""
 
     def describe(self) -> str:
         verdict = "REGRESSED" if self.regressed else "ok"
         note = " [fingerprint changed]" if self.fingerprint_changed else ""
-        par = ""
-        if self.workers:
-            par = (
-                f" [{self.workers}w/{self.start_method or '?'}: "
-                f"{self.rounds} rounds, "
-                f"{self.sync_stall_s:.2f}s sync stall]"
-            )
         return (
             f"{self.scenario}: {self.baseline_eps / 1e3:.0f}k -> "
             f"{self.new_eps / 1e3:.0f}k ev/s ({self.ratio:.2f}x) "
-            f"{verdict}{par}{note}"
+            f"{verdict}{note}"
         )
 
 
@@ -338,10 +277,6 @@ def compare_results(
                 regressed=ratio < 1.0 - threshold,
                 fingerprint_changed=bool(base.fingerprint)
                 and base.fingerprint != result.fingerprint,
-                workers=result.workers,
-                rounds=result.rounds,
-                sync_stall_s=result.sync_stall_s,
-                start_method=result.start_method,
             )
         )
     return comparisons

@@ -1,8 +1,8 @@
 """The pinned scenarios: what each one stresses, and how it runs.
 
 A scenario is a name, a one-line description, and a ``run()`` (taking
-optional ``workers`` count, ``spans`` recorder, ``sanitize`` and
-``mode`` keywords) returning ``(profile, fingerprint)``:
+optional ``spans`` recorder, ``sanitize`` and ``mode`` keywords)
+returning ``(profile, fingerprint)``:
 
 * ``profile`` — the :class:`~repro.obs.profile.RunProfile` dict for the
   run (events, heap_hwm, wall_s, events_per_sec, rss_hwm_bytes);
@@ -41,7 +41,6 @@ class Scenario(NamedTuple):
 
 
 def _engine_churn(
-    workers: int = 0,
     spans: Optional[SpanRecorder] = None,
     sanitize: bool = False,
     mode: Optional[str] = None,
@@ -61,10 +60,6 @@ def _engine_churn(
     harness loop the serial span instrumentation hangs off.
     """
     del spans
-    if workers:
-        raise ValueError(
-            "engine_churn has no fabric to partition (workers must be 0)"
-        )
     if mode not in (None, "packet"):
         raise ValueError(
             "engine_churn has no flows to promote (mode must be packet)"
@@ -107,7 +102,6 @@ def _engine_churn(
 
 def _experiment(**overrides) -> RunFn:
     def run(
-        workers: int = 0,
         spans: Optional[SpanRecorder] = None,
         sanitize: bool = False,
         mode: Optional[str] = None,
@@ -116,7 +110,7 @@ def _experiment(**overrides) -> RunFn:
         if mode is not None:
             params["mode"] = mode
         result = run_experiment(
-            ExperimentConfig(workers=workers, sanitize=sanitize, **params),
+            ExperimentConfig(sanitize=sanitize, **params),
             spans=spans,
         )
         fingerprint = {
@@ -174,8 +168,7 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             "leafspine_full",
-            "12x12 leaf-spine, 144 hosts, mixed workload (partitionable "
-            "with --workers; the fingerprint is worker-count invariant)",
+            "12x12 leaf-spine, 144 hosts, mixed workload",
             _experiment(
                 scheme="tcn",
                 scheduler="sp_dwrr",

@@ -88,7 +88,7 @@ class ExperimentConfig:
     # fluid while short flows stay packet-exact, with two-way coupling
     # (fluid load sets residual port rates / standing-queue delay /
     # marking; measured packet throughput feeds back into the solver).
-    # Unlike workers/sanitize this is NOT a pure performance knob —
+    # Unlike sanitize this is NOT a result-neutral knob —
     # fluid results are an approximation — so the sweep cache
     # fingerprint includes both fields.  See docs/FLUID.md.
     mode: str = "packet"
@@ -97,18 +97,10 @@ class ExperimentConfig:
     # bookkeeping
     seed: int = 1
     max_sim_ns: int = 0            # 0 -> auto (generous multiple of last arrival)
-    # Parallel engine (repro.sim.parallel): 0 = the classic serial engine;
-    # >= 1 shards the leaf-spine fabric into one sub-simulator per leaf
-    # pod, spread over `workers` processes (1 = the same partitioned
-    # computation driven in-process — useful for debugging and as the
-    # scaling baseline).  Leafspine-only; equivalence with the serial
-    # engine is digest-checked by tests/test_parallel.py, which is why
-    # the sweep cache fingerprint excludes this knob.
-    workers: int = 0
     # Runtime sanitizer (repro.sanitize): invariant checks with zero
     # effect on results — a sanitized run either raises or is
     # bit-identical to an unsanitized one — so the sweep cache
-    # fingerprint excludes it like `workers`.  False still defers to the
+    # fingerprint excludes it.  False still defers to the
     # REPRO_SANITIZE environment switch at engine construction, so an
     # unmodified suite can run fully sanitized.
     sanitize: bool = False
@@ -128,13 +120,6 @@ class ExperimentConfig:
             )
         if self.pias and not self.scheduler.startswith("sp"):
             raise ValueError("PIAS tagging needs a strict-priority high queue")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.workers and self.topology != "leafspine":
-            raise ValueError(
-                "workers >= 1 (the partitioned engine) requires the "
-                f"leafspine topology, got {self.topology!r}"
-            )
         if self.mode not in ("packet", "fluid", "hybrid"):
             raise ValueError(
                 f"unknown mode {self.mode!r}: expected packet, fluid, "
@@ -143,11 +128,6 @@ class ExperimentConfig:
         if self.fluid_size_bytes < 1:
             raise ValueError(
                 f"fluid_size_bytes must be >= 1, got {self.fluid_size_bytes}"
-            )
-        if self.workers and self.mode != "packet":
-            raise ValueError(
-                "the partitioned engine (workers >= 1) only runs the "
-                f"packet engine, got mode={self.mode!r}"
             )
 
     # -- derived constants -----------------------------------------------

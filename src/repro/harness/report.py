@@ -67,52 +67,6 @@ def format_port_breakdown(metrics: Dict[str, dict]) -> str:
     return format_table(headers, rows)
 
 
-def format_stall_table(phase_stats: Dict[str, object]) -> str:
-    """Render a ``stall_table`` dict (see :mod:`repro.obs.spans`).
-
-    One row per round phase with its share of the total recorded phase
-    time, then the critical-path partition tally — the partitions the
-    barrier actually waited for.  Durations come from the flight
-    recorder's window of the run (``rounds`` counts every round; the
-    phase rows cover the retained window).
-    """
-    phases = phase_stats.get("phases") or {}
-    if not phases:
-        return "(no round-phase spans recorded)"
-    grand_total = sum(p["total_ns"] for p in phases.values())  # type: ignore[index]
-    headers = ["phase", "count", "total", "share", "p50", "p95", "max"]
-    rows: List[List[str]] = []
-    for phase in ("compute", "serialize", "ipc_wait", "merge"):
-        stats = phases.get(phase)
-        if stats is None:
-            continue
-        share = (
-            f"{100.0 * stats['total_ns'] / grand_total:.1f}%"
-            if grand_total
-            else "-"
-        )
-        rows.append([
-            phase,
-            str(stats["count"]),
-            f"{stats['total_ns'] / 1e6:.2f}ms",
-            share,
-            _us(stats["p50_ns"]),
-            _us(stats["p95_ns"]),
-            _us(stats["max_ns"]),
-        ])
-    lines = [
-        f"{phase_stats.get('rounds', 0)} barrier rounds",
-        format_table(headers, rows),
-    ]
-    critical = phase_stats.get("critical_partition") or {}
-    if critical:
-        tally = ", ".join(
-            f"{pid} x{count}" for pid, count in critical.items()
-        )
-        lines.append(f"critical-path partition (slowest compute): {tally}")
-    return "\n".join(lines)
-
-
 def format_fct_rows(results: Dict[str, ExperimentResult]) -> str:
     """One row per scheme: the paper's four FCT statistics plus counters.
 

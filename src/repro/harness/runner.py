@@ -93,18 +93,11 @@ def run_experiment(
 
     Pass a :class:`repro.obs.SpanRecorder` to additionally record the
     harness-side flight recorder: one span per ``Simulator.run`` chunk
-    here (the GC-paused window, with freelist deltas),
-    and the full round-phase decomposition when the run is partitioned.
+    (the GC-paused window, with freelist deltas).
     Spans are pure observation too — ``tests/test_spans.py`` pins a
     spans-on run to the spans-off golden results.
     """
     cfg.validate()
-    if cfg.workers:
-        # Partitioned engine (leafspine only — validate() enforces).
-        # Imported lazily: cluster.py imports this module's builders back.
-        from repro.sim.parallel.cluster import run_parallel_experiment
-
-        return run_parallel_experiment(cfg, tracer, spans)
     sim = Simulator(sanitize=cfg.sanitize or None)
     rng = RngFactory(cfg.seed)
     topo = _build_topology(sim, cfg)

@@ -2,10 +2,9 @@
 
 ``python -m repro report`` runs an experiment with the flight recorder
 on and renders everything a reader needs to judge the run — config,
-profile, FCT summary, metrics snapshot, the parallel stall-attribution
-table, the hottest ports by marks/drops, and a timeline digest — into a
-single file with no external assets, so it attaches to a CI run or a
-paper artifact as-is.
+profile, FCT summary, metrics snapshot, the hottest ports by
+marks/drops, and a timeline digest — into a single file with no
+external assets, so it attaches to a CI run or a paper artifact as-is.
 
 The renderer is deliberately dumb: it builds a list of named sections
 whose bodies are the same fixed-width tables the CLIs print, then
@@ -23,7 +22,6 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.report import (
     format_fct_rows,
     format_port_breakdown,
-    format_stall_table,
     format_table,
 )
 from repro.harness.runner import ExperimentResult
@@ -43,7 +41,6 @@ def _config_lines(cfg: ExperimentConfig) -> str:
         ["load", f"{cfg.load:g}"],
         ["flows", str(cfg.n_flows)],
         ["seed", str(cfg.seed)],
-        ["workers", str(cfg.workers)],
     ]
     return format_table(["parameter", "value"], rows)
 
@@ -70,16 +67,6 @@ def _profile_lines(profile: Dict[str, object]) -> str:
             f"{int(profile.get('rss_hwm_bytes', 0)) / 2**20:.0f} MB",  # type: ignore[call-overload]
         ],
     ]
-    if profile.get("workers"):
-        rows += [
-            ["workers", str(profile["workers"])],
-            ["start method", str(profile.get("start_method", ""))],
-            ["sync rounds", str(profile.get("rounds", 0))],
-            [
-                "sync stall",
-                f"{float(profile.get('sync_stall_s', 0.0)):.2f} s",  # type: ignore[arg-type]
-            ],
-        ]
     return format_table(["metric", "value"], rows)
 
 
@@ -134,18 +121,9 @@ def build_sections(
         ("Run", _run_lines(result)),
         ("Profile", _profile_lines(result.profile)),
         ("FCT summary", format_fct_rows({result.config.scheme: result})),
+        ("Hottest ports", _hottest_lines(result.metrics, top_ports)),
+        ("Port breakdown", format_port_breakdown(result.metrics)),
     ]
-    phase_stats = result.profile.get("phase_stats")
-    if isinstance(phase_stats, dict):
-        sections.append(
-            ("Stall attribution", format_stall_table(phase_stats))
-        )
-    sections.append(
-        ("Hottest ports", _hottest_lines(result.metrics, top_ports))
-    )
-    sections.append(
-        ("Port breakdown", format_port_breakdown(result.metrics))
-    )
     if spans is not None and len(spans):
         digest = format_span_summary(spans.iter_dicts())
         if spans.dropped_spans:

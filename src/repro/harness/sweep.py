@@ -93,14 +93,11 @@ def code_version() -> str:
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Canonical JSON of every result-affecting config field.
 
-    ``workers`` is excluded on purpose: the partitioned engine is
-    digest-checked against the serial one (``tests/test_parallel.py``),
-    so serial and parallel runs of one config share a cache entry.
-    ``sanitize`` is excluded for the same reason: a sanitized run either
-    raises or is bit-identical to an unsanitized one.
+    ``sanitize`` is excluded on purpose: a sanitized run either raises
+    or is bit-identical to an unsanitized one, so both share a cache
+    entry.
     """
     fields = dataclasses.asdict(cfg)
-    fields.pop("workers", None)
     fields.pop("sanitize", None)
     return json.dumps(
         fields, sort_keys=True, separators=(",", ":"), default=str,

@@ -9,12 +9,10 @@ Zero-overhead-when-off instrumentation for the whole pipeline:
   that components register into and the harness snapshots into results.
 * :class:`RunProfile` — events processed, events/sec, heap and RSS
   high-water marks per run (with :class:`RssSampler` feeding in-run
-  RSS high-water samples at chunk/round boundaries).
+  RSS high-water samples at chunk boundaries).
 * :class:`SpanRecorder` — the flight recorder: wall-clock span
-  timelines of the serial run loop, the parallel round protocol, and
-  the sweep pool, exported as Chrome trace-event JSON (Perfetto) or
-  deterministic JSONL, with :func:`stall_table` attributing parallel
-  wall time to compute/serialize/ipc_wait/merge phases.
+  timelines of the run loop, fluid epochs and the sweep pool, exported
+  as Chrome trace-event JSON (Perfetto) or deterministic JSONL.
 * :func:`summarize_events` / :func:`summarize_trace_file` /
   :func:`format_trace_summary` — the analysis behind
   ``python -m repro trace``.
@@ -37,12 +35,10 @@ if TYPE_CHECKING:
     from repro.obs.profile import RssSampler, RunProfile, current_rss_bytes
     from repro.obs.spans import (
         DEFAULT_SPAN_CAPACITY,
-        ROUND_PHASES,
         SpanRecorder,
         chrome_trace,
         format_span_summary,
         load_spans_jsonl,
-        stall_table,
         trace_events_to_chrome,
         write_chrome,
     )
@@ -68,11 +64,9 @@ __all__ = [
     "current_rss_bytes",
     "SpanRecorder",
     "DEFAULT_SPAN_CAPACITY",
-    "ROUND_PHASES",
     "chrome_trace",
     "write_chrome",
     "trace_events_to_chrome",
-    "stall_table",
     "format_span_summary",
     "load_spans_jsonl",
     "QueueSummary",
@@ -95,12 +89,10 @@ _EXPORTS = {
     "RunProfile": "repro.obs.profile",
     "current_rss_bytes": "repro.obs.profile",
     "DEFAULT_SPAN_CAPACITY": "repro.obs.spans",
-    "ROUND_PHASES": "repro.obs.spans",
     "SpanRecorder": "repro.obs.spans",
     "chrome_trace": "repro.obs.spans",
     "format_span_summary": "repro.obs.spans",
     "load_spans_jsonl": "repro.obs.spans",
-    "stall_table": "repro.obs.spans",
     "trace_events_to_chrome": "repro.obs.spans",
     "write_chrome": "repro.obs.spans",
     "QueueSummary": "repro.obs.summary",

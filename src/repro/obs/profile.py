@@ -70,11 +70,11 @@ class RunProfile:
     def from_dict(cls, d: Dict[str, object]) -> "RunProfile":
         """Rebuild from :meth:`as_dict` output, ignoring unknown keys.
 
-        Profile dicts travel through caches and results produced by
-        newer or richer engines (the partitioned runner adds keys like
-        ``workers`` and ``per_partition``); consumers that only want the
-        common counters use this instead of ``RunProfile(**d)`` so extra
-        keys degrade gracefully.
+        Profile dicts travel through caches, results and files written
+        by other versions (older ones carried ``workers``, ``rounds`` and
+        other keys of a since-removed partitioned engine); consumers that
+        only want the common counters use this instead of
+        ``RunProfile(**d)`` so extra keys degrade gracefully.
         """
         known = {
             f: d[f]
@@ -133,7 +133,7 @@ def current_rss_bytes() -> int:
     """Resident set size of this process right now, in bytes (0 if unknown).
 
     Read from ``/proc/self/statm`` — one small pread, a few microseconds
-    — so it is cheap enough to call at chunk/round boundaries.
+    — so it is cheap enough to call at chunk boundaries.
     """
     try:
         with open("/proc/self/statm") as fh:
@@ -150,12 +150,10 @@ RSS_STRIDE_ENV = "REPRO_RSS_STRIDE"
 class RssSampler:
     """Strided RSS high-water sampling at run-loop boundaries.
 
-    ``ru_maxrss`` only reports a process's *own* peak, and only when
-    asked — the parallel coordinator asking at completion misses every
-    short-lived peak inside its worker processes.  Each worker (and the
-    serial run loop) instead carries one of these and calls
-    :meth:`sample` at chunk/round boundaries; the profile merge then
-    takes the max over all observed high waters.
+    The run loop carries one of these and calls :meth:`sample` at chunk
+    boundaries: chunk spans report the latest sample, and the profile
+    takes the max of ``ru_maxrss`` (absent off POSIX) and the observed
+    high water.
 
     The stride (default 1: every boundary — boundaries are rare, ~20/s
     of simulated time) is configurable via ``$REPRO_RSS_STRIDE`` or the

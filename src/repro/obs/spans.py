@@ -8,28 +8,23 @@ parameter) that is ``None`` by default, so the un-instrumented path pays
 exactly one ``is not None`` test per hook point and the simulation hot
 path is never touched at all.
 
-Three layers record spans:
+These layers record spans:
 
-=========  ======  =========================================================
-``cat``    name    emitted by
-=========  ======  =========================================================
-engine     chunk   ``harness.runner.run_experiment`` — one span per
-                   ``Simulator.run`` chunk (the GC-paused window), with
-                   sim-time bounds, executed events and packet-freelist
-                   pressure deltas
-round      merge   ``parallel.cluster._Partition`` — applying the round's
-                   boundary handoffs into the partition's event queue
-round      compute ``_Partition`` — the ``sim.run(until=horizon)`` slice
-round      serialize  ``_Partition`` — draining the outbox and flattening
-                   the round report for the pipe
-round      ipc_wait   worker processes (waiting for the coordinator's next
-                   horizon) and the coordinator (waiting on worker pipes,
-                   ``tid="coord"``)
-sync       round   the coordinator — one span per barrier round with the
-                   horizon, ``m̂``, and routed-handoff count
-sweep      job     ``harness.sweep.run_sweep`` — one span per grid cell
-                   (queued → dispatched → finished) with cache/crash status
-=========  ======  =========================================================
+=========  ========  =======================================================
+``cat``    name      emitted by
+=========  ========  =======================================================
+engine     chunk     ``harness.runner.run_experiment`` — one span per
+                     ``Simulator.run`` chunk (the GC-paused window), with
+                     sim-time bounds, executed events and packet-freelist
+                     pressure deltas
+fluid      epoch     ``sim.fluid.FluidNetwork`` — one span per fluid
+                     epoch (hybrid/fluid modes)
+sweep      job       ``harness.sweep.run_sweep`` — one span per grid cell
+                     (queued → dispatched → finished) with cache/crash
+                     status, plus one ``sweep`` span for the whole pool
+sanitize   <kind>    ``repro.sanitize.Sanitizer`` — one zero-length span
+                     per recorded invariant violation
+=========  ========  =======================================================
 
 Wall-clock reads happen **only** in :func:`wall_ns` below, behind a
 justified SIM001 pragma: span timestamps describe the host executing the
@@ -42,22 +37,14 @@ Exports:
   line.  With ``deterministic=True`` the wall-clock fields (``t0_ns``,
   ``dur_ns``) are zeroed and host-dependent annotation keys
   (:data:`NONDETERMINISTIC_ARGS`) stripped, so two same-seed runs export
-  byte-identical files at any worker count — the span *structure*
-  (rounds, phases, handoff counts, executed events) is a deterministic
-  property of the run.
+  byte-identical files — the span *structure* (chunks, sim-time bounds,
+  executed events) is a deterministic property of the run.
 * :meth:`SpanRecorder.export_chrome` / :func:`chrome_trace` — Chrome
   trace-event JSON (``traceEvents`` array of ``ph: "X"`` slices), which
   https://ui.perfetto.dev loads directly.
 * :func:`trace_events_to_chrome` — converts a packet-lifecycle trace
   (``repro run --trace``) into the same format, so packet sojourns can
   be overlaid with harness spans in one Perfetto view.
-
-Cross-process merge: worker-side recorders ship ``(spans, dropped)``
-back with the final report and the coordinator interleaves them by
-:func:`round_merge_key` — ``(round, pid, phase)`` — before adopting
-(:meth:`SpanRecorder.adopt`).  The merged ring therefore has a
-reproducible line order *and* evicts the oldest rounds uniformly across
-partitions when full, instead of silently discarding whole partitions.
 """
 
 from __future__ import annotations
@@ -80,13 +67,9 @@ from typing import (
 
 from repro.metrics.fct import percentile
 
-#: default ring capacity.  The barrier protocol is communication-bound
-#: (sub-µs lookahead), so a real parallel run takes 10^5-10^6 rounds and
-#: emits 4 phase spans per round per partition — far more than any
-#: sane export.  A flight recorder keeps the *newest* window: the ring
-#: evicts oldest-first (oldest rounds first, after the deterministic
-#: merge interleave) and counts ``dropped_spans``, exactly like the
-#: event tracer's ring.
+#: default ring capacity.  A flight recorder keeps the *newest* window:
+#: the ring evicts oldest-first and counts ``dropped_spans``, exactly
+#: like the event tracer's ring.
 DEFAULT_SPAN_CAPACITY = 1 << 16
 
 #: span-annotation keys stripped by the deterministic JSONL export:
@@ -99,9 +82,6 @@ NONDETERMINISTIC_ARGS = frozenset(
      "freelist_allocated", "freelist_reused"}
 )
 
-#: the four per-partition round phases the stall table attributes
-ROUND_PHASES = ("compute", "serialize", "ipc_wait", "merge")
-
 #: internal span record:
 #: ``(pid_label, tid_label, cat, name, t0_ns, dur_ns, args_dict)``
 SpanTuple = Tuple[str, str, str, str, int, int, Dict[str, Any]]
@@ -111,9 +91,7 @@ def wall_ns() -> int:
     """Monotonic wall-clock nanoseconds — the recorder's only clock.
 
     Centralised so the flight recorder has exactly one wall-clock call
-    site; on Linux ``perf_counter_ns`` is CLOCK_MONOTONIC, which is
-    system-wide, so spans stamped in forked worker processes share the
-    coordinator's timebase and align on one Perfetto timeline.
+    site.
     """
     # simlint: disable=SIM001 -- span timestamps measure host runtime for the flight recorder; they are observability output and never feed the simulation
     return time.perf_counter_ns()
@@ -155,8 +133,7 @@ class SpanRecorder:
     """Bounded ring of wall-clock spans with Chrome/JSONL export.
 
     ``pid`` labels the track every span from this recorder lands on
-    (``"run"`` for the serial harness, ``"coord"`` / ``"p<N>"`` for the
-    parallel layers, ``"sweep"`` for the pool); ``tid`` sub-tracks
+    (``"run"`` for the harness, ``"sweep"`` for the pool); ``tid`` sub-tracks
     within it.  Like the event tracer, a full ring evicts oldest-first
     and counts :attr:`dropped_spans` instead of growing unbounded.
     """
@@ -213,12 +190,7 @@ class SpanRecorder:
     def adopt(
         self, spans: Iterable[SpanTuple], dropped: int = 0
     ) -> None:
-        """Merge spans shipped from another recorder (pid kept as-is).
-
-        Callers append shipped payloads in a deterministic order (the
-        parallel merge goes coordinator first, then partitions by pid),
-        which fixes the export line order.
-        """
+        """Merge spans from another recorder (pid kept as-is), in order."""
         ring = self.spans
         for record in spans:
             if ring.maxlen is not None and len(ring) == ring.maxlen:
@@ -439,96 +411,6 @@ def write_chrome_doc(
     json.dump(doc, destination, sort_keys=True, separators=(",", ":"))
     destination.write("\n")
     return sum(1 for e in doc["traceEvents"] if e["ph"] != "M")
-
-
-_PHASE_ORDER = {
-    "ipc_wait": 0, "merge": 1, "compute": 2, "serialize": 3, "round": 4,
-}
-
-
-def round_merge_key(record: SpanTuple) -> Tuple[int, str, int]:
-    """Deterministic interleave key for merging parallel span rings.
-
-    Orders by (round, pid, phase) so that when the merged bounded ring
-    evicts, it drops the *oldest rounds uniformly across partitions* —
-    never one whole partition — and the export line order is a pure
-    function of the run (wall timestamps play no part).  Coordinator
-    spans carry ``round`` (sync spans) or ``barrier`` (pipe waits;
-    barrier ``b`` precedes round ``b``, with the initial-report wait
-    mapping to -1).
-    """
-    pid, _tid, _cat, name, _t0, _dur, args = record
-    rnd = args.get("round")
-    if rnd is None:
-        barrier = args.get("barrier")
-        rnd = barrier - 1 if barrier is not None else -1
-    return (rnd, pid, _PHASE_ORDER.get(name, 9))
-
-
-# -- stall attribution -----------------------------------------------------
-
-
-def stall_table(
-    span_dicts: Iterable[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """Fold round-phase spans into the per-round stall attribution.
-
-    Returns ``None`` when no round spans are present (a serial run).
-    Otherwise::
-
-        {
-          "rounds": <count>,
-          "phases": {phase: {count, total_ns, p50_ns, p95_ns, max_ns}},
-          "critical_partition": {pid_label: rounds_it_was_slowest_in},
-        }
-
-    The critical-path partition of a round is the one whose ``compute``
-    phase took longest — the partition the barrier actually waited for.
-    """
-    durs: Dict[str, List[int]] = {p: [] for p in ROUND_PHASES}
-    slowest: Dict[int, Tuple[int, str]] = {}
-    n_rounds = 0
-    for s in span_dicts:
-        if s["cat"] != "round":
-            continue
-        name = s["name"]
-        bucket = durs.get(name)
-        if bucket is None:
-            continue
-        dur = s["dur_ns"]
-        bucket.append(dur)
-        rnd = s["args"].get("round")
-        if rnd is None:
-            continue
-        if rnd + 1 > n_rounds:
-            n_rounds = rnd + 1
-        if name == "compute":
-            cur = slowest.get(rnd)
-            if cur is None or dur > cur[0]:
-                slowest[rnd] = (dur, s["pid"])
-    if not any(durs.values()):
-        return None
-    critical: Dict[str, int] = {}
-    for _dur, pid in slowest.values():
-        critical[pid] = critical.get(pid, 0) + 1
-    phases: Dict[str, Dict[str, int]] = {}
-    for phase, values in durs.items():
-        if not values:
-            continue
-        phases[phase] = {
-            "count": len(values),
-            "total_ns": sum(values),
-            "p50_ns": int(percentile(values, 50)),
-            "p95_ns": int(percentile(values, 95)),
-            "max_ns": max(values),
-        }
-    return {
-        "rounds": n_rounds,
-        "phases": phases,
-        "critical_partition": dict(
-            sorted(critical.items(), key=lambda kv: (-kv[1], kv[0]))
-        ),
-    }
 
 
 def format_span_summary(span_dicts: Iterable[Dict[str, Any]]) -> str:

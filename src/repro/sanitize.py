@@ -3,13 +3,12 @@
 ``Simulator(sanitize=True)`` — or ``REPRO_SANITIZE=1`` in the
 environment, or ``--sanitize`` on the ``run``/``bench`` CLIs — arms a
 :class:`Sanitizer` that enforces, while the simulation runs, the same
-invariants the static layer (SIM014–SIM017, ``docs/STATIC_ANALYSIS.md``)
+invariants the static layer (SIM015–SIM017, ``docs/STATIC_ANALYSIS.md``)
 checks before it:
 
 * **freelist discipline** (SIM010/SIM015's twin) — released frames are
   *poisoned* (``ts``/``enq_ts`` stamped with an impossible sentinel), so
-  a double ``release()`` is caught at the second call, a poisoned frame
-  crossing a partition boundary is caught at export, and a frame found
+  a double ``release()`` is caught at the second call and a frame found
   un-poisoned on the freelist exposes direct ``_free`` tampering.  The
   ``make_*`` constructors rewrite every field of a recycled frame, so
   poisoning is invisible to a correct simulation — bit-identical
@@ -18,10 +17,6 @@ checks before it:
   :meth:`Sanitizer.pop`, drop-in twins of ``heapq.heappush``/``heappop``,
   check every heap transition: no push behind the clock, no duplicate
   live ``seq``, ``(time, seq)`` pop order, and no pop behind the clock.
-* **partition ownership at handoff** (SIM014's twin) —
-  ``PartitionSimulator.insert_arrival`` validates the composite arrival
-  key: the ARRIVAL bit must be set, the source partition must be remote,
-  and the stamped send time must not postdate the delivery.
 
 Everything is **zero overhead when off**: the engine binds the checked
 primitives in place of ``heapq``'s only when sanitizing, and the
@@ -221,15 +216,6 @@ class Sanitizer:
                 "freelist-corruption",
                 "un-poisoned frame found on the freelist — something "
                 "bypassed release() (direct _free access?)",
-            )
-
-    def check_frame(self, pkt: Any, where: str) -> None:
-        """Assert ``pkt`` is live — used at partition-boundary export."""
-        if pkt.ts == POISON and pkt.enq_ts == POISON:
-            self.record(
-                "use-after-release",
-                f"{where}: released frame is still in circulation "
-                f"(flow={pkt.flow_id} seq={pkt.seq})",
             )
 
 

@@ -117,11 +117,7 @@ class Simulator:
 
         The names are instance slots holding closures over the heap list
         and the push primitive, which skips the ``self`` attribute reads
-        a method body would pay per call.  A subclass that defines any of
-        these names as a real method (the partitioned engine's
-        composite-key schedule family) shadows the slot — the bind raises
-        ``AttributeError`` for that name and is skipped, so the method
-        stays in charge.
+        a method body would pay per call.
         """
         sim = self
         heap = self._heap
@@ -198,17 +194,10 @@ class Simulator:
             """
             cancelled_add(handle[1])
 
-        for name, fn in (
-            ("schedule", schedule),
-            ("schedule_call", schedule_call),
-            ("schedule_tx", schedule_tx),
-            ("cancel", cancel),
-        ):
-            try:
-                setattr(self, name, fn)
-            except AttributeError:
-                # shadowed by a subclass method — keep the method
-                pass
+        self.schedule = schedule
+        self.schedule_call = schedule_call
+        self.schedule_tx = schedule_tx
+        self.cancel = cancel
 
     # -- scheduling (cold paths) ------------------------------------------
 

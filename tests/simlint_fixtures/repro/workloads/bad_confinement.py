@@ -1,7 +1,7 @@
 """SIM017: confined subsystem APIs smuggled outside their owning packages."""
 
 import gc  # expect: SIM017
-import repro.net.boundary as boundary
+import repro.net.packet as packet
 
 from repro.net.packet import freelist_stats
 from repro.sim.engine import heappush  # expect: SIM017
@@ -17,10 +17,10 @@ def rank(heap, item):
     heappush(heap, item)  # same: reported at the from-import line
 
 
-def smuggle(fields):
+def recycle(frame):
     # the import line was innocent (module alias, not a confined name);
-    # the call graph still resolves this to repro.net.boundary.import_packet
-    return boundary.import_packet(fields)  # expect: SIM017
+    # the call graph still resolves this to repro.net.packet.release
+    packet.release(frame)  # expect: SIM017
 
 
 def audit():

@@ -92,30 +92,24 @@ class TestJsonRoundTrip:
         assert data["schema"] == 1
         assert list(data) == sorted(data)
 
-    def test_parallel_fields_round_trip(self, tmp_path):
-        result = _result(
-            workers=2, cpu_count=8, rounds=1234, sync_stall_s=0.5,
-            start_method="fork",
-            phase_stats={"rounds": 1234, "phases": {}},
-        )
-        path = write_result(result, str(tmp_path))
-        back = load_results(path)["port_saturation"]
-        assert back.rounds == 1234
-        assert back.sync_stall_s == 0.5
-        assert back.start_method == "fork"
-        assert back.phase_stats["rounds"] == 1234
-
-    def test_parallel_fields_default_for_old_baselines(self):
-        # a baseline written before these fields existed still loads
+    def test_old_baseline_with_parallel_keys_still_loads(self, tmp_path):
+        # files written while a partitioned engine existed carry its keys;
+        # the reader ignores them and writes none back
         old = {
-            "scenario": "port_saturation", "events": 1000,
+            "scenario": "leafspine_slice", "events": 1000,
             "wall_s": 0.01, "events_per_sec": 1e5,
+            "fingerprint": {"completed": 120, "total": 120},
+            "workers": 2, "cpu_count": 8, "rounds": 1234,
+            "sync_stall_s": 0.5, "start_method": "fork",
+            "phase_stats": {"rounds": 1234, "phases": {}},
         }
-        back = BenchResult.from_dict(old)
-        assert back.rounds == 0
-        assert back.sync_stall_s == 0.0
-        assert back.start_method == ""
-        assert back.phase_stats == {}
+        path = tmp_path / "BENCH_leafspine_slice.json"
+        path.write_text(json.dumps(old))
+        back = load_results(str(path))["leafspine_slice"]
+        assert back.events_per_sec == 1e5
+        assert back.fingerprint == old["fingerprint"]
+        assert "rounds" not in back.as_dict()
+        assert "workers" not in back.describe()
 
     def test_fluid_fields_round_trip(self, tmp_path):
         stats = {"flows": 71, "completed": 71, "epochs": 285,
@@ -134,16 +128,6 @@ class TestJsonRoundTrip:
         back = BenchResult.from_dict(old)
         assert back.mode == "packet"
         assert back.fluid_stats == {}
-
-    def test_describe_surfaces_parallel_context(self):
-        result = _result(
-            workers=2, cpu_count=8, rounds=1234, sync_stall_s=0.5,
-            start_method="fork",
-        )
-        out = result.describe()
-        assert "2 workers on 8 cpus via fork" in out
-        assert "1234 rounds" in out
-        assert "0.50s sync stall" in out
 
 
 class TestRegressionGate:
@@ -178,19 +162,6 @@ class TestRegressionGate:
         assert cmp.fingerprint_changed
         assert not cmp.regressed
         assert "fingerprint changed" in cmp.describe()
-
-    def test_compare_surfaces_parallel_diagnostics(self):
-        new = _result(
-            scenario="leafspine_slice", eps=60_000.0, workers=2,
-            rounds=999, sync_stall_s=1.25, start_method="fork",
-        )
-        base = _result(scenario="leafspine_slice")
-        (cmp,) = compare_results([new], {"leafspine_slice": base})
-        assert cmp.workers == 2
-        assert cmp.rounds == 999
-        out = cmp.describe()
-        assert "2w/fork" in out
-        assert "999 rounds" in out and "1.25s sync stall" in out
 
     def test_serial_compare_output_stays_clean(self):
         (cmp,) = compare_results([_result()], {"port_saturation": _result()})
@@ -279,7 +250,7 @@ class TestCli:
         assert err.count("\n") == 1  # exactly one diagnostic line
         assert "BENCH_port_saturation.json" in err
 
-    def test_spans_flag_writes_timeline_and_phase_stats(self, tmp_path):
+    def test_spans_flag_writes_timeline(self, tmp_path):
         spans_dir = tmp_path / "spans"
         out_dir = tmp_path / "out"
         assert (
@@ -300,12 +271,7 @@ class TestCli:
         assert jsonl.exists() and trace.exists()
         doc = json.loads(trace.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        payload = json.loads(
-            (out_dir / "BENCH_port_saturation.json").read_text()
-        )
-        # a serial scenario has no round phases to attribute
-        assert payload["phase_stats"] == {}
-        assert payload["rounds"] == 0
+        assert (out_dir / "BENCH_port_saturation.json").exists()
 
     def test_compare_json_artifact_is_written(self, tmp_path):
         base_dir = str(tmp_path / "base")

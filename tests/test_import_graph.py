@@ -116,7 +116,7 @@ class TestRunExperiment:
         assert facts["before"] == facts["after"]
         assert not facts["multiprocessing"]
         assert _under(
-            modules, "repro.analysis", "repro.bench", "repro.sim.parallel",
+            modules, "repro.analysis", "repro.bench",
             "repro.harness.sweep", "repro.sanitize",
         ) == []
 
@@ -151,8 +151,7 @@ class TestCliDispatch:
         assert facts["exit"] == 0
         # the run path stays clear of the tooling it does not use
         assert _under(
-            modules, "repro.analysis", "repro.bench", "repro.sim.parallel",
-            "repro.harness.sweep",
+            modules, "repro.analysis", "repro.bench", "repro.harness.sweep",
         ) == []
         for argv in (("trace", str(trace)), ("timeline", str(spans))):
             modules, facts = _cli(*argv)
@@ -165,9 +164,7 @@ class TestCliDispatch:
             "--cache-dir", str(tmp_path),
         )
         assert facts["exit"] == 0
-        assert _under(
-            modules, "repro.analysis", "repro.bench", "repro.sim.parallel",
-        ) == []
+        assert _under(modules, "repro.analysis", "repro.bench") == []
 
 
 _SWEEP = """
@@ -234,8 +231,6 @@ HOT_PATH = sorted(
 ALLOWED_LOCAL_IMPORTS = {
     # constructor-time, and only when the sanitizer is armed
     ("sim/engine.py", "Simulator.__init__", "repro.sanitize"),
-    # --workers dispatch: the serial path never loads the parallel engine
-    ("harness/runner.py", "run_experiment", "repro.sim.parallel.cluster"),
 }
 
 

@@ -22,7 +22,7 @@ PACKAGES = ["repro"] + [
     "repro." + name
     for name in (
         "analysis apps aqm bench core harness metrics net obs pias sched "
-        "sim sim.fluid sim.parallel topo transport workloads"
+        "sim sim.fluid topo transport workloads"
     ).split()
 ]
 
@@ -102,6 +102,23 @@ def test_lazy_packages_export_exactly_their_table():
     for package in PACKAGES:
         pkg = importlib.import_module(package)
         assert set(pkg.__all__) == set(_table(_init_tree(package))), package
+
+
+def test_obs_surface_is_pinned():
+    """``repro.obs`` exports exactly this list: removing a name (as the
+    partitioned engine's stall attribution and round-phase list were
+    removed) is a deliberate public-API change made here too."""
+    import repro.obs
+
+    assert sorted(repro.obs.__all__) == [
+        "Counter", "DEFAULT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "Gauge",
+        "Histogram", "MetricsRegistry", "NULL_TRACER", "NullTracer",
+        "QueueSummary", "RssSampler", "RunProfile", "SpanRecorder",
+        "TraceSummary", "Tracer", "chrome_trace", "current_rss_bytes",
+        "format_span_summary", "format_trace_summary", "load_spans_jsonl",
+        "summarize_events", "summarize_trace_file", "trace_events_to_chrome",
+        "write_chrome",
+    ]
 
 
 def test_star_import_binds_all_of_repro():

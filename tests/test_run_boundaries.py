@@ -1,9 +1,8 @@
 """Pin ``Simulator.run``'s boundary contract.
 
-The partitioned engine (repro.sim.parallel) leans on these exact
-semantics — its barrier protocol runs partitions to shared horizons with
-``run(until=...)`` and reasons about which events executed — so the
-contract documented on ``Simulator.run`` is pinned here:
+The harness drives every run in ``run(until=...)`` chunks and reasons
+about which events executed, so the contract documented on
+``Simulator.run`` is pinned here:
 
 * ``until`` is inclusive; the first strictly-later event stays queued;
 * when nothing remains at or before ``until``, the clock advances to

@@ -4,11 +4,10 @@ Three properties are pinned here:
 
 * **transparency** — a sanitized run of a clean simulation raises
   nothing and produces bit-identical results (FCTs, counters, sim_ns)
-  to the unsanitized run, on both the serial and partitioned engines;
+  to the unsanitized run;
 * **detection** — each invariant class (freelist double-release /
-  use-after-release / direct-tampering, heap push-into-past / duplicate
-  seq / pop order / time regression on both engines, partition-ownership
-  handoff keys) has a seeded violation the sanitizer catches;
+  direct-tampering, heap push-into-past / duplicate seq / pop order /
+  time regression) has a seeded violation the sanitizer catches;
 * **zero footprint when off** — an unsanitized engine runs on
   ``heapq``'s own push/pop and carries no freelist hook.
 
@@ -26,7 +25,6 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 from repro.net import packet
-from repro.net.boundary import BoundaryMux
 from repro.net.packet import make_ack, make_data, make_data_run, release
 from repro.sanitize import (
     POISON,
@@ -37,12 +35,6 @@ from repro.sanitize import (
     env_enabled,
 )
 from repro.sim.engine import Simulator
-from repro.sim.parallel.partition import (
-    ARRIVAL_BIT,
-    SRC_SHIFT,
-    TIME_SHIFT,
-    PartitionSimulator,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -117,16 +109,6 @@ class TestFreelistPoisoning:
         Sanitizer().attach_freelist()
         assert packet.freelist_stats()[2] == 0
 
-    def test_use_after_release_caught_at_boundary_export(self):
-        san = _collecting_sanitizer()
-        san.attach_freelist()
-        mux = BoundaryMux(3)
-        pkt = make_data(1, 2, 3, 0, 1000, True, 0, 50)
-        release(pkt)
-        mux.export(pkt)
-        kinds = [v.kind for v in san.violations]
-        assert "use-after-release" in kinds
-
     def test_violation_carries_sim_time(self):
         sim = Simulator()
         sim.now = 777
@@ -144,16 +126,11 @@ def _kinds(sim):
 
 
 class TestEventQueueChecks:
-    """Seeded heap faults on the serial engine (the partitioned engine
-    reruns every case below through the subclass)."""
-
-    @staticmethod
-    def _make():
-        return Simulator(sanitize=True)
+    """Seeded heap faults on the engine."""
 
     def _armed(self):
         """A sanitizing engine collecting violations."""
-        sim = self._make()
+        sim = Simulator(sanitize=True)
         sim._san.raise_on_violation = False
         return sim
 
@@ -232,53 +209,6 @@ class TestEventQueueChecks:
         assert armed.run() == 3
         assert fired == [10] and armed.now == 30
         assert armed._san.violations == []
-
-
-class TestPartitionEventQueueChecks(TestEventQueueChecks):
-    """The same seeded heap faults on the partitioned engine."""
-
-    @staticmethod
-    def _make():
-        return PartitionSimulator(0, sanitize=True)
-
-
-class TestPartitionOwnership:
-    def _arrival_seq(self, send_t, src_pid, h=0):
-        return (send_t << TIME_SHIFT) | ARRIVAL_BIT | (src_pid << SRC_SHIFT) | h
-
-    def test_good_arrival_is_silent(self):
-        sim = PartitionSimulator(0, sanitize=True)
-        sim._san.raise_on_violation = False
-        sim.insert_arrival(100, self._arrival_seq(90, 1), lambda a: None, None)
-        assert sim._san.violations == []
-
-    def test_arrival_without_arrival_bit(self):
-        sim = PartitionSimulator(0, sanitize=True)
-        sim._san.raise_on_violation = False
-        sim.insert_arrival(100, (90 << TIME_SHIFT) | 5, lambda a: None, None)
-        assert [v.kind for v in sim._san.violations] == ["boundary-ownership"]
-
-    def test_arrival_from_self(self):
-        sim = PartitionSimulator(2, sanitize=True)
-        sim._san.raise_on_violation = False
-        sim.insert_arrival(100, self._arrival_seq(90, 2), lambda a: None, None)
-        assert [v.kind for v in sim._san.violations] == ["arrival-from-self"]
-
-    def test_send_after_delivery(self):
-        sim = PartitionSimulator(0, sanitize=True)
-        sim._san.raise_on_violation = False
-        sim.insert_arrival(100, self._arrival_seq(150, 1), lambda a: None, None)
-        assert [v.kind for v in sim._san.violations] == ["send-after-delivery"]
-
-    def test_sanitized_partition_runs_events(self):
-        sim = PartitionSimulator(0, sanitize=True)
-        fired = []
-        sim.schedule(10, lambda: fired.append(sim.now))
-        sim.schedule_many([(5, lambda: fired.append(sim.now))])
-        sim.insert_arrival(20, self._arrival_seq(15, 1), fired.append, 99)
-        assert sim.run() == 3
-        assert fired == [5, 10, 99]
-        assert sim._san.violations == []
 
 
 class TestTransparency:

@@ -1,14 +1,12 @@
-"""The flight recorder: span recording, exports, merge, and the CLIs.
+"""The flight recorder: span recording, exports, and the CLIs.
 
 The deterministic-safety contracts pinned here:
 
 * recording spans never changes what a run computes (traced == untraced
-  results, serial and parallel);
-* two same-seed ``workers=2`` runs export **byte-identical** span JSONL
-  in deterministic mode (wall-clock fields zeroed, host-dependent
-  annotations stripped);
-* the cross-process merge interleaves by round, so a full ring evicts
-  the oldest rounds uniformly instead of dropping whole partitions.
+  results);
+* two same-seed runs export **byte-identical** span JSONL in
+  deterministic mode (wall-clock fields zeroed, host-dependent
+  annotations stripped).
 """
 
 import json
@@ -16,7 +14,6 @@ import json
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.report import format_stall_table
 from repro.harness.runner import run_experiment
 from repro.harness.runreport import hottest_ports, render_run_report
 from repro.harness.sweep import ResultCache, run_sweep
@@ -24,23 +21,12 @@ from repro.obs import RssSampler, SpanRecorder, current_rss_bytes
 from repro.obs.spans import (
     DEFAULT_SPAN_CAPACITY,
     NONDETERMINISTIC_ARGS,
-    ROUND_PHASES,
     chrome_trace,
     format_span_summary,
     load_spans_jsonl,
-    round_merge_key,
-    stall_table,
     trace_events_to_chrome,
     write_chrome,
     write_chrome_doc,
-)
-
-#: the smallest partitionable fabric: two leaf pods, tiny cache flows —
-#: a few hundred barrier rounds, well under a second of wall time
-_PARALLEL = dict(
-    topology="leafspine", n_leaf=2, n_spine=2, hosts_per_leaf=2,
-    workload="cache", transport="dctcp", scheme="tcn",
-    scheduler="dwrr", load=0.6, n_flows=8, seed=5,
 )
 
 _SERIAL = dict(
@@ -81,15 +67,15 @@ class TestSpanRecorder:
         assert [r[4] for r in rec.spans] == [2, 3, 4]
 
     def test_adopt_carries_drop_counts(self):
-        src = SpanRecorder(capacity=2, pid="p0")
+        src = SpanRecorder(capacity=2, pid="sweep")
         for i in range(4):
-            src.add("round", "compute", i, 1)
+            src.add("sweep", "job", i, 1)
         dst = SpanRecorder(pid="run")
         dst.adopt(src.spans, src.dropped_spans)
         assert len(dst) == 2
         assert dst.dropped_spans == 2
         # shipped records keep their original pid label
-        assert all(r[0] == "p0" for r in dst.spans)
+        assert all(r[0] == "sweep" for r in dst.spans)
 
     def test_clear_resets_everything(self):
         rec = SpanRecorder(capacity=1)
@@ -184,66 +170,6 @@ class TestTraceEventsToChrome:
         json.load(open(path))  # well-formed
 
 
-class TestStallTable:
-    def _round_spans(self):
-        spans = []
-        for rnd in range(3):
-            for pid, compute in (("p0", 100), ("p1", 300)):
-                for phase, dur in (
-                    ("compute", compute), ("serialize", 10),
-                    ("ipc_wait", 20), ("merge", 5),
-                ):
-                    spans.append({
-                        "pid": pid, "tid": "phases", "cat": "round",
-                        "name": phase, "t0_ns": 0, "dur_ns": dur,
-                        "args": {"round": rnd},
-                    })
-        return spans
-
-    def test_attributes_phases_and_critical_partition(self):
-        table = stall_table(self._round_spans())
-        assert table["rounds"] == 3
-        assert set(table["phases"]) == set(ROUND_PHASES)
-        assert table["phases"]["compute"]["count"] == 6
-        assert table["phases"]["compute"]["max_ns"] == 300
-        # p1's compute is slowest in every round
-        assert table["critical_partition"] == {"p1": 3}
-
-    def test_returns_none_without_round_spans(self):
-        serial = [{
-            "pid": "run", "tid": "sim", "cat": "engine", "name": "chunk",
-            "t0_ns": 0, "dur_ns": 1, "args": {},
-        }]
-        assert stall_table(serial) is None
-
-    def test_format_stall_table_renders(self):
-        out = format_stall_table(stall_table(self._round_spans()))
-        assert "3 barrier rounds" in out
-        assert "compute" in out and "ipc_wait" in out
-        assert "critical-path partition" in out and "p1 x3" in out
-
-    def test_format_stall_table_empty(self):
-        assert "no round-phase" in format_stall_table({"phases": {}})
-
-    def test_round_merge_key_orders_rounds_before_partitions(self):
-        def rec(pid, name, args):
-            return (pid, "t", "round", name, 0, 0, args)
-
-        records = [
-            rec("p1", "compute", {"round": 1}),
-            rec("p0", "compute", {"round": 1}),
-            rec("p1", "serialize", {"round": 0}),
-            rec("coord", "ipc_wait", {"barrier": 1}),  # waits for round 0
-        ]
-        records.sort(key=round_merge_key)
-        assert [(r[0], r[3]) for r in records] == [
-            ("coord", "ipc_wait"),
-            ("p1", "serialize"),
-            ("p0", "compute"),
-            ("p1", "compute"),
-        ]
-
-
 class TestRssSampling:
     def test_current_rss_is_positive_on_linux(self):
         assert current_rss_bytes() > 0
@@ -291,57 +217,16 @@ class TestSerialSpans:
         assert plain.drops == traced.drops
         assert plain.events == traced.events
 
-
-class TestParallelSpans:
-    def _run(self, spans=None):
-        return run_experiment(
-            ExperimentConfig(workers=2, **_PARALLEL), spans=spans
-        )
-
-    def test_every_partition_reports_every_phase(self):
-        spans = SpanRecorder(pid="run")
-        result = self._run(spans)
-        rounds = int(result.profile["rounds"])
-        assert rounds > 0
-        coverage = {
-            (r[0], r[3]) for r in spans.spans if r[2] == "round"
-        }
-        for pid in ("p0", "p1"):
-            for phase in ROUND_PHASES:
-                assert (pid, phase) in coverage, (pid, phase)
-        # the coordinator's barrier spans are present too
-        assert any(r[2] == "sync" for r in spans.spans)
-        # and the stall table lands in the profile
-        stats = result.profile["phase_stats"]
-        assert stats["rounds"] == rounds
-        assert set(stats["phases"]) == set(ROUND_PHASES)
-
     def test_deterministic_export_is_byte_identical(self, tmp_path):
         exports = []
         for i in range(2):
             spans = SpanRecorder(pid="run")
-            self._run(spans)
+            run_experiment(ExperimentConfig(**_SERIAL), spans=spans)
             path = str(tmp_path / f"run{i}.jsonl")
             spans.export_jsonl(path, deterministic=True)
             exports.append(open(path, "rb").read())
         assert exports[0] == exports[1]
         assert exports[0].count(b"\n") > 0
-
-    def test_spans_do_not_perturb_parallel_results(self):
-        plain = self._run()
-        traced = self._run(SpanRecorder())
-        assert _flow_digest(plain) == _flow_digest(traced)
-        assert plain.marks == traced.marks
-        assert plain.events == traced.events
-
-    def test_full_ring_evicts_rounds_not_partitions(self):
-        spans = SpanRecorder(pid="run", capacity=256)
-        self._run(spans)
-        assert spans.dropped_spans > 0
-        pids = {r[0] for r in spans.spans if r[2] == "round"}
-        # both partitions survive eviction (plus the coordinator's
-        # pipe-wait spans) — a pid-ordered merge would have kept only p1
-        assert pids >= {"p0", "p1"}
 
 
 class TestSweepSpans:
@@ -418,16 +303,6 @@ class TestRunReport:
         result, spans = self._result()
         with pytest.raises(ValueError):
             render_run_report(result, fmt="pdf")
-
-    def test_parallel_report_renders_stall_table(self):
-        spans = SpanRecorder(pid="run")
-        result = run_experiment(
-            ExperimentConfig(workers=2, **_PARALLEL), spans=spans
-        )
-        doc = render_run_report(result, spans=spans, fmt="md")
-        assert "## Stall attribution" in doc
-        assert "barrier rounds" in doc
-        assert "critical-path partition" in doc
 
     def test_hottest_ports_ranked_by_marks_plus_drops(self):
         metrics = {
@@ -538,9 +413,9 @@ class TestSpanSummaryFormat:
         spans = [
             {"cat": "engine", "name": "chunk", "dur_ns": 1000},
             {"cat": "engine", "name": "chunk", "dur_ns": 3000},
-            {"cat": "sync", "name": "round", "dur_ns": 500},
+            {"cat": "fluid", "name": "epoch", "dur_ns": 500},
         ]
         out = format_span_summary(spans)
-        assert "engine" in out and "sync" in out
+        assert "engine" in out and "fluid" in out
         chunk_row = [l for l in out.splitlines() if "chunk" in l][0]
         assert "2" in chunk_row  # count

@@ -149,8 +149,47 @@ _GOLDEN = {
 }
 
 
+#: the leaf-spine reference config: 4 leaves x 2 spines x 2 hosts per
+#: leaf, every leaf pair exchanging websearch traffic
+_REFERENCE = dict(
+    topology="leafspine", n_leaf=4, n_spine=2, hosts_per_leaf=2,
+    workload="websearch", transport="dctcp", scheme="tcn",
+    scheduler="dwrr", load=0.6, n_flows=40, seed=5,
+)
+
+#: golden digests of the serial run on the reference config — update
+#: only with an intentional behaviour change, and say why in the commit
+_GOLDEN_FCT = (
+    "07943316c186358824a50c0f351689aa542b6114d64f3307c95114cdc34bfbf8"
+)
+_GOLDEN_TRACE = (
+    "9f411b3fe3c779781aadf252b81151227771d41fbf34765448c042af84713d40"
+)
+
+
+def _reference_digests():
+    """SHA-256 of the reference run's (id, fct, completed) vector and of
+    its sorted trace lines."""
+    tracer = Tracer(capacity=None)
+    result = run_experiment(ExperimentConfig(**_REFERENCE), tracer=tracer)
+    fct = hashlib.sha256(
+        json.dumps(
+            [(f.id, f.fct_ns, f.completed) for f in result.flows]
+        ).encode()
+    ).hexdigest()
+    lines = sorted(json.dumps(list(e)) for e in tracer.events)
+    trace = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return fct, trace
+
+
 class TestGoldenDigests:
-    """Bit-exact pins of whole runs across two schemes and schedulers."""
+    """Bit-exact pins of whole runs across schemes, schedulers and
+    topologies."""
+
+    def test_goldens_pin_the_serial_run(self):
+        fct, trace = _reference_digests()
+        assert fct == _GOLDEN_FCT
+        assert trace == _GOLDEN_TRACE
 
     @pytest.fixture(scope="class")
     def runs(self):
