@@ -26,9 +26,6 @@ Examples::
     python -m repro sweep --scheme tcn --scheme red_std \\
         --load 0.6 --load 0.9 --seed 1 --seed 2 --processes 4
 
-    # hot-path microbenchmarks; gate against the committed baselines
-    python -m repro bench --out bench-out --compare benchmarks/baselines
-
     # hybrid fluid/packet mode: long flows on the fluid solver
     python -m repro run --topology leafspine --workload bulk --mode hybrid
 
@@ -43,8 +40,12 @@ Examples::
     python -m repro lint --changed origin/main
 
     # run with every runtime invariant check armed (freelist poisoning,
-    # pop-order); zero overhead when off
+    # pop-order); zero overhead when off.  `--sanitize` exists on `run`
+    # only; REPRO_SANITIZE=1 arms every Simulator the process builds
     python -m repro run --topology leafspine --sanitize
+
+Performance is measured by the ledger, ``python3 benchmarks/ledger/run.py``
+(see benchmarks/ledger/README.md).
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from typing import TYPE_CHECKING
 
 # Each sub-command imports its own machinery when it runs, so `lint`,
 # `trace` and `timeline` never load the simulator and `run`/`sweep` never
-# load the linter or the bench harness.  Only what annotations need is
-# named here.
+# load the linter.  Only what annotations need is named here.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.config import ExperimentConfig
     from repro.harness.sweep import SweepResult
@@ -183,7 +183,7 @@ def build_timeline_parser() -> argparse.ArgumentParser:
         prog="python -m repro timeline",
         description=(
             "Inspect a flight-recorder JSONL export (written by "
-            "`run --spans` / `sweep --spans` / `bench --spans`): prints "
+            "`run --spans` / `sweep --spans`): prints "
             "the per-span-type digest; optionally exports Chrome "
             "trace-event JSON for https://ui.perfetto.dev."
         ),
@@ -509,7 +509,7 @@ def timeline_main(argv=None) -> int:
 
 def report_main(argv=None) -> int:
     from repro.harness.runner import run_experiment
-    from repro.harness.runreport import render_run_report
+    from repro.harness.report import render_run_report
     from repro.obs import SpanRecorder, Tracer
 
     args = build_report_parser().parse_args(argv)
@@ -578,10 +578,6 @@ def main(argv=None) -> int:
         return timeline_main(argv[1:])
     if argv and argv[0] == "report":
         return report_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "lint":
         from repro.analysis.cli import main as lint_main
 

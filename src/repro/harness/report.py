@@ -1,11 +1,32 @@
-"""Plain-text tables: the benches print paper-vs-measured rows with these."""
+"""Plain-text tables and the self-contained run report.
+
+The tables are what the CLIs and the figure benches print: paper-vs-
+measured FCT rows, per-port traffic/mark/drop breakdowns.
+
+``python -m repro report`` runs an experiment with the flight recorder
+on and :func:`render_run_report` renders everything a reader needs to
+judge the run — config, profile, FCT summary, the hottest ports by
+marks/drops, the port breakdown and a timeline digest — into a single
+file with no external assets, so it attaches to a CI run or a paper
+artifact as-is.  The renderer is deliberately dumb: a list of named
+sections whose bodies are the same fixed-width tables, serialised as
+markdown (fenced code blocks) or HTML (``<pre>`` blocks with a few lines
+of inline CSS).  No templating engine, no dependencies, deterministic
+output for deterministic inputs.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+import html
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - the tables never build a simulator
+    from repro.harness.config import ExperimentConfig
     from repro.harness.runner import ExperimentResult
+    from repro.obs.spans import SpanRecorder
+
+#: (heading, body) — body is preformatted fixed-width text
+Section = Tuple[str, str]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -26,27 +47,33 @@ def _us(value_ns: Optional[float]) -> str:
     return f"{value_ns / 1000.0:.0f}us"
 
 
-def format_port_breakdown(metrics: Dict[str, dict]) -> str:
-    """Per-port traffic/mark/drop table from a run's metrics snapshot.
+def _port_counters(metrics: Dict[str, Any]) -> Dict[str, Dict[str, int]]:
+    """``{port: {field: count}}`` from the ``port.<name>.<field>`` counters.
 
-    Reads the ``port.<name>.<field>`` counters that
-    ``run_experiment`` registers (per-queue ``port.<name>.q<i>.*`` keys
-    are skipped here — the ``trace`` subcommand breaks queues out).
-    Ports with no traffic at all are omitted.
+    Port names contain no dots, so port-level keys split into
+    (name, field) and per-queue ``port.<name>.q<i>.<field>`` keys into
+    three parts; those are skipped (the ``trace`` subcommand breaks
+    queues out), as are histogram snapshots, which don't tabulate.
     """
     ports: Dict[str, Dict[str, int]] = {}
     for key, snap in metrics.items():
-        if not key.startswith("port."):
+        if not key.startswith("port.") or isinstance(snap, dict):
             continue
-        # port names contain no dots, so: port-level keys split into
-        # (name, field); per-queue keys into (name, q<i>, field).
         parts = key[len("port."):].split(".")
         if len(parts) != 2:
             continue
         name, fld = parts
-        if isinstance(snap, dict):  # histogram snapshots don't tabulate
-            continue
         ports.setdefault(name, {})[fld] = snap
+    return ports
+
+
+def format_port_breakdown(metrics: Dict[str, Any]) -> str:
+    """Per-port traffic/mark/drop table from a run's metrics snapshot.
+
+    Reads the ``port.<name>.<field>`` counters that ``run_experiment``
+    registers.  Ports with no traffic at all are omitted.
+    """
+    ports = _port_counters(metrics)
     headers = ["port", "rx_pkts", "tx_pkts", "marks", "mark%", "drops", "drop%"]
     rows: List[List[str]] = []
     for name in sorted(ports):
@@ -65,6 +92,26 @@ def format_port_breakdown(metrics: Dict[str, dict]) -> str:
     if not rows:
         return "(no port traffic recorded)"
     return format_table(headers, rows)
+
+
+def hottest_ports(
+    metrics: Dict[str, Any], top: int = 8
+) -> List[Tuple[str, int, int, int, int]]:
+    """Ports ranked by (marks + drops) descending: the congestion map.
+
+    Returns ``(port, rx_pkts, tx_pkts, marks, drops)`` rows; ports with
+    neither marks nor drops are omitted (nothing to rank them by).
+    """
+    ranked = []
+    for name, c in _port_counters(metrics).items():
+        marks = c.get("marked_pkts", 0)
+        drops = c.get("dropped_pkts", 0)
+        if marks or drops:
+            ranked.append(
+                (name, c.get("rx_pkts", 0), c.get("tx_pkts", 0), marks, drops)
+            )
+    ranked.sort(key=lambda r: (-(r[3] + r[4]), r[0]))
+    return ranked[:top]
 
 
 def format_fct_rows(results: Dict[str, ExperimentResult]) -> str:
@@ -110,3 +157,137 @@ def format_fct_rows(results: Dict[str, ExperimentResult]) -> str:
             ]
         )
     return format_table(headers, rows)
+
+
+# -- the run report ---------------------------------------------------------
+
+
+def _config_lines(cfg: ExperimentConfig) -> str:
+    rows = [
+        ["scheme", cfg.scheme],
+        ["scheduler", cfg.scheduler],
+        ["transport", cfg.transport],
+        ["topology", cfg.topology],
+        ["workload", cfg.workload],
+        ["load", f"{cfg.load:g}"],
+        ["flows", str(cfg.n_flows)],
+        ["seed", str(cfg.seed)],
+    ]
+    return format_table(["parameter", "value"], rows)
+
+
+def _run_lines(result: ExperimentResult) -> str:
+    rows = [
+        ["completed flows", f"{result.completed}/{result.total}"],
+        ["simulated time", f"{result.sim_ns / 1e9:.3f} s"],
+        ["wall time", f"{result.wall_s:.2f} s"],
+        ["timeouts", str(result.timeouts)],
+        ["drops", str(result.drops)],
+        ["ECN marks", str(result.marks)],
+    ]
+    return format_table(["metric", "value"], rows)
+
+
+def _profile_lines(profile: Dict[str, object]) -> str:
+    rows = [
+        ["events", str(profile.get("events", 0))],
+        ["events/sec", f"{float(profile.get('events_per_sec', 0.0)):,.0f}"],
+        ["heap high-water", str(profile.get("heap_hwm", 0))],
+        [
+            "RSS high-water",
+            f"{int(profile.get('rss_hwm_bytes', 0)) / 2**20:.0f} MB",  # type: ignore[call-overload]
+        ],
+    ]
+    return format_table(["metric", "value"], rows)
+
+
+def _hottest_lines(metrics: Dict[str, Any], top: int) -> str:
+    ranked = hottest_ports(metrics, top)
+    if not ranked:
+        return "(no port recorded a mark or a drop)"
+    rows = [
+        [name, str(rx), str(tx), str(marks), str(drops)]
+        for name, rx, tx, marks, drops in ranked
+    ]
+    return format_table(["port", "rx_pkts", "tx_pkts", "marks", "drops"], rows)
+
+
+def _sections(
+    result: ExperimentResult,
+    spans: Optional[SpanRecorder],
+    top_ports: int,
+) -> List[Section]:
+    """Assemble the report sections from one finished run."""
+    sections: List[Section] = [
+        ("Configuration", _config_lines(result.config)),
+        ("Run", _run_lines(result)),
+        ("Profile", _profile_lines(result.profile)),
+        ("FCT summary", format_fct_rows({result.config.scheme: result})),
+        ("Hottest ports", _hottest_lines(result.metrics, top_ports)),
+        ("Port breakdown", format_port_breakdown(result.metrics)),
+    ]
+    if spans is not None and len(spans):
+        # call-local: importing the tables loads nothing else
+        from repro.obs.spans import format_span_summary
+
+        digest = format_span_summary(spans.iter_dicts())
+        if spans.dropped_spans:
+            digest += (
+                f"\n({spans.dropped_spans} older spans evicted from the "
+                f"ring; the digest covers the newest window)"
+            )
+        sections.append(("Timeline digest", digest))
+    return sections
+
+
+def _markdown(title: str, sections: Sequence[Section]) -> str:
+    parts = [f"# {title}", ""]
+    for heading, body in sections:
+        parts += [f"## {heading}", "", "```", body, "```", ""]
+    return "\n".join(parts)
+
+
+_HTML_STYLE = (
+    "body{font-family:sans-serif;max-width:72em;margin:2em auto;"
+    "padding:0 1em;color:#222}"
+    "h1{border-bottom:2px solid #222;padding-bottom:.2em}"
+    "h2{margin-top:1.6em;color:#444}"
+    "pre{background:#f6f6f6;border:1px solid #ddd;border-radius:4px;"
+    "padding:.8em;overflow-x:auto;font-size:.9em;line-height:1.35}"
+)
+
+
+def _html(title: str, sections: Sequence[Section]) -> str:
+    parts = [
+        "<!DOCTYPE html>",
+        "<html><head><meta charset=\"utf-8\">",
+        f"<title>{html.escape(title)}</title>",
+        f"<style>{_HTML_STYLE}</style>",
+        "</head><body>",
+        f"<h1>{html.escape(title)}</h1>",
+    ]
+    for heading, body in sections:
+        parts.append(f"<h2>{html.escape(heading)}</h2>")
+        parts.append(f"<pre>{html.escape(body)}</pre>")
+    parts.append("</body></html>")
+    return "\n".join(parts)
+
+
+def render_run_report(
+    result: ExperimentResult,
+    spans: Optional[SpanRecorder] = None,
+    top_ports: int = 8,
+    fmt: str = "md",
+) -> str:
+    """Render one run into a self-contained document (``md`` or ``html``)."""
+    cfg = result.config
+    title = (
+        f"repro run report: {cfg.scheme}/{cfg.scheduler} "
+        f"{cfg.topology} {cfg.workload} load={cfg.load:g} seed={cfg.seed}"
+    )
+    sections = _sections(result, spans, top_ports)
+    if fmt == "html":
+        return _html(title, sections)
+    if fmt != "md":
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return _markdown(title, sections)

@@ -138,7 +138,7 @@ def run_experiment(
     events = 0
     # run-loop-only wall clock: RunProfile's ev/s divides by time spent
     # *dispatching events*, not topology build or per-chunk bookkeeping —
-    # short bench reps were under-reporting throughput by the setup cost
+    # otherwise short runs under-report throughput by the setup cost
     run_loop_s = 0.0
     rss = RssSampler()
     spans_on = spans is not None and spans.enabled
@@ -156,7 +156,7 @@ def run_experiment(
         run_loop_s += time.perf_counter() - rt0
         events += executed
         # chunk boundary: the only in-run RSS observation point — the
-        # sampler is strided and never sits on the event hot path
+        # sampler never sits on the event hot path
         rss.sample()
         if spans_on:
             dur = wall_ns() - t0

@@ -182,8 +182,8 @@ def freelist_stats() -> Tuple[int, int, int]:
 
     ``allocated`` counts fresh ``Packet`` objects built by the ``make_*``
     constructors; ``reused`` counts frames recycled from the freelist;
-    ``free`` is the current freelist depth.  The benchmark harness reports
-    the deltas of these around a run.
+    ``free`` is the current freelist depth.  Chunk spans report the
+    deltas of these around each run chunk.
     """
     return _allocated, _reused, len(_free)
 

@@ -143,43 +143,25 @@ def current_rss_bytes() -> int:
         return 0
 
 
-#: environment knob for the sampling stride (every Nth boundary samples)
-RSS_STRIDE_ENV = "REPRO_RSS_STRIDE"
-
-
 class RssSampler:
-    """Strided RSS high-water sampling at run-loop boundaries.
+    """RSS high-water sampling at run-loop boundaries.
 
-    The run loop carries one of these and calls :meth:`sample` at chunk
-    boundaries: chunk spans report the latest sample, and the profile
+    The run loop carries one of these and calls :meth:`sample` at every
+    chunk boundary: chunk spans report the latest sample, and the profile
     takes the max of ``ru_maxrss`` (absent off POSIX) and the observed
-    high water.
-
-    The stride (default 1: every boundary — boundaries are rare, ~20/s
-    of simulated time) is configurable via ``$REPRO_RSS_STRIDE`` or the
-    constructor, for runs where even the boundary rate is too chatty.
-    The sampler never sits on the event hot path.
+    high water.  Boundaries are rare (~20/s of simulated time), so the
+    sampler never sits on the event hot path.
     """
 
-    __slots__ = ("stride", "hwm_bytes", "last_bytes", "samples", "_tick")
+    __slots__ = ("hwm_bytes", "last_bytes", "samples")
 
-    def __init__(self, stride: int = 0) -> None:
-        if stride <= 0:
-            try:
-                stride = int(os.environ.get(RSS_STRIDE_ENV, "1"))
-            except ValueError:
-                stride = 1
-        self.stride = max(1, stride)
+    def __init__(self) -> None:
         self.hwm_bytes = 0
         self.last_bytes = 0
         self.samples = 0
-        self._tick = 0
 
     def sample(self) -> None:
-        """Take a sample if this boundary falls on the stride."""
-        self._tick += 1
-        if self._tick % self.stride:
-            return
+        """Read the current RSS and raise the high water if it grew."""
         rss = current_rss_bytes()
         if rss:
             self.samples += 1

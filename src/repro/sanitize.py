@@ -1,7 +1,7 @@
 """The runtime sanitizer: dynamic twin of simlint's project rules.
 
 ``Simulator(sanitize=True)`` — or ``REPRO_SANITIZE=1`` in the
-environment, or ``--sanitize`` on the ``run``/``bench`` CLIs — arms a
+environment, or ``--sanitize`` on the ``run`` CLI (its only home) — arms a
 :class:`Sanitizer` that enforces, while the simulation runs, the same
 invariants the static layer (SIM015–SIM017, ``docs/STATIC_ANALYSIS.md``)
 checks before it:

@@ -637,7 +637,7 @@ class FluidNetwork:
         return halved(link.pkt_rate_bps, self._tick - link.pkt_rate_tick)
 
     def stats_dict(self) -> Dict[str, int]:
-        """The ``fluid_stats`` payload for RunProfile / bench results."""
+        """The ``fluid_stats`` payload for RunProfile."""
         return {
             "flows": len(self.flows),
             "completed": self.completed,

@@ -109,7 +109,7 @@ CACHE = EmpiricalCdf(
 #: transfers (25 MB), so most *flows above any reasonable promotion
 #: threshold are identical long transfers* whose steady state the fluid
 #: model describes exactly.  Not a paper workload; built for the
-#: `leafspine_fluid` bench scenario and the fluid accuracy harness,
+#: hybrid-mode ledger workload and the fluid accuracy harness,
 #: where a controlled long-flow population keeps the packet-vs-fluid
 #: comparison free of heavy-tail sampling noise.
 BULK = EmpiricalCdf(

@@ -27,6 +27,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--scheme", "nonsense"])
 
+    def test_main_rejects_the_retired_bench_command(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: bench" in capsys.readouterr().err
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro", "--flows", "10", "--load", "0.5"],

@@ -116,8 +116,7 @@ class TestRunExperiment:
         assert facts["before"] == facts["after"]
         assert not facts["multiprocessing"]
         assert _under(
-            modules, "repro.analysis", "repro.bench",
-            "repro.harness.sweep", "repro.sanitize",
+            modules, "repro.analysis", "repro.harness.sweep", "repro.sanitize",
         ) == []
 
 
@@ -151,7 +150,7 @@ class TestCliDispatch:
         assert facts["exit"] == 0
         # the run path stays clear of the tooling it does not use
         assert _under(
-            modules, "repro.analysis", "repro.bench", "repro.harness.sweep",
+            modules, "repro.analysis", "repro.harness.sweep",
         ) == []
         for argv in (("trace", str(trace)), ("timeline", str(spans))):
             modules, facts = _cli(*argv)
@@ -164,7 +163,7 @@ class TestCliDispatch:
             "--cache-dir", str(tmp_path),
         )
         assert facts["exit"] == 0
-        assert _under(modules, "repro.analysis", "repro.bench") == []
+        assert _under(modules, "repro.analysis") == []
 
 
 _SWEEP = """

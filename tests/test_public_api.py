@@ -21,7 +21,7 @@ SRC = Path(repro.__file__).resolve().parent
 PACKAGES = ["repro"] + [
     "repro." + name
     for name in (
-        "analysis apps aqm bench core harness metrics net obs pias sched "
+        "analysis apps aqm core harness metrics net obs pias sched "
         "sim sim.fluid topo transport workloads"
     ).split()
 ]

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.report import hottest_ports, render_run_report
 from repro.harness.runner import run_experiment
-from repro.harness.runreport import hottest_ports, render_run_report
 from repro.harness.sweep import ResultCache, run_sweep
 from repro.obs import RssSampler, SpanRecorder, current_rss_bytes
 from repro.obs.spans import (
@@ -175,22 +175,10 @@ class TestRssSampling:
         assert current_rss_bytes() > 0
 
     def test_sampler_tracks_high_water(self):
-        sampler = RssSampler(stride=1)
+        sampler = RssSampler()
         sampler.sample()
         assert sampler.samples == 1
         assert sampler.hwm_bytes >= sampler.last_bytes > 0
-
-    def test_stride_skips_boundaries(self):
-        sampler = RssSampler(stride=3)
-        for _ in range(6):
-            sampler.sample()
-        assert sampler.samples == 2
-
-    def test_stride_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RSS_STRIDE", "7")
-        assert RssSampler().stride == 7
-        monkeypatch.setenv("REPRO_RSS_STRIDE", "bogus")
-        assert RssSampler().stride == 1
 
 
 class TestSerialSpans:
