@@ -456,6 +456,17 @@ def sweep_main(argv=None) -> int:
     return 0 if outcome.ok else 1
 
 
+def _file_error(path: str, exc: Exception) -> int:
+    """Report an unreadable input or unwritable output; exit code 2.
+
+    ``OSError`` messages already name their file; a JSON decode error
+    (a ``ValueError``) does not, so it is prefixed with the input path.
+    """
+    detail = exc if isinstance(exc, OSError) else f"{path}: malformed JSONL: {exc}"
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
+
+
 def trace_main(argv=None) -> int:
     from repro.obs import (
         format_trace_summary,
@@ -466,25 +477,19 @@ def trace_main(argv=None) -> int:
     from repro.obs.spans import write_chrome_doc
 
     args = build_trace_parser().parse_args(argv)
-    if args.format == "chrome":
-        out = args.out or args.path + ".chrome.json"
-        try:
-            events = load_spans_jsonl(args.path)  # generic JSONL reader
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        n = write_chrome_doc(trace_events_to_chrome(events), out)
-        print(
-            f"wrote {n} Chrome trace events to {out} "
-            f"(open at https://ui.perfetto.dev)"
-        )
-        return 0
     try:
-        summary = summarize_trace_file(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_trace_summary(summary))
+        if args.format == "chrome":
+            out = args.out or args.path + ".chrome.json"
+            events = load_spans_jsonl(args.path)  # generic JSONL reader
+            n = write_chrome_doc(trace_events_to_chrome(events), out)
+            print(
+                f"wrote {n} Chrome trace events to {out} "
+                f"(open at https://ui.perfetto.dev)"
+            )
+        else:
+            print(format_trace_summary(summarize_trace_file(args.path)))
+    except (OSError, ValueError) as exc:
+        return _file_error(args.path, exc)
     return 0
 
 
@@ -494,16 +499,15 @@ def timeline_main(argv=None) -> int:
     args = build_timeline_parser().parse_args(argv)
     try:
         spans = load_spans_jsonl(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_span_summary(spans))
-    if args.chrome is not None:
-        n = write_chrome(spans, args.chrome)
-        print(
-            f"\nwrote {n} timeline slices to {args.chrome} "
-            f"(open at https://ui.perfetto.dev)"
-        )
+        print(format_span_summary(spans))
+        if args.chrome is not None:
+            n = write_chrome(spans, args.chrome)
+            print(
+                f"\nwrote {n} timeline slices to {args.chrome} "
+                f"(open at https://ui.perfetto.dev)"
+            )
+    except (OSError, ValueError) as exc:
+        return _file_error(args.path, exc)
     return 0
 
 

@@ -8,14 +8,12 @@ perfectly idiomatic Python: a ``time.time()`` in a control law, an iteration
 over a ``set`` of id-hashed objects, a module-level ``random`` draw.
 
 simlint is a stdlib-``ast`` rule engine that rejects those hazards at review
-time.  It runs in two layers: per-module rules walk one file's AST, and
-project rules get a whole-program view — a symbol table and call graph
-(:mod:`repro.analysis.symbols`) plus release/escape dataflow summaries
-(:mod:`repro.analysis.dataflow`) — to chase ownership across function and
-module boundaries.  Rules live in :mod:`repro.analysis.rules` (the current
-id span is :func:`rule_range`; never hardcode it), the walking/suppression/
-baseline machinery in :mod:`repro.analysis.engine`, and the ``python -m
-repro lint`` entry point in :mod:`repro.analysis.cli`.
+time.  Every rule reads one file's AST and nothing else, so each file is
+linted on its own and a tree's findings are the union of its files'.
+Rules live in :mod:`repro.analysis.rules` (the current id span is
+:func:`rule_range`; never hardcode it), the walking/suppression/baseline
+machinery in :mod:`repro.analysis.engine`, and the ``python -m repro
+lint`` entry point in :mod:`repro.analysis.cli`.
 
 The same invariants are enforced *dynamically* by the runtime sanitizer
 (:mod:`repro.sanitize`) — the static layer proves what it can at review

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lint",
         description=(
             "simlint: project-specific static analysis enforcing simulator "
-            "determinism, hot-path discipline and cross-module ownership "
+            "determinism, hot-path discipline and API ownership "
             f"(rules {rule_range()})."
         ),
     )

@@ -4,7 +4,8 @@ The engine is deliberately small and dependency-free (stdlib ``ast`` only):
 
 * A **rule** is a callable ``(ModuleInfo) -> Iterable[Finding]`` registered
   through the :func:`rule` decorator, carrying an id (``SIMxxx``), a default
-  severity, and a one-line rationale.
+  severity, and a one-line rationale.  A rule reads only the module it is
+  given, so every file is linted on its own.
 * **Pragmas** suppress findings inline::
 
       time.time()  # simlint: disable=SIM001 -- wall clock feeds wall_s only
@@ -13,7 +14,7 @@ The engine is deliberately small and dependency-free (stdlib ``ast`` only):
   not suppress and instead raises a ``SIM000`` finding.  A pragma on a line
   of its own applies to the next source line; ``disable-file=`` applies to
   the whole module.  Pragmas that suppress nothing are reported (warning) so
-  dead suppressions cannot accumulate.
+  dead suppressions cannot accumulate — judged only against rules that ran.
 * The **baseline** grandfathers existing findings: fingerprints are
   line-number-independent (rule + path + normalized source line + occurrence
   index), so unrelated edits do not invalidate it.  Only *new* error-level
@@ -37,6 +38,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -83,26 +85,14 @@ class Finding(NamedTuple):
         return f"{self.path}:{self.line}:{self.col + 1}"
 
 
-#: rule scopes: module rules see one file, project rules see the whole run
-SCOPE_MODULE = "module"
-SCOPE_PROJECT = "project"
-
-
 class Rule(NamedTuple):
-    """A registered rule: metadata plus its check function.
-
-    ``scope`` selects the check signature: ``"module"`` rules are called
-    as ``check(mod)``, ``"project"`` rules as ``check(mod, project)``
-    with the :class:`repro.analysis.symbols.Project` built over every
-    module in the lint run.
-    """
+    """A registered rule: metadata plus its ``check(mod)`` function."""
 
     id: str
     name: str
     severity: str
     rationale: str
-    check: Callable[..., Iterable[Finding]]
-    scope: str = SCOPE_MODULE
+    check: Callable[[ModuleInfo], Iterable[Finding]]
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -113,8 +103,7 @@ def rule(
     name: str,
     severity: str = SEVERITY_ERROR,
     rationale: str = "",
-    scope: str = SCOPE_MODULE,
-) -> Callable[[Callable[..., Iterable[Finding]]], Callable]:
+) -> Callable[[Callable[[ModuleInfo], Iterable[Finding]]], Callable]:
     """Class/function decorator registering a simlint rule.
 
     >>> @rule("SIM999", "demo", rationale="docs example")
@@ -125,12 +114,10 @@ def rule(
     >>> _ = _REGISTRY.pop("SIM999")
     """
 
-    def decorate(fn: Callable[..., Iterable[Finding]]) -> Callable:
+    def decorate(fn: Callable[[ModuleInfo], Iterable[Finding]]) -> Callable:
         if id in _REGISTRY:
             raise ValueError(f"duplicate rule id {id}")
-        if scope not in (SCOPE_MODULE, SCOPE_PROJECT):
-            raise ValueError(f"unknown rule scope {scope!r}")
-        _REGISTRY[id] = Rule(id, name, severity, rationale, fn, scope)
+        _REGISTRY[id] = Rule(id, name, severity, rationale, fn)
         return fn
 
     return decorate
@@ -396,13 +383,16 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 def _apply_pragmas(
-    mod: ModuleInfo, findings: List[Finding]
+    mod: ModuleInfo, findings: List[Finding], ran: Set[str]
 ) -> Tuple[List[Finding], List[Finding]]:
     """Suppress pragma-covered findings; emit SIM000 pragma-hygiene findings.
 
     Returns (kept, hygiene).  A pragma covers its own line and, when it is
     the only content of its line, the next line.  Malformed pragmas (no
-    justification, or unknown rule ids) never suppress.
+    justification, or unknown rule ids) never suppress.  A pragma is
+    reported as unused only when every rule it names is in ``ran``: under
+    ``--select`` the others' findings were never produced, so silence
+    proves nothing.
     """
     hygiene: List[Finding] = []
     known = set(_REGISTRY)
@@ -461,7 +451,7 @@ def _apply_pragmas(
             kept.append(f)
 
     for p in mod.pragmas:
-        if id(p) in used and not used[id(p)]:
+        if id(p) in used and not used[id(p)] and ran.issuperset(p.rules):
             hygiene.append(
                 Finding(
                     PRAGMA_RULE_ID,
@@ -484,23 +474,22 @@ def lint_paths(
 ) -> LintResult:
     """Run every registered rule over the Python files under ``paths``.
 
+    Each file is parsed and checked on its own, in one pass: no rule reads
+    another file, so linting a tree gives the union of linting each file.
     ``root`` anchors the repo-relative paths used in findings and baseline
     fingerprints (defaults to the current working directory).  ``select``
     restricts to a subset of rule ids (pragma hygiene always runs).
     """
     all_rules = registered_rules()
+    wanted = None if select is None else set(select)
     active = [
-        r
-        for rid, r in sorted(all_rules.items())
-        if select is None or rid in set(select)
+        r for rid, r in sorted(all_rules.items()) if wanted is None or rid in wanted
     ]
+    ran = {r.id for r in active}
     root = (root or Path.cwd()).resolve()
     findings: List[Finding] = []
     parse_errors: List[Finding] = []
     files = 0
-    # phase 1: parse everything (project rules need the full module set
-    # before any rule runs)
-    mods: List[ModuleInfo] = []
     for path in iter_python_files(paths):
         files += 1
         resolved = path.resolve()
@@ -509,7 +498,7 @@ def lint_paths(
         except ValueError:
             rel = path.as_posix()
         try:
-            mods.append(ModuleInfo(path, rel, path.read_text()))
+            mod = ModuleInfo(path, rel, path.read_text())
         except SyntaxError as exc:
             parse_errors.append(
                 Finding(
@@ -522,24 +511,12 @@ def lint_paths(
                     (exc.text or "").strip(),
                 )
             )
-    # phase 2: symbol table + call graph, then every rule per module.
-    # Findings of project rules are anchored in the module being checked,
-    # so pragma application (which is per-module, per-line) gives every
-    # cross-module finding exactly one suppression site: its anchor line.
-    project = None
-    if any(r.scope == SCOPE_PROJECT for r in active):
-        from repro.analysis.symbols import build_project
-
-        project = build_project(mods)
-    for mod in mods:
+            continue
         raw: List[Finding] = []
         for r in active:
-            if r.scope == SCOPE_PROJECT:
-                raw.extend(r.check(mod, project))
-            else:
-                raw.extend(r.check(mod))
+            raw.extend(r.check(mod))
         raw.sort(key=lambda f: (f.line, f.col, f.rule))
-        kept, hygiene = _apply_pragmas(mod, raw)
+        kept, hygiene = _apply_pragmas(mod, raw, ran)
         findings.extend(kept)
         findings.extend(hygiene)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

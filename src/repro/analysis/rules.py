@@ -30,13 +30,11 @@ from typing import (
 )
 
 from repro.analysis.engine import (
-    SCOPE_PROJECT,
     SEVERITY_WARNING,
     Finding,
     ModuleInfo,
     rule,
 )
-from repro.analysis.symbols import Project
 
 #: packages under ``repro.`` whose code affects simulated behaviour
 SIM_PACKAGES = (
@@ -793,12 +791,13 @@ def check_freelist_discipline(mod: ModuleInfo) -> Iterator[Finding]:
 # The confinement rules share one declarative table: each entry names a
 # confined API, where it may be used, and the one-line contract the
 # confinement protects.  SIM011/SIM012 keep their historical ids (and
-# fixtures/baselines keyed on them); SIM017 carries the entries added by
-# the whole-program pass, whose call detection resolves names through the
-# project symbol table so aliased imports cannot dodge it.  SIM013 (event-
-# queue draining outside the engine) is retired with the queue backends it
-# guarded, and the partition-ownership rule that followed it with the
-# partitioned engine; neither id is reused.
+# fixtures/baselines keyed on them); SIM017 carries the later entries and
+# also follows module aliases, so ``import repro.net.packet as p`` followed
+# by ``p.release(...)`` cannot dodge it.  SIM013 (event-queue draining
+# outside the engine) is retired with the queue backends it guarded, the
+# partition-ownership rule SIM014 with the partitioned engine, and the
+# freelist escape analysis SIM015 with the whole-program layer; no id is
+# reused.
 
 _ENGINE_PKG = ("repro", "sim", "engine")
 _SANITIZE_PKG = ("repro", "sanitize")
@@ -865,13 +864,10 @@ def _module_allowed(
     return any(parts[: len(pkg)] == pkg for pkg in allowed)
 
 
-def _confinement_hits(
+def _confinement_findings(
     mod: ModuleInfo, entries: Sequence[Confinement]
-) -> Iterator[Tuple[Confinement, Finding]]:
-    """Run the import entries of the table against one module, yielding
-    ``(entry, finding)`` pairs so callers can track which entries already
-    reported (SIM017 uses this to dedupe its call-graph pass against the
-    import pass)."""
+) -> Iterator[Finding]:
+    """Run the import entries of the table against one module."""
     live = [e for e in entries if not _module_allowed(mod, e.allowed)]
     if not live:
         return
@@ -882,28 +878,15 @@ def _confinement_hits(
             for alias in node.names:
                 for e in imports:
                     if alias.name == e.api or alias.name.startswith(e.api + "."):
-                        yield e, mod.finding(e.rule_id, node, e.message)
+                        yield mod.finding(e.rule_id, node, e.message)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             for e in imports:
                 if module == e.api or module.startswith(e.api + "."):
-                    yield e, mod.finding(e.rule_id, node, e.message)
+                    yield mod.finding(e.rule_id, node, e.message)
             for e in from_imports:
-                if module != e.api:
-                    continue
-                hit = sorted(
-                    {a.name for a in node.names} & set(e.names)
-                )
-                if hit:
-                    yield e, mod.finding(e.rule_id, node, e.message)
-
-
-def _confinement_findings(
-    mod: ModuleInfo, entries: Sequence[Confinement]
-) -> Iterator[Finding]:
-    """Findings-only view of :func:`_confinement_hits`."""
-    for _, finding in _confinement_hits(mod, entries):
-        yield finding
+                if module == e.api and {a.name for a in node.names} & set(e.names):
+                    yield mod.finding(e.rule_id, node, e.message)
 
 
 def _table_entries(rule_id: str) -> Tuple[Confinement, ...]:
@@ -952,67 +935,21 @@ def check_multiprocessing_confined(mod: ModuleInfo) -> Iterator[Finding]:
     yield from _confinement_findings(mod, _table_entries("SIM012"))
 
 
-# -- SIM015: freelist escape analysis (project scope) ------------------------
+# -- SIM016: event-callback purity -------------------------------------------
 
 
-@rule(
-    "SIM015",
-    "freelist-escape",
-    scope=SCOPE_PROJECT,
-    rationale=(
-        "Pooled frames have exactly one owner: release() must be reached "
-        "once per frame, and no alias may outlive it — the next make_* "
-        "rewrites every field of a recycled frame.  SIM010 catches the "
-        "same-statement-list cases; this rule follows frames through "
-        "branches and resolved calls (a helper that releases its "
-        "parameter makes its callers releasing too)."
-    ),
-)
-def check_freelist_escape(
-    mod: ModuleInfo, project: Project
-) -> Iterator[Finding]:
-    """Path-sensitive frame tracking (see :mod:`repro.analysis.dataflow`):
-    flags a frame released twice along some path, used after a call that
-    may release it, or stored into a container/attribute and then
-    released (dangling alias).  Cross-module findings anchor at the
-    *caller's* offending line — that line is the one documented pragma
-    site; a pragma on the callee's release cannot suppress them.  Known
-    false negatives: calls through opaque receivers (dict-dispatched
-    handlers, ``self.host.receive``) do not propagate release facts."""
-    from repro.analysis.dataflow import (
-        DOUBLE_RELEASE,
-        STORE_ESCAPE,
-        FrameFlow,
-    )
-
-    for fn_qual, info in sorted(project.functions.items()):
-        if info.module != mod.module:
-            continue
-        flow = FrameFlow(project, mod.module, info.class_name)
-        for kind, node, name, via in flow.analyze(info.node):
-            via_note = f" (release happens inside {via.rsplit('.', 1)[-1]}())" if via else ""
-            if kind == DOUBLE_RELEASE:
-                message = (
-                    f"frame {name!r} may be released twice along some "
-                    f"path{via_note} — the freelist would hand the same "
-                    "frame to two owners"
-                )
-            elif kind == STORE_ESCAPE:
-                message = (
-                    f"frame {name!r} was stored into a container/attribute "
-                    "and is then released — the stored alias dangles once "
-                    "the next make_* recycles the frame"
-                )
-            else:
-                message = (
-                    f"frame {name!r} used after it may have been "
-                    f"released{via_note} — the frame may already be "
-                    "recycled with every field rewritten"
-                )
-            yield mod.finding("SIM015", node, message)
-
-
-# -- SIM016: event-callback purity (project scope) ---------------------------
+def _functions(
+    tree: ast.Module,
+) -> Iterator[Tuple[Optional[ast.ClassDef], ast.FunctionDef]]:
+    """Yield (enclosing class or None, def) for module functions and the
+    methods of module-level classes."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield None, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield stmt, sub
 
 
 def _lambda_bound_names(fn: ast.Lambda) -> Set[str]:
@@ -1044,34 +981,28 @@ def _reads_self_attr(fn: ast.FunctionDef, attrs: Set[str]) -> Optional[str]:
     "SIM016",
     "event-callback-purity",
     severity=SEVERITY_WARNING,
-    scope=SCOPE_PROJECT,
     rationale=(
         "A callback runs at fire time: closing over the live loop "
         "variable makes every callback see the final iteration, and a "
         "now-snapshot stashed on self is the *scheduling* time when the "
         "callback reads it.  SIM006 catches the same-function closure "
-        "case; this rule follows the callback across function "
-        "boundaries via the symbol table."
+        "case; this rule follows the callback into the sibling method "
+        "it schedules."
     ),
 )
-def check_callback_purity(
-    mod: ModuleInfo, project: Project
-) -> Iterator[Finding]:
-    """Two cross-boundary generalizations of SIM006, in sim-affecting
-    packages: (a) a callback scheduled *inside a for loop* that closes
-    over the loop variable without default-binding it (late binding: all
-    callbacks share the last element); (b) ``self.X = <...>.now`` in a
-    method that then schedules another method of the same class which
+def check_callback_purity(mod: ModuleInfo) -> Iterator[Finding]:
+    """Two generalizations of SIM006, in sim-affecting packages: (a) a
+    callback scheduled *inside a for loop* that closes over the loop
+    variable without default-binding it (late binding: all callbacks
+    share the last element); (b) ``self.X = <...>.now`` in a method that
+    then schedules another method defined in the same class body which
     reads ``self.X`` — the callback consumes a scheduling-time snapshot.
-    Known false negatives: snapshots flowing through intermediate
-    helpers, dict-dispatched callbacks, and attributes read via
-    aliases of ``self``."""
+    Known false negatives: scheduled methods inherited from a base class,
+    snapshots flowing through intermediate helpers, dict-dispatched
+    callbacks, and attributes read via aliases of ``self``."""
     if not mod.in_packages(SIM_PACKAGES):
         return
-    for fn_qual, info in sorted(project.functions.items()):
-        if info.module != mod.module:
-            continue
-        fn = info.node
+    for cls, fn in _functions(mod.tree):
         # (a) loop-variable capture
         for loop in ast.walk(fn):
             if not isinstance(loop, ast.For):
@@ -1106,8 +1037,8 @@ def check_callback_purity(
                             "will see the final iteration's value; bind "
                             "with a default (lambda x=x: ...)",
                         )
-        # (b) cross-function now-snapshot via self attributes
-        if info.class_name is None:
+        # (b) now-snapshot handed to a sibling method via self attributes
+        if cls is None:
             continue
         now_locals: Set[str] = set()
         snap_attrs: Set[str] = set()
@@ -1131,7 +1062,7 @@ def check_callback_purity(
                     snap_attrs.add(target.attr)
         if not snap_attrs:
             continue
-        cls_qual = f"{mod.module}.{info.class_name}"
+        methods = {s.name: s for s in cls.body if isinstance(s, ast.FunctionDef)}
         for node in _walk_scope(fn.body):
             if not isinstance(node, ast.Call):
                 continue
@@ -1144,13 +1075,10 @@ def check_callback_purity(
                     isinstance(arg, ast.Attribute)
                     and isinstance(arg.value, ast.Name)
                     and arg.value.id == "self"
+                    and arg.attr in methods
                 ):
                     continue
-                callee_qual = project.resolve_method(cls_qual, arg.attr)
-                if callee_qual is None:
-                    continue
-                callee = project.functions[callee_qual].node
-                hit = _reads_self_attr(callee, snap_attrs)
+                hit = _reads_self_attr(methods[arg.attr], snap_attrs)
                 if hit is not None:
                     yield mod.finding(
                         "SIM016",
@@ -1162,70 +1090,73 @@ def check_callback_purity(
                     )
 
 
-# -- SIM017: API confinement via the call graph (project scope) --------------
+# -- SIM017: API confinement, imports and module aliases ----------------------
+
+
+def _dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _module_aliases(mod: ModuleInfo, apis: Set[str]) -> Dict[str, str]:
+    """Local dotted names bound to one of the ``apis`` modules: ``import
+    a.b as p`` binds ``p``, ``from a import b`` binds ``b``, and a plain
+    ``import a.b`` makes the full path ``a.b`` usable."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(mod.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in apis:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full in apis:
+                    aliases[alias.asname or alias.name] = full
+    return aliases
 
 
 @rule(
     "SIM017",
     "api-confinement",
-    scope=SCOPE_PROJECT,
     rationale=(
         "Some APIs are contracts of exactly one subsystem: gc pausing "
         "belongs to the run loop, raw heap primitives to the engine, "
         "frame construction to the endpoint layer.  The declarative table "
-        "(CONFINEMENTS) states who may use what; resolution through the "
-        "project symbol table means aliased imports cannot dodge it."
+        "(CONFINEMENTS) states who may use what; following module aliases "
+        "means an innocent-looking module import cannot dodge it."
     ),
 )
-def check_api_confinement(
-    mod: ModuleInfo, project: Project
-) -> Iterator[Finding]:
+def check_api_confinement(mod: ModuleInfo) -> Iterator[Finding]:
     """Enforce the SIM017 rows of :data:`CONFINEMENTS`: flag disallowed
-    imports of confined names, and — via the call graph — call sites that
-    *resolve* to a confined API even when the import itself was innocent
-    (``import repro.net.packet as p; p.release(...)``).  Call
-    findings are skipped for an entry whose import was already flagged in
-    the module, so one smuggled API reports once per acquisition path."""
+    imports of confined names, and calls of a confined name through a
+    module alias bound in the same file, where the import itself looks
+    innocent (``import repro.net.packet as p; p.release(...)``).  Known
+    false negatives: aliases bound in another module or by a relative
+    import, and names reached through a package re-export."""
     entries = _table_entries("SIM017")
-    live = [e for e in entries if not _module_allowed(mod, e.allowed)]
-    if not live:
+    yield from _confinement_findings(mod, entries)
+    confined = {
+        e.api: e
+        for e in entries
+        if e.kind == "from-import" and not _module_allowed(mod, e.allowed)
+    }
+    aliases = _module_aliases(mod, set(confined)) if confined else {}
+    if not aliases:
         return
-    flagged_entries: Set[int] = set()
-    for entry, finding in _confinement_hits(mod, live):
-        flagged_entries.add(id(entry))
-        yield finding
-    # call-graph pass: resolved calls to confined qualnames
-    confined: Dict[str, Confinement] = {}
-    module_entries: List[Confinement] = []
-    for e in live:
-        if id(e) in flagged_entries:
+    for node in ast.walk(mod.tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        if e.kind == "from-import":
-            for n in e.names:
-                confined[f"{e.api}.{n}"] = e
-        elif e.kind == "import" and e.api:
-            module_entries.append(e)
-    if not confined and not module_entries:
-        return
-    for fn_qual, info in sorted(project.functions.items()):
-        if info.module != mod.module:
-            continue
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            target = project.resolve_callable(
-                mod.module, info.class_name, node.func
-            )
-            if target is None:
-                continue
-            entry = confined.get(target)
-            if entry is None:
-                for e in module_entries:
-                    if target == e.api or target.startswith(e.api + "."):
-                        entry = e
-                        break
-            if entry is not None:
-                yield mod.finding(entry.rule_id, node, entry.message)
+        api = aliases.get(_dotted(node.func.value) or "")
+        if api is not None and node.func.attr in confined[api].names:
+            yield mod.finding("SIM017", node, confined[api].message)
 
 
 # -- SIM018: fluid-solver discipline ------------------------------------------

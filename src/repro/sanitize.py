@@ -1,19 +1,20 @@
-"""The runtime sanitizer: dynamic twin of simlint's project rules.
+"""The runtime sanitizer: dynamic twin of simlint's ownership rules.
 
 ``Simulator(sanitize=True)`` — or ``REPRO_SANITIZE=1`` in the
 environment, or ``--sanitize`` on the ``run`` CLI (its only home) — arms a
 :class:`Sanitizer` that enforces, while the simulation runs, the same
-invariants the static layer (SIM015–SIM017, ``docs/STATIC_ANALYSIS.md``)
-checks before it:
+invariants the static layer (SIM010, SIM011 and SIM017,
+``docs/STATIC_ANALYSIS.md``) checks before it, and reaches what one file's
+AST cannot show:
 
-* **freelist discipline** (SIM010/SIM015's twin) — released frames are
+* **freelist discipline** (SIM010's twin) — released frames are
   *poisoned* (``ts``/``enq_ts`` stamped with an impossible sentinel), so
   a double ``release()`` is caught at the second call and a frame found
   un-poisoned on the freelist exposes direct ``_free`` tampering.  The
   ``make_*`` constructors rewrite every field of a recycled frame, so
   poisoning is invisible to a correct simulation — bit-identical
   results, asserted by ``tests/test_sanitize.py``.
-* **event-queue order** — :meth:`Sanitizer.push` and
+* **event-queue order** (SIM011's twin) — :meth:`Sanitizer.push` and
   :meth:`Sanitizer.pop`, drop-in twins of ``heapq.heappush``/``heappop``,
   check every heap transition: no push behind the clock, no duplicate
   live ``seq``, ``(time, seq)`` pop order, and no pop behind the clock.

@@ -77,6 +77,27 @@ class TestCli:
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["summary", "chrome"])
+    def test_trace_subcommand_malformed_file(self, tmp_path, capsys, fmt):
+        from repro.__main__ import main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"bad json\n')
+        assert main(["trace", str(bad), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+
+    def test_trace_subcommand_unwritable_out(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main([
+            "trace", str(empty), "--format", "chrome",
+            "--out", "/nonexistent/x.json",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestPooledResult:
     def _runs(self):

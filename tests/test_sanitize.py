@@ -1,4 +1,4 @@
-"""The runtime sanitizer: the dynamic twin of simlint's project rules.
+"""The runtime sanitizer: the dynamic twin of simlint's ownership rules.
 
 Three properties are pinned here:
 

@@ -24,12 +24,6 @@ from repro.analysis.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_ROOT = REPO_ROOT / "tests" / "simlint_fixtures"
-#: cross-module pragma fixtures — a separate root so the seeded SIM015
-#: stays out of the main fixture sweep (fixture_files rglobs repro/)
-XMOD_ROOT = FIXTURE_ROOT / "xmod"
-#: a package whose ``__init__`` re-exports only under ``TYPE_CHECKING``
-#: (the lazy-export idiom of ``src/repro``) plus a caller importing from it
-LAZY_ROOT = FIXTURE_ROOT / "lazy"
 EXPECT_RE = re.compile(r"#\s*expect:\s*(?P<rules>SIM\d{3}(?:\s*,\s*SIM\d{3})*)")
 
 
@@ -74,6 +68,19 @@ class TestRulesOnFixtures:
             f"unexpected: {sorted(actual - expected)}"
         )
 
+    def test_tree_equals_union_of_single_files(self):
+        """Every rule reads only the file it checks, so linting the fixture
+        package as one tree finds exactly what linting each file alone
+        finds — the property that makes ``--changed`` exact."""
+        tree = lint_paths([FIXTURE_ROOT / "repro"], root=FIXTURE_ROOT)
+        union = [
+            f
+            for path in fixture_files()
+            for f in lint_paths([path], root=FIXTURE_ROOT).findings
+        ]
+        assert tree.findings
+        assert sorted(tree.findings) == sorted(union)
+
     def test_fixture_package_fails_the_gate(self):
         result = lint_paths([FIXTURE_ROOT / "repro"], root=FIXTURE_ROOT)
         assert not result.ok
@@ -86,11 +93,11 @@ class TestRulesOnFixtures:
 
 
 class TestPragmas:
-    def _lint_source(self, tmp_path, source, name="repro/sim/mod.py"):
+    def _lint_source(self, tmp_path, source, name="repro/sim/mod.py", select=None):
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
-        return lint_paths([path], root=tmp_path)
+        return lint_paths([path], root=tmp_path, select=select)
 
     def test_justified_pragma_suppresses(self, tmp_path):
         result = self._lint_source(
@@ -151,6 +158,15 @@ class TestPragmas:
         assert result.findings[0].severity == "warning"
         assert "unused" in result.findings[0].message
 
+    def test_pragma_of_an_unselected_rule_is_not_judged(self, tmp_path):
+        result = self._lint_source(
+            tmp_path,
+            "import time\n"
+            "t = time.time()  # simlint: disable=SIM001 -- wall accounting\n",
+            select=["SIM005"],
+        )
+        assert result.findings == []
+
     def test_pragma_inside_string_literal_is_inert(self, tmp_path):
         result = self._lint_source(
             tmp_path,
@@ -161,98 +177,45 @@ class TestPragmas:
         assert [f.rule for f in result.findings] == ["SIM001"]
 
 
-class TestCrossModulePragmas:
-    """A cross-module finding (source in one file, sink in another) has
-    exactly one suppression site: the line the finding anchors at — the
-    sink.  A pragma at the *source* (the helper's release) suppresses
-    nothing and is itself reported as unused."""
+class TestConfinementAliases:
+    """SIM017 follows a module alias bound in the same file to the
+    confined call, however the module import is spelled."""
 
-    def _copy_tree(self, tmp_path, edit=None):
-        """Copy the xmod fixture pair into tmp_path, optionally editing."""
-        for src in sorted(XMOD_ROOT.rglob("*.py")):
-            rel = src.relative_to(XMOD_ROOT)
-            dst = tmp_path / rel
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            text = src.read_text()
-            if edit is not None:
-                text = edit(rel.as_posix(), text)
-            dst.write_text(text)
-        return [tmp_path / "repro"]
+    @pytest.mark.parametrize(
+        "binding, call",
+        [
+            ("import repro.net.packet as p", "p.release(f)"),
+            ("from repro.net import packet", "packet.make_ack(f)"),
+            ("from repro.net import packet as pk", "pk.make_data(f)"),
+            ("import repro.net.packet", "repro.net.packet.release(f)"),
+            ("from repro.sim import engine", "engine.heappush(h, f)"),
+        ],
+        ids=["import-as", "from-package", "from-package-as", "full-path",
+             "engine-heap"],
+    )
+    def test_alias_call_fires(self, tmp_path, binding, call):
+        path = tmp_path / "repro" / "workloads" / "mod.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(f"{binding}\n\n\ndef go(f, h):\n    {call}\n")
+        result = lint_paths([path], root=tmp_path, select=["SIM017"])
+        assert [(f.rule, f.line) for f in result.findings] == [("SIM017", 5)]
 
-    def test_finding_anchors_at_the_sink(self):
-        result = lint_paths([XMOD_ROOT / "repro"], root=XMOD_ROOT)
-        assert [f.rule for f in result.findings] == ["SIM015"]
-        finding = result.findings[0]
-        assert finding.path == "repro/transport/caller.py"
-        assert finding.snippet == "return pkt.seq"
-        assert "surrender()" in finding.message
-
-    def test_pragma_at_the_sink_suppresses(self, tmp_path):
-        def edit(rel, text):
-            if rel.endswith("caller.py"):
-                text = text.replace(
-                    "return pkt.seq",
-                    "return pkt.seq  # simlint: disable=SIM015 "
-                    "-- frame provably requeued before surrender",
-                )
-            return text
-
-        paths = self._copy_tree(tmp_path, edit)
-        result = lint_paths(paths, root=tmp_path)
-        assert result.findings == []
-
-    def test_pragma_at_the_source_does_not_suppress(self, tmp_path):
-        def edit(rel, text):
-            if rel.endswith("helper.py"):
-                text = text.replace(
-                    "release(frame)",
-                    "release(frame)  # simlint: disable=SIM015 "
-                    "-- helper is allowed to release",
-                )
-            return text
-
-        paths = self._copy_tree(tmp_path, edit)
-        result = lint_paths(paths, root=tmp_path)
-        by_rule = {}
-        for f in result.findings:
-            by_rule.setdefault(f.rule, []).append(f)
-        # the sink finding survives...
-        assert [f.path for f in by_rule["SIM015"]] == [
-            "repro/transport/caller.py"
-        ]
-        # ...and the source-side pragma is flagged as suppressing nothing
-        assert [f.path for f in by_rule["SIM000"]] == [
-            "repro/transport/helper.py"
-        ]
-        assert "unused" in by_rule["SIM000"][0].message
-
-    def test_cross_module_finding_is_baselinable(self, tmp_path):
-        first = lint_paths([XMOD_ROOT / "repro"], root=XMOD_ROOT)
-        baseline = Baseline.from_findings(first.findings)
-        again = lint_paths(
-            [XMOD_ROOT / "repro"], root=XMOD_ROOT, baseline=baseline
+    @pytest.mark.parametrize(
+        "package, call",
+        [
+            ("workloads", "p.freelist_stats()"),  # not a confined name
+            ("transport", "p.release(f)"),  # the owning layer
+        ],
+        ids=["unconfined-name", "owning-package"],
+    )
+    def test_near_misses_are_silent(self, tmp_path, package, call):
+        path = tmp_path / "repro" / package / "mod.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            f"import repro.net.packet as p\n\n\ndef go(f):\n    {call}\n"
         )
-        assert again.ok
-        assert len(again.baselined) == 1
-
-
-class TestLazyPackageReexports:
-    """A name imported from a package resolves to its home module through
-    the package's ``TYPE_CHECKING`` re-exports, so the freelist rules see
-    ``from repro.net import release`` as ``repro.net.packet.release``."""
-
-    def test_finding_reached_through_the_package(self):
-        result = lint_paths([LAZY_ROOT / "repro"], root=LAZY_ROOT)
-        actual = {(f.rule, f.path, f.line) for f in result.findings}
-        expected = {
-            (rule_id, path.relative_to(LAZY_ROOT).as_posix(), line)
-            for path in sorted(LAZY_ROOT.rglob("*.py"))
-            for rule_id, line in expected_findings(path)
-        }
-        assert expected == {
-            ("SIM015", "repro/transport/bad_lazy_reexport.py", 12)
-        }
-        assert actual == expected
+        result = lint_paths([path], root=tmp_path, select=["SIM017"])
+        assert result.findings == []
 
 
 class TestRuleRange:

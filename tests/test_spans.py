@@ -334,6 +334,23 @@ class TestCliIntegration:
         assert main(["timeline", "/nonexistent/spans.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_timeline_malformed_file(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"bad json\n')
+        assert main(["timeline", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+
+    def test_timeline_unwritable_chrome(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["timeline", str(empty), "--chrome", "/nonexistent/x.json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_trace_chrome_conversion(self, tmp_path, capsys):
         from repro.__main__ import main
 
