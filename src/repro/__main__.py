@@ -32,13 +32,6 @@ Examples::
     # cross-validate fluid/hybrid accuracy against the packet engine
     python -m repro fluidcheck --json fluidcheck.json
 
-    # simlint: determinism/hot-path static analysis (`--list-rules`
-    # prints the current rule set)
-    python -m repro lint --format json
-
-    # re-lint only the files changed against a git base
-    python -m repro lint --changed origin/main
-
     # run with every runtime invariant check armed (freelist poisoning,
     # pop-order); zero overhead when off.  `--sanitize` exists on `run`
     # only; REPRO_SANITIZE=1 arms every Simulator the process builds
@@ -55,9 +48,9 @@ import itertools
 import sys
 from typing import TYPE_CHECKING
 
-# Each sub-command imports its own machinery when it runs, so `lint`,
-# `trace` and `timeline` never load the simulator and `run`/`sweep` never
-# load the linter.  Only what annotations need is named here.
+# Each sub-command imports its own machinery when it runs, so `trace` and
+# `timeline` never load the simulator.  Only what annotations need is
+# named here.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.config import ExperimentConfig
     from repro.harness.sweep import SweepResult
@@ -571,27 +564,32 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+SUBCOMMANDS = {
+    "sweep": sweep_main,
+    "trace": trace_main,
+    "timeline": timeline_main,
+    "report": report_main,
+    "fluidcheck": fluidcheck_main,
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "timeline":
-        return timeline_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "fluidcheck":
-        return fluidcheck_main(argv[1:])
-    if argv and argv[0] == "run":
-        # explicit subcommand form; bare flags still mean "run" for
-        # backward compatibility
-        argv = argv[1:]
+    # The run form takes no positionals, so a leading word is a command:
+    # bare flags mean "run", and an unknown word must not fall through to
+    # the run parser (which would print its help for `<word> --help`).
+    if argv and not argv[0].startswith("-"):
+        command, argv = argv[0], argv[1:]
+        if command in SUBCOMMANDS:
+            return SUBCOMMANDS[command](argv)
+        if command != "run":
+            print(
+                f"python -m repro: error: unknown command {command!r} "
+                f"(choose from run, {', '.join(SUBCOMMANDS)})",
+                file=sys.stderr,
+            )
+            return 2
     from repro.harness.report import format_fct_rows, format_port_breakdown
     from repro.harness.runner import run_experiment
     from repro.obs import (

@@ -58,7 +58,7 @@ class Aqm:
         return False
 
 
-class NoopAqm(Aqm):  # simlint: disable=SIM007 -- the no-ECN baseline *is* the base class's never-mark behaviour; overriding the hooks would only re-state `return False`
+class NoopAqm(Aqm):
     """Explicit no-marking AQM (drop-tail only) — the no-ECN baseline."""
 
     __slots__ = ()

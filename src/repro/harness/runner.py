@@ -132,7 +132,6 @@ def run_experiment(
         for sender in senders:
             sender.tracer = tracer
 
-    # simlint: disable=SIM001 -- wall_s measures host runtime for RunProfile; it never feeds the simulation
     wall_start = time.time()
     deadline = _deadline_ns(cfg, flows)
     events = 0
@@ -149,10 +148,8 @@ def run_experiment(
     while collector.count < len(flows) and sim.now < deadline:
         sim_from = sim.now
         t0 = wall_ns() if spans_on else 0
-        # simlint: disable=SIM001 -- run-loop wall measurement for RunProfile; never feeds the simulation
         rt0 = time.perf_counter()
         executed = sim.run(until=min(sim.now + _RUN_CHUNK_NS, deadline))
-        # simlint: disable=SIM001 -- closes the run-loop measurement opened above; not simulation state
         run_loop_s += time.perf_counter() - rt0
         events += executed
         # chunk boundary: the only in-run RSS observation point — the
@@ -185,7 +182,6 @@ def run_experiment(
             # no flow can ever complete, so chunking on toward the deadline
             # would just busy-spin.  Return with completed < total.
             break
-    # simlint: disable=SIM001 -- closes the host-runtime measurement opened above; not simulation state
     wall_s = time.time() - wall_start
 
     small_cut = 100_000

@@ -1,4 +1,3 @@
-# simlint: disable-file=SIM001 -- the sweep driver times workers, budgets timeouts, and reports wall-clock throughput; none of these clocks reaches the simulation, which runs entirely inside run_experiment(cfg)
 """Parallel parameter sweeps with an on-disk result cache.
 
 Every figure reproduction is a grid of :class:`ExperimentConfig`s —

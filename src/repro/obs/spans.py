@@ -26,10 +26,11 @@ sanitize   <kind>    ``repro.sanitize.Sanitizer`` — one zero-length span
                      per recorded invariant violation
 =========  ========  =======================================================
 
-Wall-clock reads happen **only** in :func:`wall_ns` below, behind a
-justified SIM001 pragma: span timestamps describe the host executing the
-simulation and never feed back into simulated state (asserted by
-``tests/test_spans.py``, which pins traced == untraced golden results).
+Wall-clock reads happen **only** in :func:`wall_ns` below, the one
+allowlisted site of ``tests/test_source_invariants.py``'s wall-clock
+check: span timestamps describe the host executing the simulation and
+never feed back into simulated state (asserted by ``tests/test_spans.py``,
+which pins traced == untraced golden results).
 
 Exports:
 
@@ -93,7 +94,6 @@ def wall_ns() -> int:
     Centralised so the flight recorder has exactly one wall-clock call
     site.
     """
-    # simlint: disable=SIM001 -- span timestamps measure host runtime for the flight recorder; they are observability output and never feed the simulation
     return time.perf_counter_ns()
 
 

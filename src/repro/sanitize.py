@@ -1,23 +1,22 @@
-"""The runtime sanitizer: dynamic twin of simlint's ownership rules.
+"""The runtime sanitizer: freelist ownership and event order, checked as a run goes.
 
 ``Simulator(sanitize=True)`` — or ``REPRO_SANITIZE=1`` in the
 environment, or ``--sanitize`` on the ``run`` CLI (its only home) — arms a
-:class:`Sanitizer` that enforces, while the simulation runs, the same
-invariants the static layer (SIM010, SIM011 and SIM017,
-``docs/STATIC_ANALYSIS.md``) checks before it, and reaches what one file's
-AST cannot show:
+:class:`Sanitizer` that enforces, while the simulation runs, what no
+source check can see (``tests/test_source_invariants.py`` confines who
+may touch the heap and the freelist; this checks how they are used):
 
-* **freelist discipline** (SIM010's twin) — released frames are
-  *poisoned* (``ts``/``enq_ts`` stamped with an impossible sentinel), so
-  a double ``release()`` is caught at the second call and a frame found
+* **freelist discipline** — released frames are *poisoned*
+  (``ts``/``enq_ts`` stamped with an impossible sentinel), so a double
+  ``release()`` is caught at the second call and a frame found
   un-poisoned on the freelist exposes direct ``_free`` tampering.  The
   ``make_*`` constructors rewrite every field of a recycled frame, so
   poisoning is invisible to a correct simulation — bit-identical
   results, asserted by ``tests/test_sanitize.py``.
-* **event-queue order** (SIM011's twin) — :meth:`Sanitizer.push` and
-  :meth:`Sanitizer.pop`, drop-in twins of ``heapq.heappush``/``heappop``,
-  check every heap transition: no push behind the clock, no duplicate
-  live ``seq``, ``(time, seq)`` pop order, and no pop behind the clock.
+* **event-queue order** — :meth:`Sanitizer.push` and :meth:`Sanitizer.pop`,
+  drop-in twins of ``heapq.heappush``/``heappop``, check every heap
+  transition: no push behind the clock, no duplicate live ``seq``,
+  ``(time, seq)`` pop order, and no pop behind the clock.
 
 Everything is **zero overhead when off**: the engine binds the checked
 primitives in place of ``heapq``'s only when sanitizing, and the

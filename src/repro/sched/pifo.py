@@ -17,7 +17,7 @@ Two rank programs from the literature are provided:
 
 from __future__ import annotations
 
-import heapq  # simlint: disable=SIM011 -- ranks packets by programmable priority, not events by time; never touches the event queue
+import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet

@@ -2,9 +2,8 @@
 
 Plain state holders with ``__slots__``; every mutation after
 construction happens inside :class:`~repro.sim.fluid.network.
-FluidNetwork`'s epoch-boundary entry points (simlint SIM018 enforces
-that discipline statically, so fluid state can never drift between
-epochs where the solver would not see it).
+FluidNetwork`'s epoch-boundary entry points, so fluid state never drifts
+between epochs where the solver would not see it.
 """
 
 from __future__ import annotations

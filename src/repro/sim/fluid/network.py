@@ -8,11 +8,12 @@ capacity — the engine settles the elapsed interval (each active flow's
 remaining bytes drop by ``rate × dt``), re-solves max-min fair shares,
 and re-arms the next earliest finish as an ordinary simulator event.
 
-Epoch-boundary discipline (enforced statically by simlint SIM018): all
-fluid state mutation lives in ``on_*`` event entry points and
-``_epoch*`` helpers.  Anything else in this package only *reads* state,
-so a future refactor cannot accidentally mutate shares mid-interval
-where the settled accounting would not see it.
+Epoch-boundary discipline: all fluid state mutation lives in ``on_*``
+event entry points and ``_epoch*`` helpers.  Anything else in this
+package only *reads* state: a helper that mutated shares mid-interval
+would escape the settled accounting, and the ``==`` differential against
+``tests/fluid_oracle.py`` (``tests/test_fluid_differential.py``) would
+see the drift.
 
 Hybrid coupling (both directions, applied in :meth:`_epoch_apply`):
 

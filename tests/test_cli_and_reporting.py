@@ -28,12 +28,15 @@ class TestCli:
             build_parser().parse_args(["--scheme", "nonsense"])
 
     def test_main_rejects_the_retired_bench_command(self, capsys):
+        """Retired sub-commands exit 2 before the run parser sees them:
+        ``<word> --help`` must not print the run help and exit 0."""
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: bench" in capsys.readouterr().err
+        for argv in (["bench"], ["bench", "--help"], ["lint"], ["lint", "--help"]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert f"error: unknown command '{argv[0]}'" in err, argv
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -115,9 +115,7 @@ class TestRunExperiment:
         assert facts["done"] == 4
         assert facts["before"] == facts["after"]
         assert not facts["multiprocessing"]
-        assert _under(
-            modules, "repro.analysis", "repro.harness.sweep", "repro.sanitize",
-        ) == []
+        assert _under(modules, "repro.harness.sweep", "repro.sanitize") == []
 
 
 def _cli(*argv):
@@ -133,7 +131,7 @@ def _cli(*argv):
 
 
 class TestCliDispatch:
-    @pytest.mark.parametrize("command", ["lint", "trace", "timeline"])
+    @pytest.mark.parametrize("command", ["trace", "timeline"])
     def test_post_processors_never_load_the_simulator(self, command):
         modules, facts = _cli(command, "--help")
         assert facts["exit"] == 0
@@ -149,9 +147,7 @@ class TestCliDispatch:
         )
         assert facts["exit"] == 0
         # the run path stays clear of the tooling it does not use
-        assert _under(
-            modules, "repro.analysis", "repro.harness.sweep",
-        ) == []
+        assert _under(modules, "repro.harness.sweep") == []
         for argv in (("trace", str(trace)), ("timeline", str(spans))):
             modules, facts = _cli(*argv)
             assert facts["exit"] == 0
@@ -163,7 +159,7 @@ class TestCliDispatch:
             "--cache-dir", str(tmp_path),
         )
         assert facts["exit"] == 0
-        assert _under(modules, "repro.analysis") == []
+        assert _under(modules, "repro.sanitize", "repro.harness.fluidcheck") == []
 
 
 _SWEEP = """

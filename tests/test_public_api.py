@@ -2,7 +2,7 @@
 
 The packages serve their re-exports lazily: an ``_EXPORTS`` table (name ->
 home module) behind module ``__getattr__``/``__dir__``, with the real
-imports kept under ``if TYPE_CHECKING:`` for mypy and simlint.  Laziness
+imports kept under ``if TYPE_CHECKING:`` for mypy.  Laziness
 must be invisible: everything ``__all__`` names resolves, to the very
 object its home module defines, and the two lists of names cannot drift.
 """
@@ -21,7 +21,7 @@ SRC = Path(repro.__file__).resolve().parent
 PACKAGES = ["repro"] + [
     "repro." + name
     for name in (
-        "analysis apps aqm core harness metrics net obs pias sched "
+        "apps aqm core harness metrics net obs pias sched "
         "sim sim.fluid topo transport workloads"
     ).split()
 ]

@@ -1,4 +1,4 @@
-"""The runtime sanitizer: the dynamic twin of simlint's ownership rules.
+"""The runtime sanitizer: freelist ownership and event order, checked as a run goes.
 
 Three properties are pinned here:
 

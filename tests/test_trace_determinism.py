@@ -4,13 +4,19 @@ Also home of the golden-digest guards: SHA-256 pins of the full JSONL
 trace and the FCT vector for fixed seeds, captured on the pre-hot-path
 core.  Any change that perturbs simulation behaviour — event ordering,
 RNG consumption, marking, retransmission timing — flips a digest; pure
-performance work must keep them all green.
+performance work must keep them all green.  ``TestHashSeedDeterminism``
+runs one config under two ``PYTHONHASHSEED`` values: set iteration over
+id-hashed objects would make the FCT vector differ between them.
 """
 
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,8 @@ from repro.harness.runner import run_experiment
 from repro.harness.sweep import SweepResult, SweepStats, _result_from_payload
 from repro.metrics.fct import FctSummary
 from repro.obs import Tracer
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _CFG = dict(
     scheme="tcn", scheduler="dwrr", workload="cache",
@@ -229,6 +237,41 @@ class TestGoldenDigests:
             "completed", "total", "timeouts", "drops", "marks", "sim_ns",
         ):
             assert getattr(result, fld) == golden[fld], fld
+
+
+class TestHashSeedDeterminism:
+    """The FCT vector of a run must not depend on PYTHONHASHSEED."""
+
+    SCRIPT = (
+        "import json\n"
+        "from repro.harness.config import ExperimentConfig\n"
+        "from repro.harness.runner import run_experiment\n"
+        "cfg = ExperimentConfig(scheme='tcn', scheduler='dwrr',"
+        " transport='dctcp', workload='websearch', load=0.6, seed=7,"
+        " n_flows=40, n_queues=4)\n"
+        "r = run_experiment(cfg)\n"
+        "print(json.dumps(sorted([f.id, f.fct_ns] for f in r.flows)))\n"
+    )
+
+    def _fct_vector(self, hash_seed):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = str(hash_seed)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(REPO_ROOT),
+            check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def test_fct_vector_identical_across_hash_seeds(self):
+        base = self._fct_vector(0)
+        assert base, "experiment produced no flows"
+        assert any(fct is not None for _, fct in base)
+        assert self._fct_vector(42) == base
 
 
 class TestSweepObservabilityFields:
