@@ -149,16 +149,10 @@ if TYPE_CHECKING:
     )
     from repro.obs import (
         Tracer,
-        NullTracer,
-        NULL_TRACER,
-        MetricsRegistry,
-        Counter,
-        Gauge,
         Histogram,
         RunProfile,
         TraceSummary,
         summarize_events,
-        summarize_trace_file,
         format_trace_summary,
     )
 
@@ -257,16 +251,10 @@ __all__ = [
     "format_port_breakdown",
     # observability
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "RunProfile",
     "TraceSummary",
     "summarize_events",
-    "summarize_trace_file",
     "format_trace_summary",
 ]
 
@@ -352,16 +340,10 @@ _EXPORTS = {
     "format_fct_rows": "repro.harness",
     "format_port_breakdown": "repro.harness",
     "Tracer": "repro.obs",
-    "NullTracer": "repro.obs",
-    "NULL_TRACER": "repro.obs",
-    "MetricsRegistry": "repro.obs",
-    "Counter": "repro.obs",
-    "Gauge": "repro.obs",
     "Histogram": "repro.obs",
     "RunProfile": "repro.obs",
     "TraceSummary": "repro.obs",
     "summarize_events": "repro.obs",
-    "summarize_trace_file": "repro.obs",
     "format_trace_summary": "repro.obs",
 }
 

@@ -1,5 +1,5 @@
 """Command-line entry point: run one experiment and print its FCT table,
-fan a parameter sweep across worker processes, or summarize a trace.
+fan a parameter sweep across worker processes, or digest a trace.
 
 Examples::
 
@@ -11,15 +11,13 @@ Examples::
     python -m repro run --scheme tcn --trace out.jsonl --ports
     python -m repro trace out.jsonl
 
-    # convert the packet trace for https://ui.perfetto.dev
-    python -m repro trace out.jsonl --format chrome --out trace.json
-
-    # record the harness flight recorder, then inspect / export it
-    python -m repro run --topology leafspine --spans spans.jsonl
-    python -m repro timeline spans.jsonl --chrome timeline.json
-
-    # one self-contained run report (markdown or HTML)
-    python -m repro report --topology leafspine --out report.md
+    # record the harness flight recorder and a self-contained run report
+    # (HTML for .html/.htm, markdown otherwise), then digest the spans
+    # and convert them for https://ui.perfetto.dev (`trace` reads packet
+    # traces and span files alike)
+    python -m repro run --topology leafspine --spans spans.jsonl \
+        --report report.html
+    python -m repro trace spans.jsonl --chrome timeline.json
 
     # cartesian sweep (repeat a flag to add grid points), 4 workers,
     # results cached under benchmarks/.cache/
@@ -48,9 +46,8 @@ import itertools
 import sys
 from typing import TYPE_CHECKING
 
-# Each sub-command imports its own machinery when it runs, so `trace` and
-# `timeline` never load the simulator.  Only what annotations need is
-# named here.
+# Each sub-command imports its own machinery when it runs, so `trace`
+# never loads the simulator.  Only what annotations need is named here.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.config import ExperimentConfig
     from repro.harness.sweep import SweepResult
@@ -58,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
-    from repro.obs import DEFAULT_CAPACITY, DEFAULT_SPAN_CAPACITY
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -86,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record the event trace and write it as JSONL to PATH",
-    )
-    parser.add_argument(
-        "--trace-limit", type=int, default=DEFAULT_CAPACITY,
-        help="trace ring-buffer capacity in events (oldest evicted first)",
     )
     parser.add_argument(
         "--ports", action="store_true",
@@ -125,21 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "record the harness flight recorder (chunk and fluid-epoch "
             "spans) and write it as JSONL to PATH — feed it to "
-            "`repro timeline`"
+            "`repro trace`"
         ),
     )
     parser.add_argument(
-        "--spans-chrome", metavar="PATH", default=None,
+        "--report", metavar="PATH", default=None,
         help=(
-            "also export the flight recorder as Chrome trace-event JSON "
-            "(open at https://ui.perfetto.dev); implies span recording"
-        ),
-    )
-    parser.add_argument(
-        "--span-limit", type=int, default=DEFAULT_SPAN_CAPACITY,
-        help=(
-            "span ring capacity (oldest spans evicted first; default "
-            f"{DEFAULT_SPAN_CAPACITY})"
+            "write a self-contained run report (config, profile, FCT, "
+            "hottest ports, timeline digest) to PATH: HTML if it ends "
+            "in .html/.htm, markdown otherwise; implies span recording"
         ),
     )
     return parser
@@ -149,68 +135,19 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description=(
-            "Summarize a JSONL event trace (written by `run --trace`): "
-            "per-queue mark rates, sojourn percentiles, drop causes — "
-            "or convert it to Chrome trace-event JSON for Perfetto."
+            "Digest a JSONL file written by `run --trace` (per-queue mark "
+            "rates, sojourn percentiles, drop causes) or by `--spans` "
+            "(per-span-type counts and durations); the record kind is "
+            "detected from the file."
         ),
     )
-    parser.add_argument("path", help="JSONL trace file")
+    parser.add_argument("path", help="event trace or span JSONL file")
     parser.add_argument(
-        "--format", choices=("summary", "chrome"), default="summary",
+        "--chrome", metavar="OUT", default=None,
         help=(
-            "'summary' prints the plain-text digest (default); 'chrome' "
-            "converts packet sojourns / marks / drops / control-law "
-            "series to Chrome trace-event JSON that overlays with "
-            "`run --spans-chrome` output in one Perfetto view"
+            "also convert the file to Chrome trace-event JSON for "
+            "https://ui.perfetto.dev"
         ),
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="output file for --format chrome (default: <path>.chrome.json)",
-    )
-    return parser
-
-
-def build_timeline_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro timeline",
-        description=(
-            "Inspect a flight-recorder JSONL export (written by "
-            "`run --spans` / `sweep --spans`): prints "
-            "the per-span-type digest; optionally exports Chrome "
-            "trace-event JSON for https://ui.perfetto.dev."
-        ),
-    )
-    parser.add_argument("path", help="span JSONL file")
-    parser.add_argument(
-        "--chrome", metavar="PATH", default=None,
-        help="also write the timeline as Chrome trace-event JSON",
-    )
-    return parser
-
-
-def build_report_parser() -> argparse.ArgumentParser:
-    parser = build_parser()
-    parser.prog = "python -m repro report"
-    parser.description = (
-        "Run one experiment with the flight recorder on and render a "
-        "self-contained run report (config, profile, FCT, hottest "
-        "ports, timeline digest)."
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="report output file (default: stdout)",
-    )
-    parser.add_argument(
-        "--format", choices=("md", "html"), default=None,
-        help=(
-            "report format (default: inferred from --out extension, "
-            "falling back to markdown)"
-        ),
-    )
-    parser.add_argument(
-        "--top-ports", type=int, default=8,
-        help="rows in the hottest-ports table (default 8)",
     )
     return parser
 
@@ -449,97 +386,38 @@ def sweep_main(argv=None) -> int:
     return 0 if outcome.ok else 1
 
 
-def _file_error(path: str, exc: Exception) -> int:
-    """Report an unreadable input or unwritable output; exit code 2.
-
-    ``OSError`` messages already name their file; a JSON decode error
-    (a ``ValueError``) does not, so it is prefixed with the input path.
-    """
-    detail = exc if isinstance(exc, OSError) else f"{path}: malformed JSONL: {exc}"
-    print(f"error: {detail}", file=sys.stderr)
-    return 2
-
-
 def trace_main(argv=None) -> int:
     from repro.obs import (
+        chrome_trace,
+        format_span_summary,
         format_trace_summary,
-        load_spans_jsonl,
-        summarize_trace_file,
+        read_records,
+        summarize_events,
         trace_events_to_chrome,
+        write_chrome,
     )
-    from repro.obs.spans import write_chrome_doc
 
     args = build_trace_parser().parse_args(argv)
+    # OSError messages name their file; read_records prefixes <path>:<line>
     try:
-        if args.format == "chrome":
-            out = args.out or args.path + ".chrome.json"
-            events = load_spans_jsonl(args.path)  # generic JSONL reader
-            n = write_chrome_doc(trace_events_to_chrome(events), out)
-            print(
-                f"wrote {n} Chrome trace events to {out} "
-                f"(open at https://ui.perfetto.dev)"
-            )
+        kind, records = read_records(args.path)
+        if kind == "event":
+            print(format_trace_summary(summarize_events(records)))
         else:
-            print(format_trace_summary(summarize_trace_file(args.path)))
-    except (OSError, ValueError) as exc:
-        return _file_error(args.path, exc)
-    return 0
-
-
-def timeline_main(argv=None) -> int:
-    from repro.obs import format_span_summary, load_spans_jsonl, write_chrome
-
-    args = build_timeline_parser().parse_args(argv)
-    try:
-        spans = load_spans_jsonl(args.path)
-        print(format_span_summary(spans))
+            print(format_span_summary(records))
         if args.chrome is not None:
-            n = write_chrome(spans, args.chrome)
+            doc = (trace_events_to_chrome if kind == "event" else chrome_trace)(
+                records
+            )
+            n = write_chrome(doc, args.chrome)
             print(
-                f"\nwrote {n} timeline slices to {args.chrome} "
+                f"\nwrote {n} Chrome trace events to {args.chrome} "
                 f"(open at https://ui.perfetto.dev)"
             )
     except (OSError, ValueError) as exc:
-        return _file_error(args.path, exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
-
-
-def report_main(argv=None) -> int:
-    from repro.harness.runner import run_experiment
-    from repro.harness.report import render_run_report
-    from repro.obs import SpanRecorder, Tracer
-
-    args = build_report_parser().parse_args(argv)
-    fmt = args.format
-    if fmt is None:
-        fmt = (
-            "html"
-            if args.out is not None
-            and args.out.lower().endswith((".html", ".htm"))
-            else "md"
-        )
-    cfg = _config_from_args(args)
-    spans = SpanRecorder(capacity=args.span_limit, pid="run")
-    tracer = Tracer(capacity=args.trace_limit) if args.trace else None
-    result = run_experiment(cfg, tracer=tracer, spans=spans)
-    if tracer is not None:
-        tracer.export_jsonl(args.trace)
-    if args.spans is not None:
-        spans.export_jsonl(args.spans)
-    if args.spans_chrome is not None:
-        spans.export_chrome(args.spans_chrome)
-    document = render_run_report(
-        result, spans=spans, top_ports=args.top_ports, fmt=fmt
-    )
-    if args.out is None:
-        print(document)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(document)
-            if not document.endswith("\n"):
-                fh.write("\n")
-        print(f"wrote {fmt} run report to {args.out}")
-    return 0 if result.all_completed else 1
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -567,8 +445,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 SUBCOMMANDS = {
     "sweep": sweep_main,
     "trace": trace_main,
-    "timeline": timeline_main,
-    "report": report_main,
     "fluidcheck": fluidcheck_main,
 }
 
@@ -590,7 +466,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-    from repro.harness.report import format_fct_rows, format_port_breakdown
+    from repro.harness.report import (
+        format_fct_rows,
+        format_port_breakdown,
+        render_run_report,
+    )
     from repro.harness.runner import run_experiment
     from repro.obs import (
         RunProfile,
@@ -602,12 +482,8 @@ def main(argv=None) -> int:
 
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
-    tracer = Tracer(capacity=args.trace_limit) if args.trace else None
-    spans = (
-        SpanRecorder(capacity=args.span_limit, pid="run")
-        if (args.spans or args.spans_chrome)
-        else None
-    )
+    tracer = Tracer() if args.trace else None
+    spans = SpanRecorder() if (args.spans or args.report) else None
     result = run_experiment(cfg, tracer=tracer, spans=spans)
     print(format_fct_rows({args.scheme: result}))
     print(
@@ -617,35 +493,34 @@ def main(argv=None) -> int:
         f"{result.timeouts} timeouts, {result.drops} drops, "
         f"{result.marks} ECN marks"
     )
-    print("profile: " + RunProfile.from_dict(result.profile).describe())
+    print("profile: " + RunProfile(**result.profile).describe())
     if args.ports:
         print()
         print(format_port_breakdown(result.metrics))
     if tracer is not None:
         n = tracer.export_jsonl(args.trace)
         evicted = (
-            f" ({tracer.dropped_events} evicted from the ring)"
-            if tracer.dropped_events
+            f" ({tracer.evicted} evicted from the ring)"
+            if tracer.evicted
             else ""
         )
         print(f"\nwrote {n} trace events to {args.trace}{evicted}")
         print()
         print(format_trace_summary(summarize_events(tracer.iter_dicts())))
-    if spans is not None:
+    if spans is not None and args.spans:
         evicted = (
-            f" ({spans.dropped_spans} older spans evicted)"
-            if spans.dropped_spans
-            else ""
+            f" ({spans.evicted} older spans evicted)" if spans.evicted else ""
         )
-        if args.spans:
-            n = spans.export_jsonl(args.spans)
-            print(f"\nwrote {n} spans to {args.spans}{evicted}")
-        if args.spans_chrome:
-            n = spans.export_chrome(args.spans_chrome)
-            print(
-                f"\nwrote {n} timeline slices to {args.spans_chrome} "
-                f"(open at https://ui.perfetto.dev){evicted}"
-            )
+        n = spans.export_jsonl(args.spans)
+        print(f"\nwrote {n} spans to {args.spans}{evicted}")
+    if args.report is not None:
+        fmt = "html" if args.report.lower().endswith((".html", ".htm")) else "md"
+        document = render_run_report(result, spans=spans, fmt=fmt)
+        with open(args.report, "w") as fh:
+            fh.write(document)
+            if not document.endswith("\n"):
+                fh.write("\n")
+        print(f"\nwrote {fmt} run report to {args.report}")
     return 0 if result.all_completed else 1
 
 

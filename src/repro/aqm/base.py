@@ -34,17 +34,6 @@ class Aqm:
     def setup(self, port: "EgressPort") -> None:
         """Called once when the AQM is attached to its port."""
 
-    def register_metrics(self, registry, port: "EgressPort") -> None:
-        """Publish scheme-specific metrics into a ``MetricsRegistry``.
-
-        Called once per port at the end of a harness run.  The default
-        publishes nothing; schemes with interesting internal state (rate
-        estimates, marking intervals, pool occupancy...) override this —
-        see docs/OBSERVABILITY.md for the naming convention
-        (``aqm.<port-name>.<field>``) and docs/EXTENDING.md for a worked
-        example.
-        """
-
     def on_enqueue(
         self, port: "EgressPort", queue: PacketQueue, pkt: Packet, now: int
     ) -> bool:

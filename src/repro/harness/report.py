@@ -3,10 +3,10 @@
 The tables are what the CLIs and the figure benches print: paper-vs-
 measured FCT rows, per-port traffic/mark/drop breakdowns.
 
-``python -m repro report`` runs an experiment with the flight recorder
-on and :func:`render_run_report` renders everything a reader needs to
-judge the run — config, profile, FCT summary, the hottest ports by
-marks/drops, the port breakdown and a timeline digest — into a single
+``python -m repro run --report PATH`` runs an experiment with the flight
+recorder on and :func:`render_run_report` renders everything a reader
+needs to judge the run — config, profile, FCT summary, the hottest ports
+by marks/drops, the port breakdown and a timeline digest — into a single
 file with no external assets, so it attaches to a CI run or a paper
 artifact as-is.  The renderer is deliberately dumb: a list of named
 sections whose bodies are the same fixed-width tables, serialised as
@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - the tables never build a simulator
 
 #: (heading, body) — body is preformatted fixed-width text
 Section = Tuple[str, str]
+
+#: rows in the run report's hottest-ports table
+TOP_PORTS = 8
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -95,7 +98,7 @@ def format_port_breakdown(metrics: Dict[str, Any]) -> str:
 
 
 def hottest_ports(
-    metrics: Dict[str, Any], top: int = 8
+    metrics: Dict[str, Any], top: int = TOP_PORTS
 ) -> List[Tuple[str, int, int, int, int]]:
     """Ports ranked by (marks + drops) descending: the congestion map.
 
@@ -201,8 +204,8 @@ def _profile_lines(profile: Dict[str, object]) -> str:
     return format_table(["metric", "value"], rows)
 
 
-def _hottest_lines(metrics: Dict[str, Any], top: int) -> str:
-    ranked = hottest_ports(metrics, top)
+def _hottest_lines(metrics: Dict[str, Any]) -> str:
+    ranked = hottest_ports(metrics)
     if not ranked:
         return "(no port recorded a mark or a drop)"
     rows = [
@@ -213,9 +216,7 @@ def _hottest_lines(metrics: Dict[str, Any], top: int) -> str:
 
 
 def _sections(
-    result: ExperimentResult,
-    spans: Optional[SpanRecorder],
-    top_ports: int,
+    result: ExperimentResult, spans: Optional[SpanRecorder]
 ) -> List[Section]:
     """Assemble the report sections from one finished run."""
     sections: List[Section] = [
@@ -223,17 +224,17 @@ def _sections(
         ("Run", _run_lines(result)),
         ("Profile", _profile_lines(result.profile)),
         ("FCT summary", format_fct_rows({result.config.scheme: result})),
-        ("Hottest ports", _hottest_lines(result.metrics, top_ports)),
+        ("Hottest ports", _hottest_lines(result.metrics)),
         ("Port breakdown", format_port_breakdown(result.metrics)),
     ]
     if spans is not None and len(spans):
         # call-local: importing the tables loads nothing else
-        from repro.obs.spans import format_span_summary
+        from repro.obs.summary import format_span_summary
 
         digest = format_span_summary(spans.iter_dicts())
-        if spans.dropped_spans:
+        if spans.evicted:
             digest += (
-                f"\n({spans.dropped_spans} older spans evicted from the "
+                f"\n({spans.evicted} older spans evicted from the "
                 f"ring; the digest covers the newest window)"
             )
         sections.append(("Timeline digest", digest))
@@ -276,7 +277,6 @@ def _html(title: str, sections: Sequence[Section]) -> str:
 def render_run_report(
     result: ExperimentResult,
     spans: Optional[SpanRecorder] = None,
-    top_ports: int = 8,
     fmt: str = "md",
 ) -> str:
     """Render one run into a self-contained document (``md`` or ``html``)."""
@@ -285,7 +285,7 @@ def render_run_report(
         f"repro run report: {cfg.scheme}/{cfg.scheduler} "
         f"{cfg.topology} {cfg.workload} load={cfg.load:g} seed={cfg.seed}"
     )
-    sections = _sections(result, spans, top_ports)
+    sections = _sections(result, spans)
     if fmt == "html":
         return _html(title, sections)
     if fmt != "md":

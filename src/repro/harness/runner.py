@@ -24,11 +24,11 @@ from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
 from repro.metrics.fct import FctCollector, FctSummary
 from repro.net.packet import freelist_stats
 from repro.obs import (
-    MetricsRegistry,
-    RssSampler,
+    Histogram,
     RunProfile,
     SpanRecorder,
     Tracer,
+    current_rss_bytes,
 )
 from repro.obs.spans import wall_ns
 from repro.pias.tagger import PiasTagger
@@ -63,10 +63,10 @@ class ExperimentResult:
     wall_s: float
     events: int = 0
     flows: List[Flow] = field(repr=False, default_factory=list)
-    #: MetricsRegistry.snapshot() of the run — per-port / per-queue
-    #: counters plus FCT (and, when traced, sojourn) histograms.  Every
+    #: the run's metrics, sorted by name — per-port / per-queue counters
+    #: plus FCT (and, when traced, sojourn) histogram snapshots.  Every
     #: value is derived from simulated state, so it is deterministic.
-    metrics: Dict[str, dict] = field(repr=False, default_factory=dict)
+    metrics: Dict[str, object] = field(repr=False, default_factory=dict)
     #: RunProfile.as_dict() — events, heap high-water mark, wall time,
     #: RSS high-water mark and fluid counters.  Wall-clock derived, hence *not* deterministic (kept out of sweep
     #: cache payloads).
@@ -123,7 +123,7 @@ def run_experiment(
         )
         fluid_net.on_start()
     switches = _switches_of(topo)
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         # Switch egress ports carry the AQM/scheduler behaviour under
         # study; host NIC ports stay untraced to bound trace volume.
         for sw in switches:
@@ -139,8 +139,7 @@ def run_experiment(
     # *dispatching events*, not topology build or per-chunk bookkeeping —
     # otherwise short runs under-report throughput by the setup cost
     run_loop_s = 0.0
-    rss = RssSampler()
-    spans_on = spans is not None and spans.enabled
+    spans_on = spans is not None
     chunk_idx = 0
     prev_alloc = prev_reuse = 0
     if spans_on:
@@ -152,9 +151,6 @@ def run_experiment(
         executed = sim.run(until=min(sim.now + _RUN_CHUNK_NS, deadline))
         run_loop_s += time.perf_counter() - rt0
         events += executed
-        # chunk boundary: the only in-run RSS observation point — the
-        # sampler never sits on the event hot path
-        rss.sample()
         if spans_on:
             dur = wall_ns() - t0
             assert spans is not None
@@ -173,8 +169,9 @@ def run_experiment(
             if reuse - prev_reuse:
                 args["freelist_reused"] = reuse - prev_reuse
             prev_alloc, prev_reuse = alloc, reuse
-            if rss.last_bytes:
-                args["rss_bytes"] = rss.last_bytes
+            rss = current_rss_bytes()
+            if rss:
+                args["rss_bytes"] = rss
             spans.add("engine", "chunk", t0, dur, tid="sim", args=args)
         chunk_idx += 1
         if sim.idle:
@@ -188,8 +185,6 @@ def run_experiment(
     timeouts_small = sum(
         s.stats.timeouts for s in senders if s.flow.size_bytes <= small_cut
     )
-    registry = MetricsRegistry()
-    _register_run_metrics(registry, switches, collector, tracer)
     return ExperimentResult(
         config=cfg,
         summary=collector.summarize(),
@@ -203,56 +198,53 @@ def run_experiment(
         wall_s=wall_s,
         events=events,
         flows=flows,
-        metrics=registry.snapshot(),
+        metrics=_run_metrics(switches, collector, tracer),
         profile=RunProfile.capture(
             sim,
             run_loop_s,
-            rss_floor=rss.hwm_bytes,
             fluid_stats=fluid_net.stats_dict() if fluid_net else None,
         ).as_dict(),
     )
 
 
-def _register_run_metrics(
-    registry: MetricsRegistry,
-    switches: List,
-    collector: FctCollector,
-    tracer: Optional[Tracer],
-) -> None:
-    """Populate the run's metrics registry from final simulated state.
+_PORT_FIELDS = (
+    "rx_pkts", "rx_bytes", "tx_pkts", "tx_bytes",
+    "marked_pkts", "dropped_pkts", "dropped_bytes",
+)
+_QUEUE_FIELDS = (
+    "enqueued_pkts", "dequeued_pkts", "marked_pkts", "dropped_pkts",
+    "max_bytes_seen",
+)
+
+
+def _run_metrics(
+    switches: List, collector: FctCollector, tracer: Optional[Tracer]
+) -> Dict[str, object]:
+    """The run's metrics dict, read from final simulated state.
 
     Names follow ``port.<name>.<field>`` / ``port.<name>.q<i>.<field>``
-    so :func:`repro.harness.report.format_port_breakdown` can group them;
-    AQMs and schedulers add their own under ``aqm.*`` / ``sched.*`` via
-    their ``register_metrics`` hooks.
+    so :func:`repro.harness.report.format_port_breakdown` can group them.
     """
+    metrics: Dict[str, object] = {}
     for sw in switches:
         for port in sw.ports:
-            stats = port.stats
             prefix = f"port.{port.name}"
-            for fld in (
-                "rx_pkts", "rx_bytes", "tx_pkts", "tx_bytes",
-                "marked_pkts", "dropped_pkts", "dropped_bytes",
-            ):
-                registry.counter(f"{prefix}.{fld}").inc(getattr(stats, fld))
+            for fld in _PORT_FIELDS:
+                metrics[f"{prefix}.{fld}"] = getattr(port.stats, fld)
             for i, q in enumerate(port.scheduler.queues):
-                qp = f"{prefix}.q{i}"
-                registry.counter(f"{qp}.enqueued_pkts").inc(q.enqueued_pkts)
-                registry.counter(f"{qp}.dequeued_pkts").inc(q.dequeued_pkts)
-                registry.counter(f"{qp}.marked_pkts").inc(q.marked_pkts)
-                registry.counter(f"{qp}.dropped_pkts").inc(q.dropped_pkts)
-                registry.gauge(f"{qp}.max_bytes_seen").set(q.max_bytes_seen)
-            if port.aqm is not None:
-                port.aqm.register_metrics(registry, port)
-            port.scheduler.register_metrics(registry, port)
-    fct_hist = registry.histogram("fct_ns")
+                for fld in _QUEUE_FIELDS:
+                    metrics[f"{prefix}.q{i}.{fld}"] = getattr(q, fld)
+    fct = Histogram("fct_ns")
     for flow in collector.flows:
-        fct_hist.record(flow.fct_ns)
-    if tracer is not None and tracer.enabled:
-        sojourn = registry.histogram("trace.sojourn_ns")
-        for event in tracer.events:
+        fct.record(flow.fct_ns)
+    metrics["fct_ns"] = fct.snapshot()
+    if tracer is not None:
+        sojourn = Histogram("trace.sojourn_ns")
+        for event in tracer.records:
             if event[0] == "deq":
                 sojourn.record(event[7])
+        metrics["trace.sojourn_ns"] = sojourn.snapshot()
+    return dict(sorted(metrics.items()))
 
 
 # -- builders ------------------------------------------------------------

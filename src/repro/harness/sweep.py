@@ -144,7 +144,7 @@ class SweepResult:
     events: int = 0
     wall_s: float = 0.0
     flow_stats: List[Tuple[int, int]] = field(repr=False, default_factory=list)
-    #: MetricsRegistry snapshot of the run (deterministic, so cacheable)
+    #: the run's metrics dict (deterministic, so cacheable)
     metrics: Dict[str, dict] = field(repr=False, default_factory=dict)
     #: event-heap high-water mark — deterministic, unlike the rest of the
     #: run profile, so it travels with the payload
@@ -592,13 +592,13 @@ def run_sweep(
         hits included (from the coordinating process, in completion
         order).
     spans:
-        A :class:`SpanRecorder`; when enabled, each cell lands as one
+        A :class:`SpanRecorder`; when given, each cell lands as one
         ``sweep/job`` span (t0 at dispatch, duration to completion; a
         cache hit is a zero-duration span) carrying its status
         (``cached`` / ``ok`` / ``exception`` / ``timeout`` / ``crash``)
-        and worker identity.  Job spans adopt in config order at the end
-        of the sweep, so the export order never depends on which worker
-        finished first.
+        and worker identity.  Job spans are added in config order at the
+        end of the sweep, so the export order never depends on which
+        worker finished first.
     """
     configs = list(configs)
     for cfg in configs:
@@ -609,11 +609,11 @@ def run_sweep(
     sweep_start = time.monotonic()
     done = {"n": 0}
 
-    spans_on = spans is not None and spans.enabled
+    spans_on = spans is not None
     sweep_t0 = wall_ns() if spans_on else 0
     #: idx -> (dispatch wall_ns, worker pid); cache hits never appear
     dispatched: Dict[int, Tuple[int, int]] = {}
-    #: idx -> finished job span (t0, dur, args) awaiting ordered adoption
+    #: idx -> finished job span (t0, dur, args), added in idx order at the end
     job_spans: Dict[int, Tuple[int, int, dict]] = {}
 
     def on_dispatch(idx: int, worker_pid: int) -> None:
@@ -691,7 +691,7 @@ def run_sweep(
         )
 
     stats.wall_s = time.monotonic() - sweep_start
-    if spans_on and spans is not None:
+    if spans is not None:
         for idx in sorted(job_spans):
             t0, dur, args = job_spans[idx]
             spans.add("sweep", "job", t0, dur, tid=f"job{idx}", args=args)

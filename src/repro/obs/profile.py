@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,61 +44,21 @@ class RunProfile:
         cls,
         sim: Simulator,
         wall_s: float,
-        rss_floor: int = 0,
         fluid_stats: "Dict[str, int] | None" = None,
     ) -> "RunProfile":
-        """Snapshot the run's counters.
-
-        ``rss_floor`` is a lower bound on the RSS high-water mark, fed
-        by an :class:`RssSampler` that observed the process *during* the
-        run — within one process ``ru_maxrss`` already dominates it, but
-        the floor keeps the accounting honest on platforms where
-        ``getrusage`` is unavailable (the sampler's ``/proc`` reads then
-        carry the number alone).
-        """
+        """Snapshot the run's counters."""
         events = sim.events_executed
         return cls(
             events=events,
             heap_hwm=sim.heap_hwm,
             wall_s=wall_s,
             events_per_sec=events / wall_s if wall_s > 0 else 0.0,
-            rss_hwm_bytes=max(_rss_high_water(), rss_floor),
+            rss_hwm_bytes=_rss_high_water(),
             fluid_stats=dict(fluid_stats) if fluid_stats else {},
         )
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "RunProfile":
-        """Rebuild from :meth:`as_dict` output, ignoring unknown keys.
-
-        Profile dicts travel through caches, results and files written
-        by other versions (older ones carried ``workers``, ``rounds`` and
-        other keys of a since-removed partitioned engine); consumers that
-        only want the common counters use this instead of
-        ``RunProfile(**d)`` so extra keys degrade gracefully.
-        """
-        known = {
-            f: d[f]
-            for f in (
-                "events",
-                "heap_hwm",
-                "wall_s",
-                "events_per_sec",
-                "rss_hwm_bytes",
-                "fluid_stats",
-            )
-            if f in d
-        }
-        return cls(**known)  # type: ignore[arg-type]
-
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "events": self.events,
-            "heap_hwm": self.heap_hwm,
-            "wall_s": self.wall_s,
-            "events_per_sec": self.events_per_sec,
-            "rss_hwm_bytes": self.rss_hwm_bytes,
-            "fluid_stats": dict(self.fluid_stats),
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         """One human line for CLIs and sweep progress output."""
@@ -132,8 +92,8 @@ def _rss_high_water() -> int:
 def current_rss_bytes() -> int:
     """Resident set size of this process right now, in bytes (0 if unknown).
 
-    Read from ``/proc/self/statm`` — one small pread, a few microseconds
-    — so it is cheap enough to call at chunk boundaries.
+    Read from ``/proc/self/statm`` — one small pread, a few microseconds.
+    Chunk spans carry it; the profile's high-water mark is ``ru_maxrss``.
     """
     try:
         with open("/proc/self/statm") as fh:
@@ -141,30 +101,3 @@ def current_rss_bytes() -> int:
         return resident_pages * (os.sysconf("SC_PAGE_SIZE") or 4096)
     except (OSError, ValueError, IndexError):  # pragma: no cover - non-Linux
         return 0
-
-
-class RssSampler:
-    """RSS high-water sampling at run-loop boundaries.
-
-    The run loop carries one of these and calls :meth:`sample` at every
-    chunk boundary: chunk spans report the latest sample, and the profile
-    takes the max of ``ru_maxrss`` (absent off POSIX) and the observed
-    high water.  Boundaries are rare (~20/s of simulated time), so the
-    sampler never sits on the event hot path.
-    """
-
-    __slots__ = ("hwm_bytes", "last_bytes", "samples")
-
-    def __init__(self) -> None:
-        self.hwm_bytes = 0
-        self.last_bytes = 0
-        self.samples = 0
-
-    def sample(self) -> None:
-        """Read the current RSS and raise the high water if it grew."""
-        rss = current_rss_bytes()
-        if rss:
-            self.samples += 1
-            self.last_bytes = rss
-            if rss > self.hwm_bytes:
-                self.hwm_bytes = rss

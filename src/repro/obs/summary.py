@@ -1,20 +1,35 @@
-"""Summarize a trace: per-queue mark rates, sojourn percentiles, drops.
+"""Read a trace or span file back and digest it: ``python -m repro trace``.
 
-Works from any iterable of event dicts (a live :class:`~repro.obs.trace.
-Tracer` via ``iter_dicts()``, or a JSONL file written by
-``export_jsonl``), so ``python -m repro trace out.jsonl`` and in-process
-analysis share one code path.
+:func:`read_records` loads either JSONL export — ``run --trace`` packet
+events or ``--spans`` flight-recorder spans — checks every record's kind
+and fields, and says which kind the file holds.  The digests work from
+any iterable of record dicts, so a live recorder's ``iter_dicts()`` and
+a file on disk share one code path: :func:`summarize_events` /
+:func:`format_trace_summary` give per-queue mark rates, sojourn
+percentiles and drop causes; :func:`format_span_summary` gives per-span
+type counts and durations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.fct import percentile
+from repro.obs.records import read_jsonl
+from repro.obs.spans import SPAN_FIELDS
+from repro.obs.trace import EVENT_FIELDS
 
 SOJOURN_PERCENTILES = (50.0, 90.0, 99.0)
+
+#: record fields that are not numbers; the digests and converters key on
+#: the labels and compute with every other field
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("port", "where", "cause", "reason", "pid", "tid", "cat", "name"), str
+    ),
+    "args": dict,
+}
 
 
 @dataclass
@@ -94,17 +109,48 @@ def summarize_events(events: Iterable[Dict]) -> TraceSummary:
     return summary
 
 
-def summarize_trace_file(path: str) -> TraceSummary:
-    """Summarize a JSONL trace written by ``Tracer.export_jsonl``."""
+def read_records(path: str) -> Tuple[str, List[Dict[str, Any]]]:
+    """Read a ``run --trace`` or ``--spans`` file: ``(kind, records)``.
 
-    def events():
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+    ``kind`` is ``"event"`` (records carry ``ev``) or ``"span"`` (they
+    carry ``cat``); the first record decides it, and an empty file is an
+    event trace.  A record that is not an object, mixes the kinds, or
+    lacks a field of its kind or holds one of the wrong type raises
+    ``ValueError("<path>:<line>: ...")``.
+    """
+    kinds: List[str] = []
 
-    return summarize_events(events())
+    def check(record: Any) -> None:
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(record).__name__}"
+            )
+        if "ev" in record:
+            kind, ev = "event", record["ev"]
+            fields = EVENT_FIELDS.get(ev) if isinstance(ev, str) else None
+            if fields is None:
+                raise ValueError(f"unknown event kind {record['ev']!r}")
+        elif "cat" in record:
+            kind, fields = "span", SPAN_FIELDS
+        else:
+            raise ValueError("record has neither 'ev' (event) nor 'cat' (span)")
+        if not kinds:
+            kinds.append(kind)
+        elif kind != kinds[0]:
+            raise ValueError(f"{kind} record in a file of {kinds[0]} records")
+        name = record.get("ev", kind)
+        missing = [f for f in fields if f not in record]
+        if missing:
+            raise ValueError(f"{name} record lacks {', '.join(missing)}")
+        wrong = [
+            f for f in fields
+            if not isinstance(record[f], _FIELD_TYPES.get(f, (int, float)))
+        ]
+        if wrong:
+            raise ValueError(f"{name} record has a mistyped {', '.join(wrong)}")
+
+    records = read_jsonl(path, check)
+    return (kinds[0] if kinds else "event"), records
 
 
 def format_trace_summary(summary: TraceSummary) -> str:
@@ -153,4 +199,26 @@ def format_trace_summary(summary: TraceSummary) -> str:
             f"{cause}={n}" for cause, n in sorted(summary.drop_causes.items())
         )
         lines.append(f"drop causes: {causes}")
+    return "\n".join(lines)
+
+
+def format_span_summary(span_dicts: Iterable[Dict[str, Any]]) -> str:
+    """Plain-text timeline digest: per (cat, name) counts and durations."""
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    for s in span_dicts:
+        groups.setdefault((s["cat"], s["name"]), []).append(s["dur_ns"])
+    if not groups:
+        return "(no spans recorded)"
+    lines = [
+        f"{'cat':<8}  {'name':<10}  {'count':>6}  {'total':>10}  "
+        f"{'p50':>9}  {'p95':>9}  {'max':>9}"
+    ]
+    for (cat, name), values in sorted(groups.items()):
+        lines.append(
+            f"{cat:<8}  {name:<10}  {len(values):>6}  "
+            f"{sum(values) / 1e6:>8.2f}ms  "
+            f"{percentile(values, 50) / 1e3:>7.1f}us  "
+            f"{percentile(values, 95) / 1e3:>7.1f}us  "
+            f"{max(values) / 1e3:>7.1f}us"
+        )
     return "\n".join(lines)

@@ -3,19 +3,17 @@
 A :class:`Tracer` records the packet lifecycle (enqueue / dequeue / mark /
 drop, with queue index and sojourn time), AQM marking decisions, and
 transport control-law updates (cwnd cuts, DCTCP alpha, DCQCN rate) into a
-bounded ring buffer.  Components hold a ``tracer`` attribute that is
-``None`` by default — the untraced hot path pays exactly one attribute
-load and an ``is not None`` test per hook point — and a
-:class:`NullTracer` is provided for call sites that prefer a null object
-over a branch.
+bounded ring.  Components hold a ``tracer`` attribute that is ``None`` by
+default, so the untraced hot path pays exactly one attribute load and an
+``is not None`` test per hook point.
 
 Events are stored as compact tuples and only formatted on export, so a
-traced run stays cheap; :meth:`Tracer.export_jsonl` writes one JSON
-object per line with sorted keys and no wall-clock fields, which makes
-traces of deterministic simulations byte-identical across runs (asserted
-by ``tests/test_trace_determinism.py``).
+traced run stays cheap; ``Tracer.export_jsonl`` writes one JSON object
+per line with sorted keys and no wall-clock fields, which makes traces
+of deterministic simulations byte-identical across runs (asserted by
+``tests/test_trace_determinism.py``).
 
-Event schema (JSONL field sets by ``ev`` kind):
+Event schema (JSONL field sets by ``ev`` kind, :data:`EVENT_FIELDS`):
 
 =========  =============================================================
 ``ev``     fields
@@ -32,192 +30,84 @@ rate       ``t, flow, rate_bps`` (DCQCN current rate after a cut)
 ``t`` is integer simulated nanoseconds.  One ``mark`` event is emitted
 per *applied* CE mark, so ``ev == "mark"`` counts match
 ``PortStats.marked_pkts`` exactly (unless the ring wrapped — see
-:attr:`Tracer.dropped_events`).
+:attr:`Tracer.evicted`).
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from typing import IO, Deque, Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional
+
+from repro.obs.records import Ring
 
 #: default ring capacity — roomy for benchmark-scale runs, bounded for
 #: production-scale ones (at ~8 tuple slots per event this is ~100s of MB
 #: worst case, never unbounded growth)
 DEFAULT_CAPACITY = 1 << 20
 
+_PKT = ("t", "port", "q", "flow", "seq", "size")
 
-class Tracer:
-    """Bounded ring buffer of simulation events with JSONL export."""
+#: record tag -> (``ev`` name, the fields after the tag in tuple order)
+_SCHEMA = {
+    "enq": ("enqueue", _PKT),
+    "deq": ("dequeue", _PKT + ("sojourn_ns",)),
+    "mark": ("mark", _PKT + ("where",)),
+    "drop": ("drop", _PKT + ("cause",)),
+    "cwnd": ("cwnd", ("t", "flow", "cwnd", "reason")),
+    "alpha": ("alpha", ("t", "flow", "alpha")),
+    "rate": ("rate", ("t", "flow", "rate_bps")),
+}
 
-    #: quick feature test: ``if tracer.enabled`` (NullTracer sets False)
-    enabled = True
+#: ``ev`` name -> the fields a record of that kind carries besides ``ev``
+EVENT_FIELDS = dict(_SCHEMA.values())
 
-    __slots__ = ("events", "capacity", "dropped_events")
+
+class Tracer(Ring):
+    """Bounded ring of simulation events with JSONL export."""
+
+    __slots__ = ()
 
     def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
-        self.events: Deque[Tuple] = deque(maxlen=capacity)
-        #: events evicted from the ring (oldest-first) once it filled up
-        self.dropped_events = 0
-
-    def __len__(self) -> int:
-        return len(self.events)
+        super().__init__(capacity)
 
     # -- hot-path recorders (called from port / transport hook points) ----
 
-    def _record(self, event: Tuple) -> None:
-        events = self.events
-        if events.maxlen is not None and len(events) == events.maxlen:
-            self.dropped_events += 1
-        events.append(event)
-
     def enqueue(self, now: int, port: str, qidx: int, pkt) -> None:
-        self._record(("enq", now, port, qidx, pkt.flow_id, pkt.seq, pkt.wire_size))
+        self._append(("enq", now, port, qidx, pkt.flow_id, pkt.seq, pkt.wire_size))
 
     def dequeue(
         self, now: int, port: str, qidx: int, pkt, sojourn_ns: int
     ) -> None:
-        self._record(
+        self._append(
             ("deq", now, port, qidx, pkt.flow_id, pkt.seq, pkt.wire_size,
              sojourn_ns)
         )
 
     def mark(self, now: int, port: str, qidx: int, pkt, where: str) -> None:
-        self._record(
+        self._append(
             ("mark", now, port, qidx, pkt.flow_id, pkt.seq, pkt.wire_size,
              where)
         )
 
     def drop(self, now: int, port: str, qidx: int, pkt, cause: str) -> None:
-        self._record(
+        self._append(
             ("drop", now, port, qidx, pkt.flow_id, pkt.seq, pkt.wire_size,
              cause)
         )
 
     def cwnd(self, now: int, flow_id: int, cwnd: float, reason: str) -> None:
-        self._record(("cwnd", now, flow_id, cwnd, reason))
+        self._append(("cwnd", now, flow_id, cwnd, reason))
 
     def alpha(self, now: int, flow_id: int, alpha: float) -> None:
-        self._record(("alpha", now, flow_id, alpha))
+        self._append(("alpha", now, flow_id, alpha))
 
     def rate(self, now: int, flow_id: int, rate_bps: float) -> None:
-        self._record(("rate", now, flow_id, rate_bps))
+        self._append(("rate", now, flow_id, rate_bps))
 
     # -- export -----------------------------------------------------------
 
     def iter_dicts(self) -> Iterator[Dict]:
-        """The recorded events as JSON-ready dicts, in record order."""
-        for event in self.events:
-            yield _to_dict(event)
-
-    def export_jsonl(self, destination: Union[str, IO[str]]) -> int:
-        """Write one JSON object per line; returns the line count.
-
-        Keys are sorted and no wall-clock field is emitted, so two traces
-        of the same deterministic run are byte-identical.
-        """
-        if isinstance(destination, str):
-            with open(destination, "w") as fh:
-                return self.export_jsonl(fh)
-        n = 0
-        for event_dict in self.iter_dicts():
-            destination.write(
-                json.dumps(event_dict, sort_keys=True, separators=(",", ":"))
-            )
-            destination.write("\n")
-            n += 1
-        return n
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped_events = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Tracer {len(self.events)} events"
-            f"{f' ({self.dropped_events} evicted)' if self.dropped_events else ''}>"
-        )
-
-
-class NullTracer(Tracer):
-    """Null object: accepts every hook call, records nothing.
-
-    For call sites that would rather hold a no-op tracer than branch on
-    ``None``; components in the packet hot path use the ``None`` guard
-    instead, which is one attribute load cheaper.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=0)
-
-    def _record(self, event: Tuple) -> None:
-        pass
-
-    def enqueue(self, now, port, qidx, pkt) -> None:
-        pass
-
-    def dequeue(self, now, port, qidx, pkt, sojourn_ns) -> None:
-        pass
-
-    def mark(self, now, port, qidx, pkt, where) -> None:
-        pass
-
-    def drop(self, now, port, qidx, pkt, cause) -> None:
-        pass
-
-    def cwnd(self, now, flow_id, cwnd, reason) -> None:
-        pass
-
-    def alpha(self, now, flow_id, alpha) -> None:
-        pass
-
-    def rate(self, now, flow_id, rate_bps) -> None:
-        pass
-
-
-#: shared no-op instance (stateless, so safe to share)
-NULL_TRACER = NullTracer()
-
-_KIND_NAMES = {
-    "enq": "enqueue",
-    "deq": "dequeue",
-    "mark": "mark",
-    "drop": "drop",
-    "cwnd": "cwnd",
-    "alpha": "alpha",
-    "rate": "rate",
-}
-
-
-def _to_dict(event: Tuple) -> Dict:
-    kind = event[0]
-    if kind in ("enq", "deq", "mark", "drop"):
-        d = {
-            "ev": _KIND_NAMES[kind],
-            "t": event[1],
-            "port": event[2],
-            "q": event[3],
-            "flow": event[4],
-            "seq": event[5],
-            "size": event[6],
-        }
-        if kind == "deq":
-            d["sojourn_ns"] = event[7]
-        elif kind == "mark":
-            d["where"] = event[7]
-        elif kind == "drop":
-            d["cause"] = event[7]
-        return d
-    if kind == "cwnd":
-        return {
-            "ev": "cwnd", "t": event[1], "flow": event[2],
-            "cwnd": event[3], "reason": event[4],
-        }
-    if kind == "alpha":
-        return {"ev": "alpha", "t": event[1], "flow": event[2], "alpha": event[3]}
-    if kind == "rate":
-        return {"ev": "rate", "t": event[1], "flow": event[2], "rate_bps": event[3]}
-    raise ValueError(f"unknown trace event kind {kind!r}")
+        for event in self.records:
+            name, fields = _SCHEMA[event[0]]
+            d = {"ev": name}
+            d.update(zip(fields, event[1:]))
+            yield d

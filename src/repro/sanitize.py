@@ -110,7 +110,7 @@ class Sanitizer:
         violation = Violation(kind, message, now)
         self.violations.append(violation)
         spans = self.spans
-        if spans is not None and spans.enabled:
+        if spans is not None:
             from repro.obs.spans import wall_ns
 
             spans.add(

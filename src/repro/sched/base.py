@@ -17,14 +17,10 @@ precisely the paper's point about MQ-ECN's limited generality.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.port import EgressPort
-    from repro.obs.registry import MetricsRegistry
 
 RoundObserver = Callable[[PacketQueue, int, int], None]
 
@@ -53,19 +49,6 @@ class Scheduler:
     def dequeue(self, now: int) -> Optional[Tuple[Packet, PacketQueue]]:
         """Remove and return ``(packet, queue_it_came_from)``, or ``None``."""
         raise NotImplementedError
-
-    def register_metrics(
-        self, registry: "MetricsRegistry", port: "EgressPort"
-    ) -> None:
-        """Publish discipline-specific metrics into a ``MetricsRegistry``.
-
-        Called once per port at the end of a harness run.  The default
-        publishes nothing; disciplines with interesting internal state
-        (deficit counters, virtual time, band occupancy...) override this
-        — see docs/OBSERVABILITY.md for the naming convention
-        (``sched.<port-name>.<field>``) and docs/EXTENDING.md for a
-        worked example.
-        """
 
     # -- shared helpers ---------------------------------------------------
 

@@ -32,7 +32,10 @@ class TestCli:
         ``<word> --help`` must not print the run help and exit 0."""
         from repro.__main__ import main
 
-        for argv in (["bench"], ["bench", "--help"], ["lint"], ["lint", "--help"]):
+        for argv in (
+            ["bench"], ["bench", "--help"], ["lint"], ["lint", "--help"],
+            ["timeline"], ["timeline", "--help"], ["report"], ["report", "--help"],
+        ):
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert out == "", argv
@@ -80,25 +83,48 @@ class TestCli:
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["summary", "chrome"])
-    def test_trace_subcommand_malformed_file(self, tmp_path, capsys, fmt):
+    _EVENT = '{"ev":"enqueue","t":1,"port":"p","q":0,"flow":1,"seq":0,"size":9}'
+    _SPAN = ('{"pid":"run","tid":"sim","cat":"engine","name":"chunk",'
+             '"t0_ns":0,"dur_ns":1,"args":{}}')
+
+    @pytest.mark.parametrize("content, chrome, why", [
+        ('{"bad json', False, "1: malformed JSON"),
+        ('{"bad json', True, "1: malformed JSON"),
+        ("5", False, "1: expected a JSON object, got int"),
+        ('{"x": 1}', True, "1: record has neither 'ev' (event) nor 'cat'"),
+        ('{"ev":"dequeue","t":1,"port":"p","q":0,"flow":1,"seq":0,"size":9}',
+         False, "1: dequeue record lacks sojourn_ns"),
+        ('{"ev":"dequeue","t":1,"port":"p","q":0,"flow":1,"seq":0,"size":9,'
+         '"sojourn_ns":null}', True, "1: dequeue record has a mistyped sojourn_ns"),
+        ('{"ev":"warp","t":1}', False, "1: unknown event kind 'warp'"),
+        (_SPAN.replace('"dur_ns":1,', ""), True, "1: span record lacks dur_ns"),
+        (f"{_EVENT}\n\n{_SPAN}", False, "3: span record in a file of event"),
+        (f"{_SPAN}\n{_EVENT}", True, "2: event record in a file of span"),
+    ], ids=["summary", "chrome", "scalar", "no-kind", "no-sojourn",
+            "null-sojourn", "unknown-ev", "span-no-dur", "span-in-events",
+            "event-in-spans"])
+    def test_trace_subcommand_malformed_file(
+        self, tmp_path, capsys, content, chrome, why
+    ):
+        """A record of the wrong shape exits 2 with one ``error:`` line
+        naming the file and line, never a traceback."""
         from repro.__main__ import main
 
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"bad json\n')
-        assert main(["trace", str(bad), "--format", fmt]) == 2
+        bad.write_text(content + "\n")
+        out = tmp_path / "out.json"
+        argv = ["trace", str(bad)] + (["--chrome", str(out)] if chrome else [])
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(bad) in err
+        assert err.startswith(f"error: {bad}:{why}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_trace_subcommand_unwritable_out(self, tmp_path, capsys):
         from repro.__main__ import main
 
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main([
-            "trace", str(empty), "--format", "chrome",
-            "--out", "/nonexistent/x.json",
-        ]) == 2
+        assert main(["trace", str(empty), "--chrome", "/nonexistent/x.json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 

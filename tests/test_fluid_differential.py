@@ -255,8 +255,8 @@ def test_network_equals_the_reference_after_any_event_sequence(scenario):
     assert new.state() == ref.state()
     assert new.net.done and new.net.completed == len(new.flows)
     # fluid/epoch spans: same count, same payload (wall clock aside)
-    assert [(s[2], s[3], s[1], s[6]) for s in new.net.spans.spans] == [
-        (s[2], s[3], s[1], s[6]) for s in ref.net.spans.spans
+    assert [(s[2], s[3], s[1], s[6]) for s in new.net.spans.records] == [
+        (s[2], s[3], s[1], s[6]) for s in ref.net.spans.records
     ]
 
 

@@ -131,9 +131,18 @@ def _cli(*argv):
 
 
 class TestCliDispatch:
-    @pytest.mark.parametrize("command", ["trace", "timeline"])
-    def test_post_processors_never_load_the_simulator(self, command):
-        modules, facts = _cli(command, "--help")
+    @pytest.mark.parametrize("target", ["trace", "spans"])
+    def test_post_processors_never_load_the_simulator(self, target, tmp_path):
+        if target == "trace":
+            argv = ("--help",)
+        else:
+            spans = tmp_path / "s.jsonl"
+            spans.write_text(
+                '{"args":{},"cat":"engine","dur_ns":5,"name":"chunk",'
+                '"pid":"run","t0_ns":0,"tid":"sim"}\n'
+            )
+            argv = (str(spans), "--chrome", str(tmp_path / "s.json"))
+        modules, facts = _cli("trace", *argv)
         assert facts["exit"] == 0
         assert _under(
             modules, "repro.sim.engine", "repro.net", "repro.harness.runner",
@@ -148,7 +157,7 @@ class TestCliDispatch:
         assert facts["exit"] == 0
         # the run path stays clear of the tooling it does not use
         assert _under(modules, "repro.harness.sweep") == []
-        for argv in (("trace", str(trace)), ("timeline", str(spans))):
+        for argv in (("trace", str(trace)), ("trace", str(spans))):
             modules, facts = _cli(*argv)
             assert facts["exit"] == 0
             assert _under(modules, "repro.sim.engine", "repro.net") == []

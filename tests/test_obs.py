@@ -1,4 +1,4 @@
-"""repro.obs: tracer ring buffer, metrics registry, profiling, summaries."""
+"""repro.obs: tracer ring buffer, the metrics dict, profiling, summaries."""
 
 import io
 import json
@@ -9,17 +9,12 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_port_breakdown
 from repro.harness.runner import run_experiment
 from repro.obs import (
-    NULL_TRACER,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
-    NullTracer,
     RunProfile,
     Tracer,
     format_trace_summary,
+    read_records,
     summarize_events,
-    summarize_trace_file,
 )
 from repro.sim.engine import Simulator
 from tests.helpers import data_pkt, make_port
@@ -50,7 +45,7 @@ class TestTracer:
         for t in range(5):
             tr.enqueue(t, "p0", 0, pkt)
         assert len(tr) == 3
-        assert tr.dropped_events == 2
+        assert tr.evicted == 2
         assert [d["t"] for d in tr.iter_dicts()] == [2, 3, 4]
 
     def test_export_jsonl_round_trips(self, tmp_path):
@@ -72,35 +67,11 @@ class TestTracer:
         buf = io.StringIO()
         assert tr.export_jsonl(buf) == 1
         tr.clear()
-        assert len(tr) == 0 and tr.dropped_events == 0
-
-    def test_null_tracer_records_nothing(self):
-        pkt = data_pkt()
-        NULL_TRACER.enqueue(1, "p0", 0, pkt)
-        NULL_TRACER.dequeue(1, "p0", 0, pkt, 0)
-        NULL_TRACER.mark(1, "p0", 0, pkt, "enq")
-        NULL_TRACER.drop(1, "p0", 0, pkt, "buffer")
-        NULL_TRACER.cwnd(1, 1, 1.0, "ecn")
-        NULL_TRACER.alpha(1, 1, 0.5)
-        NULL_TRACER.rate(1, 1, 1e9)
-        assert len(NULL_TRACER) == 0
-        assert not NullTracer().enabled and Tracer().enabled
+        assert len(tr) == 0 and tr.evicted == 0
 
 
 class TestRegistry:
-    def test_counter_monotonic(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.snapshot() == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_sets(self):
-        g = Gauge("x")
-        g.set(7)
-        g.set(3)
-        assert g.snapshot() == 3
+    """The metrics dict: histogram snapshots in a sorted plain dict."""
 
     def test_histogram_exact_aggregates(self):
         h = Histogram("x")
@@ -126,23 +97,18 @@ class TestRegistry:
         with pytest.raises(ValueError):
             h.record(-1)
 
-    def test_get_or_create_and_type_collision(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        with pytest.raises(ValueError):
-            reg.gauge("a")
-        assert "a" in reg and len(reg) == 1
-
     def test_snapshot_is_plain_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("b.n").inc(2)
-        reg.gauge("a.g").set(1.5)
-        reg.histogram("c.h").record(8)
-        snap = reg.snapshot()
-        assert list(snap) == ["a.g", "b.n", "c.h"]
-        assert snap["b.n"] == 2 and snap["a.g"] == 1.5
-        assert snap["c.h"]["count"] == 1 and snap["c.h"]["buckets"] == {"4": 1}
-        json.dumps(snap)  # JSON-serialisable as-is
+        h = Histogram("c.h")
+        h.record(8)
+        assert h.snapshot()["count"] == 1
+        assert h.snapshot()["buckets"] == {"4": 1}
+        metrics = run_experiment(ExperimentConfig(n_flows=4, seed=1)).metrics
+        assert list(metrics) == sorted(metrics)
+        assert all(
+            isinstance(v, int) for k, v in metrics.items() if k.startswith("port.")
+        )
+        assert metrics["fct_ns"]["type"] == "histogram"
+        json.dumps(metrics)  # JSON-serialisable as-is
 
 
 class TestPortTracing:
@@ -273,7 +239,9 @@ class TestSummaries:
         path = str(tmp_path / "t.jsonl")
         tr.export_jsonl(path)
         live = summarize_events(tr.iter_dicts())
-        from_file = summarize_trace_file(path)
+        kind, records = read_records(path)
+        assert kind == "event"
+        from_file = summarize_events(records)
         assert format_trace_summary(live) == format_trace_summary(from_file)
 
     def test_format_mentions_percentiles(self):
@@ -320,19 +288,3 @@ class TestRunMetrics:
 
     def test_port_breakdown_empty(self):
         assert "no port traffic" in format_port_breakdown({})
-
-
-class TestRegisterMetricsHooks:
-    def test_custom_aqm_hook_called(self):
-        from repro.aqm.base import Aqm
-
-        class CountingAqm(Aqm):
-            def register_metrics(self, registry, port):
-                registry.gauge(f"aqm.{port.name}.custom").set(42)
-
-        sim = Simulator()
-        port = make_port(sim, aqm=CountingAqm())
-        reg = MetricsRegistry()
-        port.aqm.register_metrics(reg, port)
-        port.scheduler.register_metrics(reg, port)  # default: no-op
-        assert reg.snapshot() == {"aqm.port.custom": 42}

@@ -106,18 +106,17 @@ def test_lazy_packages_export_exactly_their_table():
 
 def test_obs_surface_is_pinned():
     """``repro.obs`` exports exactly this list: removing a name (as the
-    partitioned engine's stall attribution and round-phase list were
-    removed) is a deliberate public-API change made here too."""
+    metrics registry, the null tracer and the RSS sampler were removed)
+    is a deliberate public-API change made here too."""
     import repro.obs
 
     assert sorted(repro.obs.__all__) == [
-        "Counter", "DEFAULT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "Gauge",
-        "Histogram", "MetricsRegistry", "NULL_TRACER", "NullTracer",
-        "QueueSummary", "RssSampler", "RunProfile", "SpanRecorder",
-        "TraceSummary", "Tracer", "chrome_trace", "current_rss_bytes",
-        "format_span_summary", "format_trace_summary", "load_spans_jsonl",
-        "summarize_events", "summarize_trace_file", "trace_events_to_chrome",
-        "write_chrome",
+        "DEFAULT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "Histogram",
+        "QueueSummary", "RunProfile", "SpanRecorder", "TraceSummary",
+        "Tracer", "chrome_trace", "current_rss_bytes", "format_span_summary",
+        "format_trace_summary", "read_jsonl", "read_records",
+        "summarize_events", "trace_events_to_chrome", "write_chrome",
+        "write_jsonl",
     ]
 
 

@@ -17,17 +17,16 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.report import hottest_ports, render_run_report
 from repro.harness.runner import run_experiment
 from repro.harness.sweep import ResultCache, run_sweep
-from repro.obs import RssSampler, SpanRecorder, current_rss_bytes
-from repro.obs.spans import (
-    DEFAULT_SPAN_CAPACITY,
-    NONDETERMINISTIC_ARGS,
+from repro.obs import (
+    SpanRecorder,
     chrome_trace,
+    current_rss_bytes,
     format_span_summary,
-    load_spans_jsonl,
+    read_jsonl,
     trace_events_to_chrome,
     write_chrome,
-    write_chrome_doc,
 )
+from repro.obs.spans import DEFAULT_SPAN_CAPACITY, NONDETERMINISTIC_ARGS
 
 _SERIAL = dict(
     scheme="tcn", scheduler="dwrr", workload="cache",
@@ -53,7 +52,7 @@ class TestSpanRecorder:
         rec = SpanRecorder()
         with rec.span("engine", "chunk", tid="sim") as s:
             s.args["filled"] = "inside"
-        (record,) = rec.spans
+        (record,) = rec.records
         assert record[5] >= 0  # dur_ns
         assert record[6] == {"filled": "inside"}
 
@@ -62,27 +61,16 @@ class TestSpanRecorder:
         for i in range(5):
             rec.add("c", "n", i, 1)
         assert len(rec) == 3
-        assert rec.dropped_spans == 2
+        assert rec.evicted == 2
         # the newest window survives
-        assert [r[4] for r in rec.spans] == [2, 3, 4]
-
-    def test_adopt_carries_drop_counts(self):
-        src = SpanRecorder(capacity=2, pid="sweep")
-        for i in range(4):
-            src.add("sweep", "job", i, 1)
-        dst = SpanRecorder(pid="run")
-        dst.adopt(src.spans, src.dropped_spans)
-        assert len(dst) == 2
-        assert dst.dropped_spans == 2
-        # shipped records keep their original pid label
-        assert all(r[0] == "sweep" for r in dst.spans)
+        assert [r[4] for r in rec.records] == [2, 3, 4]
 
     def test_clear_resets_everything(self):
         rec = SpanRecorder(capacity=1)
         rec.add("c", "n", 0, 1)
         rec.add("c", "n", 1, 1)
         rec.clear()
-        assert len(rec) == 0 and rec.dropped_spans == 0
+        assert len(rec) == 0 and rec.evicted == 0
 
     def test_default_capacity_is_bounded(self):
         assert SpanRecorder().capacity == DEFAULT_SPAN_CAPACITY
@@ -101,7 +89,7 @@ class TestExports:
         rec = self._recorder()
         path = str(tmp_path / "spans.jsonl")
         assert rec.export_jsonl(path) == 2
-        back = load_spans_jsonl(path)
+        back = read_jsonl(path)
         assert back == list(rec.iter_dicts())
 
     def test_deterministic_export_zeroes_wall_and_strips_host_args(
@@ -110,11 +98,11 @@ class TestExports:
         rec = self._recorder()
         path = str(tmp_path / "det.jsonl")
         rec.export_jsonl(path, deterministic=True)
-        for d in load_spans_jsonl(path):
+        for d in read_jsonl(path):
             assert d["t0_ns"] == 0 and d["dur_ns"] == 0
             assert not set(d["args"]) & NONDETERMINISTIC_ARGS
         # deterministic args survive
-        assert load_spans_jsonl(path)[0]["args"]["events"] == 7
+        assert read_jsonl(path)[0]["args"]["events"] == 7
 
     def test_chrome_trace_shape(self):
         doc = chrome_trace(self._recorder().iter_dicts())
@@ -130,7 +118,8 @@ class TestExports:
 
     def test_write_chrome_returns_slice_count(self, tmp_path):
         path = str(tmp_path / "trace.json")
-        assert write_chrome(list(self._recorder().iter_dicts()), path) == 2
+        doc = chrome_trace(self._recorder().iter_dicts())
+        assert write_chrome(doc, path) == 2
         doc = json.load(open(path))
         assert isinstance(doc["traceEvents"], list)
 
@@ -166,19 +155,13 @@ class TestTraceEventsToChrome:
         assert counter["args"] == {"cwnd": 12.0}
         # the writer reports non-metadata events
         path = str(tmp_path / "pkt.json")
-        assert write_chrome_doc(doc, path) == 5
+        assert write_chrome(doc, path) == 5
         json.load(open(path))  # well-formed
 
 
 class TestRssSampling:
     def test_current_rss_is_positive_on_linux(self):
         assert current_rss_bytes() > 0
-
-    def test_sampler_tracks_high_water(self):
-        sampler = RssSampler()
-        sampler.sample()
-        assert sampler.samples == 1
-        assert sampler.hwm_bytes >= sampler.last_bytes > 0
 
 
 class TestSerialSpans:
@@ -187,7 +170,7 @@ class TestSerialSpans:
         result = run_experiment(
             ExperimentConfig(**_SERIAL), spans=spans
         )
-        chunks = [r for r in spans.spans if r[2] == "engine"]
+        chunks = [r for r in spans.records if r[2] == "engine"]
         assert chunks, "serial run recorded no chunk spans"
         args = chunks[0][6]
         assert args["gc_paused"] is True
@@ -230,11 +213,11 @@ class TestSweepSpans:
             self._configs(), processes=2, cache=cache, spans=spans
         )
         assert outcome.ok
-        jobs = [r for r in spans.spans if r[3] == "job"]
+        jobs = [r for r in spans.records if r[3] == "job"]
         assert [r[6]["idx"] for r in jobs] == [0, 1]
         assert all(r[6]["status"] == "ok" for r in jobs)
         assert all(r[6]["worker_pid"] > 0 for r in jobs)
-        (sweep_span,) = [r for r in spans.spans if r[3] == "sweep"]
+        (sweep_span,) = [r for r in spans.records if r[3] == "sweep"]
         assert sweep_span[6]["configs"] == 2
 
     def test_cache_hits_record_zero_duration_cached_jobs(self, tmp_path):
@@ -242,7 +225,7 @@ class TestSweepSpans:
         run_sweep(self._configs(), processes=0, cache=cache)
         spans = SpanRecorder(pid="sweep")
         run_sweep(self._configs(), processes=0, cache=cache, spans=spans)
-        jobs = [r for r in spans.spans if r[3] == "job"]
+        jobs = [r for r in spans.records if r[3] == "job"]
         assert len(jobs) == 2
         assert all(r[6]["status"] == "cached" for r in jobs)
         assert all(r[5] == 0 for r in jobs)  # dur_ns
@@ -257,7 +240,7 @@ class TestSweepSpans:
         spans = SpanRecorder(pid="sweep")
         outcome = run_sweep(self._configs()[:1], processes=0, spans=spans)
         assert not outcome.ok
-        (job,) = [r for r in spans.spans if r[3] == "job"]
+        (job,) = [r for r in spans.records if r[3] == "job"]
         assert job[6]["status"] == "exception"
 
 
@@ -310,28 +293,27 @@ class TestCliIntegration:
         from repro.__main__ import main
 
         spans_path = str(tmp_path / "spans.jsonl")
-        chrome_path = str(tmp_path / "spans.json")
         rc = main([
             "run", "--flows", "10", "--load", "0.5", "--seed", "2",
-            "--workload", "cache",
-            "--spans", spans_path, "--spans-chrome", chrome_path,
+            "--workload", "cache", "--spans", spans_path,
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert f"spans to {spans_path}" in out
-        json.load(open(chrome_path))  # Perfetto-loadable JSON
 
-        rc = main(["timeline", spans_path,
+        # `trace` detects a span file and prints the timeline digest
+        rc = main(["trace", spans_path,
                    "--chrome", str(tmp_path / "tl.json")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "engine" in out and "chunk" in out
-        json.load(open(str(tmp_path / "tl.json")))
+        doc = json.load(open(str(tmp_path / "tl.json")))  # Perfetto-loadable
+        assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
     def test_timeline_missing_file(self, capsys):
         from repro.__main__ import main
 
-        assert main(["timeline", "/nonexistent/spans.jsonl"]) == 2
+        assert main(["trace", "/nonexistent/spans.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_timeline_malformed_file(self, tmp_path, capsys):
@@ -339,7 +321,7 @@ class TestCliIntegration:
 
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"bad json\n')
-        assert main(["timeline", str(bad)]) == 2
+        assert main(["trace", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err
 
@@ -348,7 +330,7 @@ class TestCliIntegration:
 
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["timeline", str(empty), "--chrome", "/nonexistent/x.json"]) == 2
+        assert main(["trace", str(empty), "--chrome", "/nonexistent/x.json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_trace_chrome_conversion(self, tmp_path, capsys):
@@ -362,8 +344,7 @@ class TestCliIntegration:
         assert rc == 0
         capsys.readouterr()
         out_path = str(tmp_path / "run.chrome.json")
-        rc = main(["trace", trace_path, "--format", "chrome",
-                   "--out", out_path])
+        rc = main(["trace", trace_path, "--chrome", out_path])
         assert rc == 0
         assert "Chrome trace events" in capsys.readouterr().out
         doc = json.load(open(out_path))
@@ -374,8 +355,8 @@ class TestCliIntegration:
 
         out_path = str(tmp_path / "report.md")
         rc = main([
-            "report", "--flows", "10", "--load", "0.5", "--seed", "2",
-            "--workload", "cache", "--out", out_path,
+            "run", "--flows", "10", "--load", "0.5", "--seed", "2",
+            "--workload", "cache", "--report", out_path,
         ])
         assert rc == 0
         assert "run report" in capsys.readouterr().out
@@ -388,8 +369,8 @@ class TestCliIntegration:
 
         out_path = str(tmp_path / "report.html")
         rc = main([
-            "report", "--flows", "10", "--load", "0.5", "--seed", "2",
-            "--workload", "cache", "--out", out_path,
+            "run", "--flows", "10", "--load", "0.5", "--seed", "2",
+            "--workload", "cache", "--report", out_path,
         ])
         assert rc == 0
         capsys.readouterr()
@@ -406,7 +387,7 @@ class TestCliIntegration:
         ])
         assert rc == 0
         assert "sweep spans" in capsys.readouterr().out
-        records = load_spans_jsonl(spans_path)
+        records = read_jsonl(spans_path)
         assert sum(1 for r in records if r["name"] == "job") == 2
 
 

@@ -97,9 +97,9 @@ class TestTracingIsPureObservation:
 
     def test_trace_marks_equal_result_marks(self, pair):
         traced, _, tracer = pair
-        marks = sum(1 for ev in tracer.events if ev[0] == "mark")
+        marks = sum(1 for ev in tracer.records if ev[0] == "mark")
         assert marks == traced.marks
-        drops = sum(1 for ev in tracer.events if ev[0] == "drop")
+        drops = sum(1 for ev in tracer.records if ev[0] == "drop")
         assert drops == traced.drops
 
     def test_deterministic_profile_fields(self, pair):
@@ -185,7 +185,7 @@ def _reference_digests():
             [(f.id, f.fct_ns, f.completed) for f in result.flows]
         ).encode()
     ).hexdigest()
-    lines = sorted(json.dumps(list(e)) for e in tracer.events)
+    lines = sorted(json.dumps(list(e)) for e in tracer.records)
     trace = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return fct, trace
 
