@@ -51,11 +51,12 @@ def test_fig07(benchmark):
 
 
 def test_fig07_mqecn_cannot_run_on_wfq():
-    """The structural point of the figure: MQ-ECN is not even definable."""
+    """The structural point of the figure: MQ-ECN is not even definable,
+    so the config is refused before anything is built."""
     from repro.harness.config import ExperimentConfig
     from repro.harness.runner import run_experiment
 
-    with pytest.raises(TypeError, match="round-robin"):
+    with pytest.raises(ValueError, match="round-robin"):
         run_experiment(
             ExperimentConfig(
                 scheme="mqecn", scheduler="wfq", n_flows=5, load=0.5

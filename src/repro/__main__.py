@@ -482,6 +482,11 @@ def main(argv=None) -> int:
 
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     tracer = Tracer() if args.trace else None
     spans = SpanRecorder() if (args.spans or args.report) else None
     result = run_experiment(cfg, tracer=tracer, spans=spans)

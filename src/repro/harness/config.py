@@ -17,7 +17,14 @@ from repro.core.thresholds import (
     standard_red_threshold_bytes,
     standard_tcn_threshold_ns,
 )
-from repro.units import GBPS, KB, MSEC, USEC
+from repro.units import GBPS, HEADER, KB, MSEC, MSS, USEC
+from repro.workloads.distributions import workload_by_name
+
+#: schemes that are only defined on round-robin schedulers
+ROUND_ROBIN_ONLY = {"mqecn"}
+
+#: schedulers that expose rounds
+ROUND_ROBIN_SCHEDULERS = {"wrr", "dwrr", "sp_dwrr"}
 
 
 @dataclass
@@ -113,6 +120,30 @@ class ExperimentConfig:
             raise ValueError(f"load must be in (0,1), got {self.load}")
         if self.n_flows < 1:
             raise ValueError(f"n_flows must be >= 1, got {self.n_flows}")
+        if self.n_queues < 1:
+            raise ValueError(f"n_queues must be >= 1, got {self.n_queues}")
+        if self.buffer_bytes < MSS + HEADER:
+            raise ValueError(
+                f"buffer_bytes must hold one full frame ({MSS + HEADER} B), "
+                f"got {self.buffer_bytes}"
+            )
+        if self.workload == "mixed":
+            if self.topology != "leafspine":
+                raise ValueError("workload 'mixed' needs the leafspine topology")
+        else:
+            try:
+                workload_by_name(self.workload)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
+        if (
+            self.scheme in ROUND_ROBIN_ONLY
+            and self.scheduler not in ROUND_ROBIN_SCHEDULERS
+        ):
+            raise ValueError(
+                f"scheme {self.scheme!r} needs a round-robin scheduler "
+                f"({', '.join(sorted(ROUND_ROBIN_SCHEDULERS))}), "
+                f"got {self.scheduler!r}"
+            )
         if self.scheduler.startswith("sp_") and not 0 < self.n_high < self.n_queues:
             raise ValueError(
                 f"sp_* schedulers need 0 < n_high < n_queues "

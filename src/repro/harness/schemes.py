@@ -153,9 +153,3 @@ TRANSPORTS = {
     "ecnstar": EcnStarSender,
     "reno": RenoSender,
 }
-
-#: schemes that are only defined on round-robin schedulers
-ROUND_ROBIN_ONLY = {"mqecn"}
-
-#: schedulers that expose rounds
-ROUND_ROBIN_SCHEDULERS = {"wrr", "dwrr", "sp_dwrr"}

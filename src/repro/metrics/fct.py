@@ -32,7 +32,11 @@ def percentile(values: List[int], p: float) -> float:
 
 
 class FctSummary:
-    """The paper's four headline numbers (ns), plus counts."""
+    """The paper's four headline numbers (ns), plus counts.
+
+    A run that completed no flow has ``n_flows == 0`` and every average
+    ``None``.
+    """
 
     __slots__ = (
         "n_flows",
@@ -49,7 +53,7 @@ class FctSummary:
     def __init__(
         self,
         n_flows: int,
-        avg_all_ns: float,
+        avg_all_ns: Optional[float],
         avg_small_ns: Optional[float],
         p99_small_ns: Optional[float],
         avg_medium_ns: Optional[float],
@@ -69,11 +73,12 @@ class FctSummary:
         self.n_large = n_large
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        us = 1000.0
-        small = f"{self.avg_small_ns / us:.0f}" if self.avg_small_ns else "-"
+        def us(value_ns: Optional[float]) -> str:
+            return "-" if value_ns is None else f"{value_ns / 1000.0:.0f}"
+
         return (
-            f"<FctSummary n={self.n_flows} avg={self.avg_all_ns / us:.0f}us "
-            f"small_avg={small}us>"
+            f"<FctSummary n={self.n_flows} avg={us(self.avg_all_ns)}us "
+            f"small_avg={us(self.avg_small_ns)}us>"
         )
 
 
@@ -95,9 +100,11 @@ class FctCollector:
         small_max: int = SMALL_MAX_BYTES,
         large_min: int = LARGE_MIN_BYTES,
     ) -> FctSummary:
-        """Compute the paper's FCT statistics over completed flows."""
-        if not self.flows:
-            raise ValueError("no completed flows to summarize")
+        """Compute the paper's FCT statistics over completed flows.
+
+        With no completed flow every average is ``None``: a run cut short
+        by ``max_sim_ns`` still reports what it did.
+        """
         all_fcts = [f.fct_ns for f in self.flows]
         small = [f.fct_ns for f in self.flows if f.size_bytes <= small_max]
         large = [f.fct_ns for f in self.flows if f.size_bytes > large_min]
@@ -108,7 +115,7 @@ class FctCollector:
         ]
         return FctSummary(
             n_flows=len(all_fcts),
-            avg_all_ns=_mean(all_fcts),
+            avg_all_ns=_mean(all_fcts) if all_fcts else None,
             avg_small_ns=_mean(small) if small else None,
             p99_small_ns=percentile(small, 99.0) if small else None,
             avg_medium_ns=_mean(medium) if medium else None,

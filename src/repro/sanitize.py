@@ -17,6 +17,9 @@ may touch the heap and the freelist; this checks how they are used):
   drop-in twins of ``heapq.heappush``/``heappop``, check every heap
   transition: no push behind the clock, no duplicate live ``seq``,
   ``(time, seq)`` pop order, and no pop behind the clock.
+  :meth:`Sanitizer.compact` wraps the engine's tombstone compaction
+  (:func:`repro.sim.engine.compact_heap`): it removes only cancelled
+  entries, keeps none of them, and leaves a valid heap.
 
 Everything is **zero overhead when off**: the engine binds the checked
 primitives in place of ``heapq``'s only when sanitizing, and the
@@ -37,6 +40,8 @@ from __future__ import annotations
 import heapq
 import os
 from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Set, Tuple
+
+from repro.sim.engine import compact_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanRecorder
@@ -78,8 +83,9 @@ class Sanitizer:
     """Violation collector, checked heap primitives, freelist poisoning.
 
     One instance per sanitizing :class:`~repro.sim.engine.Simulator`;
-    the engine binds :meth:`push`/:meth:`pop` as its heap primitives and
-    (via :meth:`attach_freelist`) installs the packet freelist hooks.
+    the engine binds :meth:`push`/:meth:`pop`/:meth:`compact` as its heap
+    primitives and (via :meth:`attach_freelist`) installs the packet
+    freelist hooks.
     """
 
     __slots__ = (
@@ -178,6 +184,41 @@ class Sanitizer:
         self._bar = (t, s)
         self._live.discard(s)
         return entry
+
+    def compact(self, heap: List[Any], cancelled: Set[int]) -> None:
+        """Checked :func:`~repro.sim.engine.compact_heap`: every entry it
+        removes was cancelled, no cancelled entry survives (it would fire
+        once the side set is cleared), and the result is a heap.  The
+        removed seqs leave the live set, which would otherwise keep every
+        compacted tombstone for the rest of the run."""
+        tombstones = set(cancelled)
+        compact_heap(heap, cancelled)
+        kept = {entry[1] for entry in heap}
+        removed = self._live - kept
+        uncancelled = removed - tombstones
+        if uncancelled:
+            self.record(
+                "compact-removed-live",
+                f"compaction removed {len(uncancelled)} entries that were "
+                f"never cancelled (seqs {sorted(uncancelled)[:5]})",
+            )
+        resurrected = kept & tombstones
+        if resurrected:
+            self.record(
+                "compact-kept-tombstone",
+                f"compaction kept {len(resurrected)} cancelled entries, "
+                f"which will now fire (seqs {sorted(resurrected)[:5]})",
+            )
+        for i in range(1, len(heap)):
+            parent = heap[(i - 1) >> 1]
+            if (parent[0], parent[1]) > (heap[i][0], heap[i][1]):
+                self.record(
+                    "compact-not-heap",
+                    f"entry (t={heap[i][0]}, seq={heap[i][1]}) sits below "
+                    f"its parent (t={parent[0]}, seq={parent[1]})",
+                )
+                break
+        self._live -= removed
 
     # -- freelist protocol ------------------------------------------------
 

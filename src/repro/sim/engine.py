@@ -13,12 +13,21 @@ Cancellation is handle-based and lazy: ``schedule`` returns the pushed
 tuple as an opaque handle, :meth:`Simulator.cancel` records its sequence
 number in a side set, and the run loop drops the entry (and the set
 member) when it surfaces.  The common case — no cancellation outstanding
-— costs one truthiness check per event.
+— costs one truthiness check per event.  Tombstones that sit far in the
+future would otherwise pile up, so ``cancel`` also compacts: once the
+heap holds more than ``_COMPACT_MIN_ENTRIES`` entries and more than half
+of them are cancelled, it rebuilds the heap without them in one pass
+(:func:`compact_heap`, the rule CPython's asyncio loop applies to its
+timer heap).  Each rebuild is paid for by the cancels since the last one,
+so a cancel stays amortised O(1), and after any cancel at most half of a
+heap over ``_COMPACT_MIN_ENTRIES`` entries is tombstones.  Compaction
+never changes which entries are live, so dispatch order is unaffected.
 
 The runtime sanitizer (:mod:`repro.sanitize`) arms by handing the engine
-checked push/pop functions with ``heapq.heappush``/``heappop``'s
-signatures; they are bound into the same closures and the same loop once,
-at construction, so an unarmed engine carries no sanitizer code at all.
+checked push/pop/compact functions with the signatures of
+``heapq.heappush``/``heappop`` and :func:`compact_heap`; they are bound
+into the same closures and the same loop once, at construction, so an
+unarmed engine carries no sanitizer code at all.
 
 Design notes
 ------------
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import gc
 import os
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
 
 #: The opaque handle returned by ``schedule``/``schedule_at``/``schedule_call``
@@ -47,6 +56,28 @@ EventHandle = Tuple[Any, ...]
 #: (~292 years of simulated nanoseconds), while keeping the per-event stop
 #: comparisons int-vs-int
 _NEVER = 2**63 - 1
+
+#: ``cancel`` compacts the heap once it holds more than
+#: ``_COMPACT_MIN_ENTRIES`` entries and more than
+#: ``1 / _COMPACT_CANCELLED_INVERSE`` of them are cancelled: asyncio's
+#: ``_MIN_SCHEDULED_TIMER_HANDLES = 100`` and
+#: ``_MIN_CANCELLED_TIMER_HANDLES_FRACTION = 0.5``, the fraction stored as
+#: its inverse so the per-cancel test stays in integers
+_COMPACT_MIN_ENTRIES = 100
+_COMPACT_CANCELLED_INVERSE = 2
+
+
+def compact_heap(heap: List[EventHandle], cancelled: Set[int]) -> None:
+    """Drop every cancelled entry from ``heap`` and clear ``cancelled``.
+
+    Both are mutated in place: the run loop holds local references to
+    them, and a callback may cancel (and so compact) mid-run.  Seqs in
+    ``cancelled`` with no entry in the heap go too; they belong to
+    events that already left it.
+    """
+    heap[:] = [entry for entry in heap if entry[1] not in cancelled]
+    heapify(heap)
+    cancelled.clear()
 
 
 class Simulator:
@@ -75,6 +106,7 @@ class Simulator:
         "_heap",
         "_push",
         "_pop",
+        "_compact",
         "_seq",
         "_cancelled",
         "events_executed",
@@ -87,7 +119,8 @@ class Simulator:
         self._seq: int = 0
         #: the future-event list: a heapq-ordered list of entry tuples
         self._heap: List[EventHandle] = []
-        #: seqs of entries cancelled but still in the heap (lazy deletion)
+        #: seqs of cancelled entries still in the heap (lazy deletion),
+        #: plus any stale ones ``cancel`` documents; emptied by compaction
         self._cancelled: Set[int] = set()
         #: lifetime count of executed (non-cancelled) events — profiling
         self.events_executed: int = 0
@@ -98,18 +131,19 @@ class Simulator:
         # the sanitizer; unset/"0" means off.
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-        push, pop = heappush, heappop
+        push, pop, compact = heappush, heappop, compact_heap
         self._san = None
         if sanitize:
             from repro.sanitize import Sanitizer
 
             san = Sanitizer(sim=self)
             san.attach_freelist()
-            push, pop = san.push, san.pop
+            push, pop, compact = san.push, san.pop, san.compact
             self._san = san
-        #: the heap primitives every push and pop goes through
+        #: the heap primitives every push, pop and compaction goes through
         self._push: Callable[[List[EventHandle], EventHandle], None] = push
         self._pop: Callable[[List[EventHandle]], EventHandle] = pop
+        self._compact: Callable[[List[EventHandle], Set[int]], None] = compact
         self._bind_hot_paths()
 
     def _bind_hot_paths(self) -> None:
@@ -122,7 +156,11 @@ class Simulator:
         sim = self
         heap = self._heap
         push = self._push
-        cancelled_add = self._cancelled.add
+        compact = self._compact
+        cancelled = self._cancelled
+        cancelled_add = cancelled.add
+        min_entries = _COMPACT_MIN_ENTRIES
+        inverse = _COMPACT_CANCELLED_INVERSE
 
         def schedule(delay_ns: int, fn: Callable[[], None]) -> EventHandle:
             """Schedule ``fn`` to run ``delay_ns`` nanoseconds from now.
@@ -186,13 +224,24 @@ class Simulator:
                 sim.heap_hwm = n
 
         def cancel(handle: EventHandle) -> None:
-            """Cancel a scheduled event (lazily: the loop skips it later).
+            """Cancel a scheduled event.
 
-            Cancelling an event that has already fired is a harmless
-            no-op in practice — the stale sequence number simply sits in
-            the side set — but callers should not rely on that.
+            Lazy: the entry stays in the heap as a tombstone that the
+            loop skips when it surfaces, unless this cancel tips the heap
+            over the compaction threshold (see the module docstring), in
+            which case every tombstone goes at once.  A handle whose time
+            is behind the clock has already fired — nothing behind the
+            clock can still be queued — so cancelling it is a no-op.  One
+            that fired at the current instant, or a second cancel of the
+            same handle, leaves a stale seq in the side set until the
+            next compaction; that costs a little speed, never
+            correctness.
             """
+            if handle[0] < sim.now:
+                return
             cancelled_add(handle[1])
+            if inverse * len(cancelled) > len(heap) > min_entries:
+                compact(heap, cancelled)
 
         self.schedule = schedule
         self.schedule_call = schedule_call
@@ -353,8 +402,8 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle.
 
-        Compacts cancelled entries off the heap head as a side effect
-        (the lazy-deletion mechanic); the answer is unaffected, and the
+        Pops cancelled entries off the heap head as a side effect (the
+        lazy-deletion mechanic); the answer is unaffected, and the
         high-water mark can only have been set at push time, so profiling
         counters are not perturbed.
         """
@@ -371,11 +420,12 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still scheduled.
 
-        Purely a read: unlike :meth:`peek_time`, this never compacts the
+        Purely a read: unlike :meth:`peek_time`, this never touches the
         heap, so profiling or debugging reads cannot perturb engine
-        state.  Lazily-cancelled events linger until popped and are
-        excluded from the count.  O(n) in heap size; for a boolean check
-        prefer :attr:`idle`.
+        state.  Lazily-cancelled events linger until popped or compacted
+        and are excluded from the count.  O(n) in heap size while any
+        cancellation is outstanding; for a boolean check prefer
+        :attr:`idle`.
         """
         cancelled = self._cancelled
         if not cancelled:

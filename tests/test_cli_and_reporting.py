@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,42 @@ class TestCli:
         out = capsys.readouterr().out
         assert "completed 10/10" in out
         assert "profile:" in out and "ev/s" in out
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--buffer-kb", "1", "--flows", "3"], "one full frame"),
+        (["--queues", "0"], "n_queues must be >= 1"),
+        (["--workload", "nonsense"], "unknown workload 'nonsense'"),
+        (["--workload", "mixed"], "needs the leafspine topology"),
+        (["--scheme", "mqecn", "--scheduler", "wfq"], "round-robin scheduler"),
+    ], ids=["tiny-buffer", "no-queues", "unknown-workload", "mixed-on-star",
+            "mqecn-on-wfq"])
+    def test_run_rejects_configs_the_build_would_crash_on(
+        self, argv, why, capsys
+    ):
+        from repro.__main__ import main
+
+        assert main(["run"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and why in err
+
+    def test_run_that_completes_nothing_still_reports(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A deadline that cuts every flow short is a partial result, not
+        a crash: the summary line and the report say 0/N."""
+        from repro.__main__ import main
+        from repro.harness import runner
+
+        real = runner.run_experiment
+        monkeypatch.setattr(
+            runner, "run_experiment",
+            lambda cfg, **kw: real(replace(cfg, max_sim_ns=1000), **kw),
+        )
+        report = tmp_path / "report.md"
+        assert main(["run", "--flows", "5", "--report", str(report)]) == 1
+        assert "completed 0/5 flows" in capsys.readouterr().out
+        assert "0/5" in report.read_text()
 
     def test_run_with_trace_then_trace_subcommand(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -159,6 +196,14 @@ class TestPooledResult:
 
 
 class TestReportEdgeCases:
+    def test_run_that_completes_nothing_summarizes_to_none(self):
+        res = run_experiment(ExperimentConfig(n_flows=5, max_sim_ns=1000))
+        assert (res.completed, res.total, res.all_completed) == (0, 5, False)
+        assert res.summary.n_flows == 0 and res.summary.avg_all_ns is None
+        row = [l for l in format_fct_rows({"tcn": res}).splitlines()
+               if l.startswith("tcn")][0]
+        assert row.split()[1:5] == ["-", "-", "-", "-"]
+
     def test_fct_rows_without_tcn_baseline(self):
         res = run_experiment(ExperimentConfig(
             scheme="red_std", scheduler="dwrr", workload="cache",

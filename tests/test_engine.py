@@ -152,6 +152,41 @@ class TestCancellation:
         assert sim.events_executed == 1
         assert keep  # the handle itself is a plain truthy tuple
 
+    def test_cancel_after_fire_leaves_no_tombstone(self):
+        """Regression: cancelling a handle that already fired used to park
+        its seq in the side set for the rest of the run, so every later
+        event paid the tombstone probe and ``pending`` its O(n) scan."""
+        sim = Simulator()
+        fired = sim.schedule(10, lambda: None)
+        sim.schedule(30, lambda: None)
+        sim.run(until=20)
+        sim.cancel(fired)
+        assert not sim._cancelled
+        assert sim.pending == 1 and sim.run() == 1
+
+    def test_cancel_compacts_once_most_of_the_heap_is_dead(self):
+        sim = Simulator()
+        fired = []
+        handles = [
+            sim.schedule_call(i + 1, fired.append, i) for i in range(200)
+        ]
+        for handle in handles[:100]:  # exactly half: not yet
+            sim.cancel(handle)
+        assert len(sim._heap) == 200 and len(sim._cancelled) == 100
+        sim.cancel(handles[100])  # more than half: one rebuild
+        assert len(sim._heap) == 99 and not sim._cancelled
+        assert sim.heap_hwm == 200
+        assert sim.run() == 99
+        assert fired == list(range(101, 200))
+
+    def test_small_heaps_never_compact(self):
+        sim = Simulator()
+        handles = [sim.schedule(i + 1, lambda: None) for i in range(100)]
+        for handle in handles[:99]:
+            sim.cancel(handle)
+        assert len(sim._heap) == 100 and len(sim._cancelled) == 99
+        assert sim.run() == 1
+
 
 class TestRunBounds:
     def test_until_stops_before_later_events(self):

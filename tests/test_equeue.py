@@ -14,6 +14,10 @@ paper's pinned experiments, hold for both:
    cancellation, the minimal correct event queue;
 3. end-to-end — both pinned golden configs land on the trace and FCT
    digests committed in test_trace_determinism.py.
+
+Between layers 2 and 3, a cancel-heavy re-entrant workload drives the
+heap across its compaction threshold repeatedly and must still dispatch
+exactly like the never-compacting reference.
 """
 
 import hashlib
@@ -179,16 +183,28 @@ class _RefSim:
     def cancel(self, handle):
         self._cancelled.add(handle[1])
 
-    def run(self, max_events):
+    def run(self, max_events=None, until=None):
+        """The engine's ``run`` contract: ``until`` is inclusive, and the
+        clock moves to it only when no live event remains at or before
+        it."""
+        budget = float("inf") if max_events is None else max_events
         executed = 0
-        while self._entries and executed < max_events:
-            entry = self._entries.pop(0)
+        while self._entries and executed < budget:
+            entry = self._entries[0]
             if entry[1] in self._cancelled:
+                self._entries.pop(0)
                 self._cancelled.discard(entry[1])
                 continue
+            if until is not None and entry[0] > until:
+                break
+            self._entries.pop(0)
             self.now = entry[0]
             entry[2](entry[3])
             executed += 1
+        if until is not None and self.now < until:
+            live = [e for e in self._entries if e[1] not in self._cancelled]
+            if not live or live[0][0] > until:
+                self.now = until
         self.events_executed += executed
         return executed
 
@@ -221,6 +237,102 @@ def test_reentrant_schedules_execute_identically_on_all_backends(seed):
     for backend in ALL:
         run = _run_reentrant(_make_sim(backend), seed)
         assert run == reference, f"{backend} diverged from the reference"
+
+
+# -- layer 2b: compaction under re-entrant cancellation ----------------------
+
+
+def _run_churn(sim, seed):
+    """Far-future timers cancelled faster than they fire, from callbacks
+    and between bounded ``run`` calls, so tombstones keep piling up past
+    the compaction threshold.  ``timers`` keeps handles that already
+    fired, so stale cancels are exercised too."""
+    rng = random.Random(seed)
+    log = []
+    timers = []
+
+    def arm(tag):
+        timers.append(sim.schedule_call(rng.randrange(0, 40_000), fire, tag))
+
+    def cancel_some(n):
+        for _ in range(n):
+            if timers:
+                sim.cancel(timers.pop(rng.randrange(len(timers))))
+
+    def fire(tag):
+        log.append((sim.now, tag))
+        for k in range(rng.randrange(0, 4)):
+            arm(tag * 4 + k)
+        cancel_some(rng.randrange(0, 4))
+
+    for tag in range(400):
+        arm(tag)
+    returns = []
+    for i in range(60):
+        if i % 2:
+            returns.append(sim.run(max_events=rng.randrange(0, 120)))
+        else:
+            returns.append(sim.run(until=sim.now + rng.randrange(0, 3_000)))
+        cancel_some(rng.randrange(0, 80))
+        for k in range(rng.randrange(0, 60)):
+            arm(10**6 + i * 100 + k)
+    returns.append(sim.run(max_events=20_000))
+    return log, returns, sim.now, sim.events_executed
+
+
+@pytest.mark.parametrize("seed", [3, 19])
+def test_compaction_dispatches_exactly_like_lazy_deletion(seed, monkeypatch):
+    import repro.sanitize
+    import repro.sim.engine
+
+    compactions = []
+    real = repro.sim.engine.compact_heap
+
+    def counting(heap, cancelled):
+        compactions.append(len(heap))
+        real(heap, cancelled)
+
+    monkeypatch.setattr(repro.sim.engine, "compact_heap", counting)
+    monkeypatch.setattr(repro.sanitize, "compact_heap", counting)
+    reference = _run_churn(_RefSim(), seed)
+    assert len(reference[0]) > 2000, "workload generated too few events"
+    for backend in ALL:
+        compactions.clear()
+        sim = _make_sim(backend)
+        assert _run_churn(sim, seed) == reference, f"{backend} diverged"
+        assert len(compactions) >= 3, "the workload never crossed the threshold"
+        assert sim.idle
+
+
+def test_timer_churn_heap_stays_within_twice_live():
+    """The ledger's timer_churn shape: cancel the oldest of 256 timers and
+    arm a replacement every 10 ns, each one 5-6 us out.  Lazy deletion
+    alone let tombstones reach 3x the live set; compaction holds the
+    heap to at most twice the live set plus the 100-entry floor."""
+    sim = Simulator()
+    rng = random.Random(1)
+    timers = [sim.schedule(5_000 + i, _never) for i in range(256)]
+    left = [20_000]
+
+    def drive():
+        left[0] -= 1
+        if left[0] == 0:
+            for handle in timers:
+                sim.cancel(handle)
+            return
+        sim.cancel(timers.pop(0))
+        timers.append(sim.schedule(5_000 + rng.randrange(1_000), _never))
+        sim.schedule(10, drive)
+
+    sim.schedule(0, drive)
+    assert sim.run() == 20_000
+    live = 256 + 1  # the timers and the next drive() step
+    assert sim.heap_hwm <= 2 * live + 100
+    assert sim.idle
+
+
+def _never():
+    raise AssertionError("every timer is cancelled before it fires")
 
 
 # -- layer 3: end-to-end golden digests --------------------------------------

@@ -74,9 +74,11 @@ class TestFctCollector:
         assert s.avg_small_ns is None and s.avg_large_ns is None
         assert s.avg_medium_ns == 5000
 
-    def test_empty_collector_raises(self):
-        with pytest.raises(ValueError):
-            FctCollector().summarize()
+    def test_empty_collector_summarizes_to_none(self):
+        s = FctCollector().summarize()
+        assert (s.n_flows, s.n_small, s.n_medium, s.n_large) == (0, 0, 0, 0)
+        assert s.avg_all_ns is None and s.avg_small_ns is None
+        assert s.p99_small_ns is None and s.avg_large_ns is None
 
     def test_normalized(self):
         c1, c2 = FctCollector(), FctCollector()

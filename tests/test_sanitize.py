@@ -7,7 +7,9 @@ Three properties are pinned here:
   to the unsanitized run;
 * **detection** — each invariant class (freelist double-release /
   direct-tampering, heap push-into-past / duplicate seq / pop order /
-  time regression) has a seeded violation the sanitizer catches;
+  time regression, compaction that removes a live entry, keeps a
+  tombstone or breaks the heap) has a seeded violation the sanitizer
+  catches;
 * **zero footprint when off** — an unsanitized engine runs on
   ``heapq``'s own push/pop and carries no freelist hook.
 
@@ -34,7 +36,7 @@ from repro.sanitize import (
     detach,
     env_enabled,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, compact_heap
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +213,58 @@ class TestEventQueueChecks:
         assert armed._san.violations == []
 
 
+class TestCompaction:
+    """The checked twin of the engine's tombstone compaction."""
+
+    def _compacting(self):
+        """An armed engine whose next cancel compacts: 120 entries, 60
+        already cancelled."""
+        sim = Simulator(sanitize=True)
+        sim._san.raise_on_violation = False
+        handles = [sim.schedule(i + 1, _noop) for i in range(120)]
+        for handle in handles[:60]:
+            sim.cancel(handle)
+        assert len(sim._heap) == 120
+        return sim, handles
+
+    def test_live_set_tracks_the_heap_through_compaction(self):
+        sim, handles = self._compacting()
+        sim.cancel(handles[60])
+        assert len(sim._heap) == 59 and not sim._cancelled
+        assert sim._san._live == {entry[1] for entry in sim._heap}
+        assert sim.run() == 59
+        assert sim._san._live == set() and sim._san.violations == []
+
+    def _broken(self, monkeypatch, step):
+        import repro.sanitize
+
+        real = repro.sanitize.compact_heap
+
+        def broken(heap, cancelled):
+            real(heap, cancelled)
+            step(heap)
+
+        monkeypatch.setattr(repro.sanitize, "compact_heap", broken)
+
+    def test_removing_a_live_entry_is_caught(self, monkeypatch):
+        self._broken(monkeypatch, lambda heap: heap.pop())
+        sim, handles = self._compacting()
+        sim.cancel(handles[60])
+        assert _kinds(sim) == ["compact-removed-live"]
+
+    def test_keeping_a_tombstone_is_caught(self, monkeypatch):
+        sim, handles = self._compacting()
+        self._broken(monkeypatch, lambda heap: heapq.heappush(heap, handles[0]))
+        sim.cancel(handles[60])
+        assert _kinds(sim) == ["compact-kept-tombstone"]
+
+    def test_a_result_that_is_not_a_heap_is_caught(self, monkeypatch):
+        self._broken(monkeypatch, lambda heap: heap.reverse())
+        sim, handles = self._compacting()
+        sim.cancel(handles[60])
+        assert _kinds(sim) == ["compact-not-heap"]
+
+
 class TestTransparency:
     CFG = dict(
         scheme="tcn", scheduler="dwrr", load=0.7, n_flows=40, seed=1,
@@ -246,11 +300,13 @@ class TestTransparency:
         sim = Simulator()
         assert sim._san is None
         assert sim._push is heapq.heappush and sim._pop is heapq.heappop
+        assert sim._compact is compact_heap
         assert packet._san is None
 
     def test_on_binds_the_checked_primitives(self):
         sim = Simulator(sanitize=True)
         assert sim._push == sim._san.push and sim._pop == sim._san.pop
+        assert sim._compact == sim._san.compact
         assert packet._san is sim._san
 
     def test_config_fingerprint_ignores_sanitize(self):
