@@ -15,8 +15,8 @@ from repro.aqm.perqueue import PerQueueRed
 from repro.apps.pinger import Pinger
 from repro.core.tcn import Tcn
 from repro.metrics.timeseries import GoodputTracker
+from repro.sched import SpWfqScheduler
 from repro.sched.base import make_queues
-from repro.sched.hybrid import SpWfqScheduler
 from repro.sim.engine import Simulator
 from repro.topo.star import StarTopology
 from repro.transport.dctcp import DctcpSender

@@ -22,7 +22,6 @@ from repro.harness.config import ExperimentConfig
 from repro.sched.base import Scheduler, make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.fifo import FifoScheduler
-from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
 from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.wfq import WfqScheduler
@@ -124,11 +123,11 @@ def _wfq(cfg: ExperimentConfig) -> Scheduler:
 
 
 def _sp_dwrr(cfg: ExperimentConfig) -> Scheduler:
-    return SpDwrrScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
+    return DwrrScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
 
 
 def _sp_wfq(cfg: ExperimentConfig) -> Scheduler:
-    return SpWfqScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
+    return WfqScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
 
 
 def _pifo(cfg: ExperimentConfig) -> Scheduler:

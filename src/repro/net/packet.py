@@ -237,73 +237,6 @@ def make_data(
     )
 
 
-def make_data_run(
-    flow_id: int,
-    src: int,
-    dst: int,
-    seq: int,
-    n: int,
-    payload: int,
-    ect: bool,
-    dscp: int,
-    ts: int,
-) -> List[Packet]:
-    """Build ``n`` data segments ``seq .. seq+n-1`` sharing one payload size.
-
-    The bulk-send fast path of ``SenderBase._send_window``: recycled
-    frames leave the freelist in a single slice instead of ``n`` pops,
-    and the shared field values are bound once for the whole run.  The
-    frames are reused newest-first, exactly the order ``n`` successive
-    :func:`make_data` calls would pop them, so the recycling pattern
-    (and the allocated/reused counters) are identical to the unbatched
-    path.
-    """
-    global _allocated, _reused
-    free = _free
-    k = len(free)
-    if k > n:
-        k = n
-    wire = payload + HEADER
-    if k:
-        _reused += k
-        run = free[-k:]
-        del free[-k:]
-        run.reverse()
-        if _san is not None:
-            for pkt in run:
-                _san.on_reuse(pkt)
-        s = seq
-        for pkt in run:
-            pkt.flow_id = flow_id
-            pkt.src = src
-            pkt.dst = dst
-            pkt.kind = _KIND_DATA
-            pkt.seq = s
-            pkt.payload = payload
-            pkt.wire_size = wire
-            pkt.ect = ect
-            pkt.ce = False
-            pkt.ece = False
-            pkt.dscp = dscp
-            pkt.ts = ts
-            pkt.ts_echo = 0
-            pkt.enq_ts = 0
-            pkt.is_retx = False
-            s += 1
-    else:
-        run = []
-    if k < n:
-        _allocated += n - k
-        for s in range(seq + k, seq + n):
-            run.append(
-                Packet(
-                    flow_id, src, dst, _KIND_DATA, seq=s, payload=payload,
-                    ect=ect, dscp=dscp, ts=ts,
-                )
-            )
-    return run
-
-
 def make_ack(
     data: Packet, ack: int, ece: bool, now: int, ect: bool = False,
 ) -> Packet:

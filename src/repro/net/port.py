@@ -86,7 +86,6 @@ class EgressPort:
         "occupancy_tracker",
         "tracer",
         "fluid",
-        "_qindex",
         "_fifo",
         "_tx_done_cb",
         "_classify",
@@ -151,10 +150,6 @@ class EgressPort:
         #: default, and the only value outside hybrid runs) keeps the
         #: ingress path to a single predicted-not-taken branch.
         self.fluid = None
-        # Stable queue-object -> global-index map for trace labels: hybrid
-        # schedulers rewrite queue.index to band-local values, so position
-        # in scheduler.queues is the only trustworthy global identity.
-        self._qindex = {id(q): i for i, q in enumerate(scheduler.queues)}
         # Single-queue FIFO bypass: host NICs (the most numerous ports)
         # run a plain FIFO, where the generic dequeue indirection buys
         # nothing — _transmit pops the queue directly instead.
@@ -303,7 +298,7 @@ class EgressPort:
             size = pkt.wire_size
         if self.tracer is not None:
             self.tracer.dequeue(
-                now, self.name, self._qindex[id(queue)], pkt, now - pkt.enq_ts
+                now, self.name, queue.index, pkt, now - pkt.enq_ts
             )
         aqm_deq = self._aqm_deq
         if aqm_deq is not None and aqm_deq(self, queue, pkt, now):
@@ -350,7 +345,7 @@ class EgressPort:
             self.stats.marked_pkts += 1
             if self.tracer is not None:
                 self.tracer.mark(
-                    self.sim.now, self.name, self._qindex[id(queue)], pkt, where
+                    self.sim.now, self.name, queue.index, pkt, where
                 )
 
     def _drop(self, pkt: Packet, qidx: int, cause: str = "buffer") -> None:

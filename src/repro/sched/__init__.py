@@ -1,4 +1,5 @@
-"""Packet schedulers: FIFO, SP, WRR, DWRR, WFQ, SP hybrids, and PIFO.
+"""Packet schedulers: FIFO, SP, WRR, DWRR, WFQ (each of the last two with
+an optional strict-priority band: SP/DWRR, SP/WFQ), and PIFO.
 
 All schedulers share the :class:`~repro.sched.base.Scheduler` interface so an
 egress port (and any AQM) is agnostic to the discipline — the property that
@@ -14,9 +15,8 @@ if TYPE_CHECKING:
     from repro.sched.fifo import FifoScheduler
     from repro.sched.sp import StrictPriorityScheduler
     from repro.sched.wrr import WrrScheduler
-    from repro.sched.dwrr import DwrrScheduler
-    from repro.sched.wfq import WfqScheduler
-    from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
+    from repro.sched.dwrr import DwrrScheduler, SpDwrrScheduler
+    from repro.sched.wfq import SpWfqScheduler, WfqScheduler
     from repro.sched.pifo import PifoScheduler, stfq_rank, lstf_rank
 
 __all__ = [
@@ -40,8 +40,8 @@ _EXPORTS = {
     "WrrScheduler": "repro.sched.wrr",
     "DwrrScheduler": "repro.sched.dwrr",
     "WfqScheduler": "repro.sched.wfq",
-    "SpDwrrScheduler": "repro.sched.hybrid",
-    "SpWfqScheduler": "repro.sched.hybrid",
+    "SpDwrrScheduler": "repro.sched.dwrr",
+    "SpWfqScheduler": "repro.sched.wfq",
     "PifoScheduler": "repro.sched.pifo",
     "stfq_rank": "repro.sched.pifo",
     "lstf_rank": "repro.sched.pifo",

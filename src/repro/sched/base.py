@@ -17,7 +17,7 @@ precisely the paper's point about MQ-ECN's limited generality.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
@@ -69,6 +69,17 @@ class Scheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {len(self.queues)}q {self.total_bytes}B>"
+
+
+def strict_band(queues: List[PacketQueue], n_high: int) -> Sequence[PacketQueue]:
+    """The first ``n_high`` queues: a strict-priority band, served in index
+    order ahead of a fair-queued discipline over the rest."""
+    if not 0 <= n_high < len(queues):
+        raise ValueError(
+            f"need 0 <= n_high < n_queues, got n_high={n_high} "
+            f"with {len(queues)} queues"
+        )
+    return tuple(queues[:n_high])
 
 
 def make_queues(

@@ -1,9 +1,14 @@
-"""Deficit Weighted Round Robin (DWRR).
+"""Deficit Weighted Round Robin (DWRR), optionally behind a strict band.
 
 The classic Shreedhar-Varghese discipline: active queues sit in a circular
 list; each time a queue reaches the head of the list it earns ``quantum``
 bytes of deficit, spends it on whole packets, and rotates to the tail when
 the head packet no longer fits.
+
+With ``n_high > 0`` the first ``n_high`` queues form a strict-priority
+band served in index order ahead of the round robin — the paper's SP/DWRR
+production scheduler (§5).  The round robin only runs when every strict
+queue is empty.
 
 This implementation additionally measures the *round time* — the interval
 between two consecutive service-turn starts of the same queue — and reports
@@ -21,24 +26,27 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
-from repro.sched.base import Scheduler
+from repro.sched.base import Scheduler, strict_band
 
 
 class DwrrScheduler(Scheduler):
-    """Deficit weighted round robin over the queue bank."""
+    """Deficit weighted round robin over the queues after the strict band."""
 
     __slots__ = (
-        "_active", "_in_active", "_deficit", "_needs_refresh",
+        "_high", "_active", "_in_active", "_deficit", "_needs_refresh",
         "_last_turn_start",
     )
 
     supports_rounds = True
 
-    def __init__(self, queues: List[PacketQueue]) -> None:
+    def __init__(self, queues: List[PacketQueue], n_high: int = 0) -> None:
         super().__init__(queues)
+        self._high = strict_band(queues, n_high)
         n = len(queues)
         self._active: Deque[PacketQueue] = deque()
-        self._in_active = [False] * n
+        # strict queues count as permanently active so enqueue never
+        # puts them in the rotation (and needs no band test)
+        self._in_active = [True] * n_high + [False] * (n - n_high)
         self._deficit = [0] * n
         self._needs_refresh = [True] * n
         self._last_turn_start: List[Optional[int]] = [None] * n
@@ -63,16 +71,36 @@ class DwrrScheduler(Scheduler):
             self._last_turn_start[qidx] = None
 
     def dequeue(self, now: int) -> Optional[Tuple[Packet, PacketQueue]]:
+        for queue in self._high:
+            pkts = queue._pkts
+            if pkts:
+                # inlined PacketQueue.pop + byte accounting (hot path)
+                pkt = pkts.popleft()
+                size = pkt.wire_size
+                queue.bytes -= size
+                queue.dequeued_pkts += 1
+                queue.dequeued_bytes += size
+                self.total_bytes -= size
+                return pkt, queue
         active = self._active
         deficit = self._deficit
         refresh = self._needs_refresh
         while active:
             queue = active[0]
             idx = queue.index
+            pkts = queue._pkts
             if refresh[idx]:
-                self._start_turn(queue, now)
+                # A new service turn: report the round time since this
+                # queue's previous turn start, then earn one quantum.
+                last = self._last_turn_start[idx]
+                observer = self.round_observer
+                if last is not None and observer is not None and now > last:
+                    observer(queue, now - last, now)
+                self._last_turn_start[idx] = now
+                deficit[idx] += queue.quantum
+                refresh[idx] = False
             # active queues are never empty; direct head peek (hot path)
-            head_size = queue._pkts[0].wire_size
+            head_size = pkts[0].wire_size
             if (
                 head_size > deficit[idx]
                 and len(active) == 1
@@ -80,7 +108,7 @@ class DwrrScheduler(Scheduler):
             ):
                 # Lone active queue, no round observer: every rotation
                 # below returns straight here at this same ``now`` and
-                # grants one quantum with no other effect (``_start_turn``
+                # grants one quantum with no other effect (the turn start
                 # has already stamped ``now``, so ``now > last`` stays
                 # false).  Fold the k spins into one grant — same final
                 # deficit and bookkeeping, byte-identical dequeue order.
@@ -92,12 +120,12 @@ class DwrrScheduler(Scheduler):
             if head_size <= deficit[idx]:
                 deficit[idx] -= head_size
                 # inlined PacketQueue.pop + byte accounting (hot path)
-                pkt = queue._pkts.popleft()
+                pkt = pkts.popleft()
                 queue.bytes -= head_size
                 queue.dequeued_pkts += 1
                 queue.dequeued_bytes += head_size
                 self.total_bytes -= head_size
-                if not queue:
+                if not pkts:
                     active.popleft()
                     self._in_active[idx] = False
                     deficit[idx] = 0
@@ -110,11 +138,13 @@ class DwrrScheduler(Scheduler):
             refresh[idx] = True
         return None
 
-    def _start_turn(self, queue: PacketQueue, now: int) -> None:
-        idx = queue.index
-        last = self._last_turn_start[idx]
-        if last is not None and self.round_observer is not None and now > last:
-            self.round_observer(queue, now - last, now)
-        self._last_turn_start[idx] = now
-        self._deficit[idx] += queue.quantum
-        self._needs_refresh[idx] = False
+
+class SpDwrrScheduler(DwrrScheduler):
+    """The paper's SP/DWRR: DWRR with at least one strict queue."""
+
+    __slots__ = ()
+
+    def __init__(self, queues: List[PacketQueue], n_high: int = 1) -> None:
+        if n_high < 1:
+            raise ValueError(f"SP/DWRR needs n_high >= 1, got {n_high}")
+        super().__init__(queues, n_high)

@@ -186,21 +186,6 @@ class LeafSpineTopology:
                 ((pkt.flow_id + salt) * _HASH_MULT & 0xFFFFFFFF) % n_spine
             ]
 
-        # Sealed fast path: the same decision with the delivery folded in,
-        # installed as an instance-level ``receive``.  This drops one
-        # Python frame per leaf hop; instrumentation that patches
-        # ``leaf.receive`` after construction still wins (it overwrites
-        # this closure exactly as it would the class method).
-        def receive(pkt: Packet) -> None:
-            dst = pkt.dst
-            if dst // hosts_per_leaf == leaf_id:
-                dst_table[dst].receive(pkt)
-            else:
-                uplinks[
-                    ((pkt.flow_id + salt) * _HASH_MULT & 0xFFFFFFFF) % n_spine
-                ].receive(pkt)
-
-        leaf.receive = receive  # type: ignore[method-assign]
         return route
 
     # -- conveniences --------------------------------------------------------

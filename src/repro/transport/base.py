@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.host import Host
-from repro.net.packet import Packet, make_data, make_data_run
+from repro.net.packet import Packet, make_data
 from repro.sim.engine import Simulator
 from repro.transport.flow import Flow
 from repro.units import MSEC, MSS, SEC
@@ -145,56 +145,6 @@ class SenderBase:
         if wnd < 1:
             wnd = 1
         flow = self.flow
-        if self.tagger is None and self.app_rate_bps is None:
-            # Bulk fast path (the common shape: no per-packet tagger, no
-            # app pacing): the burst is fully determined up front, so the
-            # shared per-segment state is hoisted once and the per-packet
-            # window re-checks of the generic loop below drop out.
-            # ``host.send`` never dispatches events synchronously (it
-            # only enqueues and schedules), so no ACK can move
-            # ``snd_una``/``cwnd`` mid-burst — sending ``burst`` segments
-            # here is step-for-step what the generic loop would do.
-            snd_nxt = self.snd_nxt
-            npkts = flow.npkts
-            burst = npkts - snd_nxt
-            w = wnd - (snd_nxt - self.snd_una)
-            if burst > w:
-                burst = w
-            if burst > 0:
-                send = self.host.send
-                now = self.sim.now
-                ect = self.ecn_capable
-                dscp = flow.dscp
-                fid = flow.id
-                src = flow.src
-                dst = flow.dst
-                end = snd_nxt + burst
-                tail = end == npkts  # the flow's short last segment?
-                n_full = burst - 1 if tail else burst
-                if n_full > 4:
-                    # slow-start / post-recovery bursts: one freelist
-                    # slice covers the whole run
-                    for pkt in make_data_run(
-                        fid, src, dst, snd_nxt, n_full, MSS, ect, dscp, now
-                    ):
-                        send(pkt)
-                else:
-                    for s in range(snd_nxt, snd_nxt + n_full):
-                        send(
-                            make_data(fid, src, dst, s, MSS, ect, dscp, now)
-                        )
-                if tail:
-                    send(
-                        make_data(
-                            fid, src, dst, end - 1,
-                            flow.payload_of(end - 1), ect, dscp, now,
-                        )
-                    )
-                self.snd_nxt = end
-            self._window_limited = self.snd_nxt - self.snd_una >= wnd
-            if self._rto_deadline is None and self.snd_una < flow.npkts:
-                self._arm_rto()
-            return
         paced = self.app_rate_bps is not None
         if paced:
             self._refill_app_tokens()

@@ -12,9 +12,9 @@ from repro.aqm.mqecn import MqEcn
 from repro.aqm.perport import PerPortRed
 from repro.core.tcn import Tcn
 from repro.metrics.timeseries import GoodputTracker
+from repro.sched import SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
-from repro.sched.hybrid import SpWfqScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
 from repro.sim.engine import Simulator
 from repro.topo.star import StarTopology

@@ -11,9 +11,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tcn import Tcn
+from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
-from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
 from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.wfq import WfqScheduler

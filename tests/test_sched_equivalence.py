@@ -1,15 +1,15 @@
 """Scheduler equivalence: optimized hot paths vs naive reference models.
 
-The production schedulers inline queue accounting and (for SP/DWRR)
-flatten the band delegation for speed.  These tests hold every
+The production schedulers inline queue accounting and (for DWRR) the
+turn start and the lone-queue fold for speed.  These tests hold every
 discipline to an independently written, deliberately naive reference
 implementation of its documented semantics: randomized enqueue/dequeue
-sequences must produce the *identical* packet order.
+sequences must produce the *identical* packet order.  SP/DWRR and SP/WFQ
+are ``DwrrScheduler``/``WfqScheduler`` with a strict band; their
+references compose a strict band with the plain DWRR/WFQ models.
 
 Also covered: the egress port's single-queue FIFO bypass must transmit
-exactly what the generic scheduler path transmits, and the flattened
-``SpDwrrScheduler`` must match the generic strict-priority delegation
-over a plain ``DwrrScheduler``.
+exactly what the generic scheduler path transmits.
 """
 
 import random
@@ -20,10 +20,10 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
+from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.fifo import FifoScheduler
-from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
 from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.wfq import WfqScheduler
@@ -354,65 +354,6 @@ def test_discipline_matches_reference(name, seed):
     _random_trial(
         make_real, ref_cls, seed=seed * 1000 + offset, n_queues=n_queues
     )
-
-
-# -- flattened SP/DWRR vs the generic delegation path ---------------------
-
-
-class _GenericSpDwrr(SpDwrrScheduler):
-    """SpDwrr forced through the generic base-class enqueue/dequeue."""
-
-    def enqueue(self, pkt, qidx, now):
-        if qidx < self._n_high:
-            self._account_enqueue(pkt, qidx)
-        else:
-            self.total_bytes += pkt.wire_size
-            self._low.enqueue(pkt, qidx - self._n_high, now)
-
-    def dequeue(self, now):
-        for queue in self._high:
-            if queue:
-                return self._account_dequeue(queue), queue
-        result = self._low.dequeue(now)
-        if result is None:
-            return None
-        pkt, queue = result
-        self.total_bytes -= pkt.wire_size
-        return pkt, queue
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_flattened_sp_dwrr_matches_generic_delegation(seed):
-    rng = random.Random(seed)
-    n, n_high = 6, 2
-    quanta = [rng.choice([500, 1500, 3000]) for _ in range(n)]
-    fast = SpDwrrScheduler(make_queues(n, quanta=quanta), n_high=n_high)
-    slow = _GenericSpDwrr(make_queues(n, quanta=quanta), n_high=n_high)
-    backlog = 0
-    now = 0
-    for op in range(600):
-        now += rng.randrange(1, 2000)
-        if backlog and rng.random() < 0.5:
-            a = fast.dequeue(now)
-            b = slow.dequeue(now)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert (a[0].flow_id, a[1].index) == (
-                    b[0].flow_id,
-                    b[1].index,
-                )
-                backlog -= 1
-        else:
-            payload = rng.randrange(0, 1460)
-            qidx = rng.randrange(n)
-            fast.enqueue(_pkt(op, payload), qidx, now)
-            slow.enqueue(_pkt(op, payload), qidx, now)
-            backlog += 1
-    assert fast.total_bytes == slow.total_bytes
-    assert [q.bytes for q in fast.queues] == [q.bytes for q in slow.queues]
-    assert [q.dequeued_pkts for q in fast.queues] == [
-        q.dequeued_pkts for q in slow.queues
-    ]
 
 
 # -- the egress port's single-queue FIFO bypass ---------------------------

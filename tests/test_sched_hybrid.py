@@ -2,9 +2,27 @@
 
 import pytest
 
+from repro.harness.config import ExperimentConfig
+from repro.harness.schemes import SCHEDULERS
+from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
-from repro.sched.hybrid import SpDwrrScheduler, SpWfqScheduler
 from tests.helpers import drain_in_order, fill
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_queue_indices_stay_global(name):
+    """No discipline rewrites the caller's ``PacketQueue.index``: trace
+    labels and per-queue AQM state read it as the queue's port-wide id."""
+    sched = SCHEDULERS[name](ExperimentConfig(scheduler=name, n_queues=8, n_high=2))
+    n = len(sched.queues)
+    assert [q.index for q in sched.queues] == list(range(n))
+    for qidx in range(n):
+        fill(sched, qidx, 3)
+    for now in range(2 * n):
+        sched.dequeue(now)
+    assert [q.index for q in sched.queues] == list(range(n))
+    drain_in_order(sched)
+    assert [q.index for q in sched.queues] == list(range(n))
 
 
 class TestSpOverLow:

@@ -102,7 +102,7 @@ _HOT = {"Scheduler", "Aqm", "SenderBase", "Packet", "PacketQueue", "EgressPort",
         "RateMeter"}
 # Host and Switch are absent on purpose: a handful per topology, and tests
 # patch ``receive`` on instances, which __slots__ would forbid.
-_HOT_BASES = {"Scheduler", "_SpOverScheduler", "FifoScheduler", "WrrScheduler",
+_HOT_BASES = {"Scheduler", "FifoScheduler", "WrrScheduler",
               "StrictPriorityScheduler", "DwrrScheduler", "WfqScheduler",
               "PifoScheduler", "SpDwrrScheduler", "SpWfqScheduler", "Aqm", "NoopAqm",
               "SenderBase", "DctcpSender", "DcqcnSender", "EcnStarSender", "RenoSender"}
@@ -180,7 +180,7 @@ CONFINED = (
     ("repro.sim.engine", ("heappush", "heappop", "heapreplace", "heapify"),
      ("repro.sim.engine",),
      "a raw heap push bypasses the (time, seq) contract and the sanitizer"),
-    ("repro.net.packet", ("make_data", "make_ack", "make_data_run", "release"),
+    ("repro.net.packet", ("make_data", "make_ack", "release"),
      ("repro.net", "repro.transport"), "frame lifetime is the endpoint layer's"),
 )
 
