@@ -26,6 +26,20 @@ ROUND_ROBIN_ONLY = {"mqecn"}
 #: schedulers that expose rounds
 ROUND_ROBIN_SCHEDULERS = {"wrr", "dwrr", "sp_dwrr"}
 
+#: the keys of the registries in :mod:`repro.harness.schemes`, named here so
+#: ``validate()`` can check a config without importing the simulator
+#: (``tests/test_harness.py`` pins the two equal)
+REGISTRY_NAMES = {
+    "scheme": (
+        "codel", "dequeue_red", "droptail", "ideal", "mqecn", "perport_red",
+        "pie", "red_std", "tcn",
+    ),
+    "scheduler": (
+        "dwrr", "fifo", "pifo", "sp", "sp_dwrr", "sp_wfq", "wfq", "wrr",
+    ),
+    "transport": ("dctcp", "ecnstar", "reno"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -114,6 +128,26 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Fail fast on inconsistent combinations."""
+        for name, choices in REGISTRY_NAMES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}: expected one of "
+                    f"{', '.join(choices)}"
+                )
+        for name in ("link_rate_bps", "quantum_bytes", "min_rto_ns"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if self.max_sim_ns < 0:
+            raise ValueError(
+                f"max_sim_ns must be >= 0 (0 = auto), got {self.max_sim_ns}"
+            )
+        if self.persistent_connections and self.connections_per_pair < 1:
+            raise ValueError(
+                "connections_per_pair must be >= 1 with persistent_connections, "
+                f"got {self.connections_per_pair}"
+            )
         if self.topology not in ("star", "leafspine"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if not 0.0 < self.load < 1.0:
@@ -144,10 +178,12 @@ class ExperimentConfig:
                 f"({', '.join(sorted(ROUND_ROBIN_SCHEDULERS))}), "
                 f"got {self.scheduler!r}"
             )
-        if self.scheduler.startswith("sp_") and not 0 < self.n_high < self.n_queues:
+        if (
+            self.scheduler.startswith("sp_") or self.pias
+        ) and not 0 < self.n_high < self.n_queues:
             raise ValueError(
-                f"sp_* schedulers need 0 < n_high < n_queues "
-                f"(got {self.n_high}/{self.n_queues})"
+                f"sp_* schedulers and PIAS need 0 < n_high < n_queues "
+                f"(got n_high={self.n_high}, n_queues={self.n_queues})"
             )
         if self.pias and not self.scheduler.startswith("sp"):
             raise ValueError("PIAS tagging needs a strict-priority high queue")

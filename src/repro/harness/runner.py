@@ -396,7 +396,6 @@ def _wire_endpoints(
     bdp_pkts = cfg.link_rate_bps * cfg.base_rtt_ns / (8 * MSS * SEC)
     max_cwnd = max(64.0, cfg.max_cwnd_bdp_factor * bdp_pkts)
     base_ns = sim.now
-    starts = []
     for flow in flows:
         Receiver(sim, topo.hosts[flow.dst], flow, on_complete=collector.on_complete)
         sender = sender_cls(
@@ -411,9 +410,7 @@ def _wire_endpoints(
         )
         senders.append(sender)
         start_cb = sender.start if pool is None else _WarmStart(pool, sender)
-        starts.append((flow.start_ns - base_ns, start_cb))
-    # one batched push for the whole arrival schedule
-    sim.schedule_many(starts)
+        sim.schedule(flow.start_ns - base_ns, start_cb)
     return senders
 
 

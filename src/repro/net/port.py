@@ -7,7 +7,9 @@ serializer that models the output link (the qdisc prototype's token-bucket
 rate limiter collapses into exact per-packet serialization here, since we
 control the whole pipeline).
 
-Lifecycle of a packet through a port::
+Lifecycle of a packet through a port, in the order of the qdisc
+pipeline (classifier, enqueue marking, scheduler, rate limiter, dequeue
+marking)::
 
     receive(pkt)
       -> classifier: dscp -> queue index
@@ -15,18 +17,23 @@ Lifecycle of a packet through a port::
          first-in-first-serve, as in the paper's testbed switch)
       -> stamp enq_ts; AQM.on_enqueue may set CE
       -> scheduler.enqueue
-    _transmit loop (whenever link idle and scheduler non-empty)
+    _transmit (whenever the serializer is idle and the scheduler is not)
       -> scheduler.dequeue -> AQM.on_dequeue may set CE
-      -> serialize for wire_size*8/rate, then propagate for link.delay
+      -> serialize for wire_size*8/rate, then propagate for link.delay:
+         one Simulator.schedule_tx pair (done tick, delivery)
       -> link.dst.receive(pkt)
+
+Every stage is the generic call except two shortcuts (docs/PERFORMANCE.md):
+a single-queue FIFO port (every host NIC) pushes and pops its queue
+directly, and an AQM hook left as the ``Aqm`` base-class no-op is never
+called.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.aqm.base import Aqm
-from repro.net.classifier import DscpClassifier
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
@@ -89,14 +96,11 @@ class EgressPort:
         "_fifo",
         "_tx_done_cb",
         "_classify",
-        "_cls_get",
-        "_cls_max",
         "_aqm_enq",
         "_aqm_deq",
         "_link",
         "_link_dst",
         "_link_delay",
-        "_tx_cache",
     )
 
     def __init__(
@@ -116,24 +120,10 @@ class EgressPort:
         self.buffer_bytes = buffer_bytes
         self.scheduler = scheduler
         self.aqm = aqm
-        # per-size serialization-time cache: wire sizes are few and the
-        # rate is fixed at construction, so the ceil-division runs once
-        # per distinct size instead of once per packet
-        self._tx_cache: Dict[int, int] = {}
         self.link = link
         self.classify = classify or (lambda pkt: 0)
         # hot-path cache: None means "everything to queue 0", no call made
         self._classify = classify
-        # DSCP-classifier bypass: the standard classifier's decision is a
-        # dict probe or a clamp, so receive() inlines it instead of
-        # paying a Python call per packet (_cls_max < 0 = not applicable)
-        self._cls_get = None
-        self._cls_max = -1
-        if isinstance(classify, DscpClassifier):
-            self._classify = None
-            self._cls_max = classify.n_queues - 1
-            if classify.table is not None:
-                self._cls_get = classify.table.get
         self.occupancy = 0
         self.busy = False
         self.stats = PortStats()
@@ -208,18 +198,8 @@ class EgressPort:
         stats.rx_pkts += 1
         size = pkt.wire_size
         stats.rx_bytes += size
-        cmax = self._cls_max
-        if cmax >= 0:
-            get = self._cls_get
-            if get is not None:
-                qidx = get(pkt.dscp, cmax)
-            else:
-                qidx = pkt.dscp
-                if qidx > cmax:
-                    qidx = cmax
-        else:
-            classify = self._classify
-            qidx = classify(pkt) if classify is not None else 0
+        classify = self._classify
+        qidx = classify(pkt) if classify is not None else 0
         occ = self.occupancy
         if occ + size > self.buffer_bytes:
             self._drop(pkt, qidx, "buffer")
@@ -310,11 +290,7 @@ class EgressPort:
         if self.occupancy_tracker is not None:
             self.occupancy_tracker(now, self.occupancy)
         self.busy = True
-        try:
-            tx_ns = self._tx_cache[size]
-        except KeyError:
-            tx_ns = -(-size * _BITS_NS // self.rate_bps)
-            self._tx_cache[size] = tx_ns
+        tx_ns = -(-size * _BITS_NS // self.rate_bps)
         dst = self._link_dst
         if dst is not None:
             sim.schedule_tx(

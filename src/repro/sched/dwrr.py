@@ -101,22 +101,6 @@ class DwrrScheduler(Scheduler):
                 refresh[idx] = False
             # active queues are never empty; direct head peek (hot path)
             head_size = pkts[0].wire_size
-            if (
-                head_size > deficit[idx]
-                and len(active) == 1
-                and self.round_observer is None
-            ):
-                # Lone active queue, no round observer: every rotation
-                # below returns straight here at this same ``now`` and
-                # grants one quantum with no other effect (the turn start
-                # has already stamped ``now``, so ``now > last`` stays
-                # false).  Fold the k spins into one grant — same final
-                # deficit and bookkeeping, byte-identical dequeue order.
-                quantum = queue.quantum
-                short = head_size - deficit[idx]
-                deficit[idx] += ((short + quantum - 1) // quantum) * quantum
-                self._last_turn_start[idx] = now
-                refresh[idx] = False
             if head_size <= deficit[idx]:
                 deficit[idx] -= head_size
                 # inlined PacketQueue.pop + byte accounting (hot path)

@@ -1,13 +1,14 @@
 """A small, fast discrete-event engine: one heap, one dispatch loop.
 
-A scheduled callback is stored as a plain ``(time, seq, fn)`` tuple (or
-``(time, seq, fn, arg)`` for the argument-carrying fast path) in a single
-:mod:`heapq` list, so every ordering comparison runs on machine integers
-in C — no ``Event`` object is allocated and no Python-level ``__lt__``
-ever runs.  Events at the same timestamp fire in scheduling order (the
-monotonically increasing ``seq`` breaks ties, and because it is unique
-the comparison never reaches the callback slot, which is why mixed 3- and
-4-tuples can share one heap).
+A scheduled callback is stored as a plain ``(time, seq, fn)`` tuple in a
+single :mod:`heapq` list, so every ordering comparison runs on machine
+integers in C — no ``Event`` object is allocated and no Python-level
+``__lt__`` ever runs.  Events at the same timestamp fire in scheduling
+order (the monotonically increasing ``seq`` breaks ties, and because it
+is unique the comparison never reaches the callback slot).  The one
+exception is :meth:`Simulator.schedule_tx`, the port's transmit pair,
+whose delivery entry carries the packet as a fourth slot,
+``(time, seq, fn, pkt)``, so no closure is allocated per packet.
 
 Cancellation is handle-based and lazy: ``schedule`` returns the pushed
 tuple as an opaque handle, :meth:`Simulator.cancel` records its sequence
@@ -33,8 +34,8 @@ Design notes
 ------------
 * Time is an **integer nanosecond** count (see :mod:`repro.units`), so there
   are no floating-point ordering surprises and runs are bit-reproducible.
-* Callbacks receive no arguments; closures, ``functools.partial`` or the
-  ``schedule_call`` fast path bind whatever state they need.
+* Callbacks receive no arguments; closures or ``functools.partial`` bind
+  whatever state they need.
 * The engine knows nothing about packets or networks; everything above it
   (links, queues, transports) is built from ``schedule`` calls.
 """
@@ -44,12 +45,11 @@ from __future__ import annotations
 import gc
 import os
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
-#: The opaque handle returned by ``schedule``/``schedule_at``/``schedule_call``
-#: — the heap entry itself.  ``handle[0]`` is the absolute fire time (ns);
-#: treat everything else as private and pass the handle to
-#: :meth:`Simulator.cancel` to cancel it.
+#: The opaque handle returned by ``schedule`` — the heap entry itself.
+#: ``handle[0]`` is the absolute fire time (ns); treat everything else as
+#: private and pass the handle to :meth:`Simulator.cancel` to cancel it.
 EventHandle = Tuple[Any, ...]
 
 #: "no bound" sentinel for run(): beyond any reachable time or event count
@@ -100,7 +100,6 @@ class Simulator:
         # hot entry points, bound per instance by _bind_hot_paths() as
         # closures over the heap list and the push primitive
         "schedule",
-        "schedule_call",
         "schedule_tx",
         "cancel",
         "_heap",
@@ -147,7 +146,7 @@ class Simulator:
         self._bind_hot_paths()
 
     def _bind_hot_paths(self) -> None:
-        """Bind ``schedule``/``schedule_call``/``schedule_tx``/``cancel``.
+        """Bind ``schedule``/``schedule_tx``/``cancel``.
 
         The names are instance slots holding closures over the heap list
         and the push primitive, which skips the ``self`` attribute reads
@@ -179,24 +178,6 @@ class Simulator:
                 sim.heap_hwm = n
             return entry
 
-        def schedule_call(
-            delay_ns: int, fn: Callable[[Any], None], arg: Any
-        ) -> EventHandle:
-            """Hot-path scheduling: ``fn(arg)`` in ``delay_ns`` nanoseconds.
-
-            The monotonic fast path used by ports and links: the delay is
-            trusted to be non-negative (serialization and propagation
-            delays are by construction), and the single argument rides in
-            the heap entry itself, so no closure is allocated per event.
-            """
-            sim._seq = seq = sim._seq + 1
-            entry = (sim.now + delay_ns, seq, fn, arg)
-            push(heap, entry)
-            n = len(heap)
-            if n > sim.heap_hwm:
-                sim.heap_hwm = n
-            return entry
-
         def schedule_tx(
             tx_ns: int,
             done_fn: Callable[[], None],
@@ -212,7 +193,7 @@ class Simulator:
             Delays are trusted to be non-negative and ``rx_ns >= tx_ns``;
             no handles are returned (ports never cancel these).  The done
             tick takes the lower seq, exactly as two back-to-back
-            ``schedule``/``schedule_call`` calls would order it.
+            ``schedule`` calls would order it.
             """
             seq = sim._seq + 1
             sim._seq = seq + 1
@@ -244,45 +225,8 @@ class Simulator:
                 compact(heap, cancelled)
 
         self.schedule = schedule
-        self.schedule_call = schedule_call
         self.schedule_tx = schedule_tx
         self.cancel = cancel
-
-    # -- scheduling (cold paths) ------------------------------------------
-
-    def schedule_at(self, time_ns: int, fn: Callable[[], None]) -> EventHandle:
-        """Schedule ``fn`` at absolute time ``time_ns``."""
-        if time_ns < self.now:
-            raise ValueError(
-                f"cannot schedule at {time_ns} before now ({self.now})"
-            )
-        self._seq = seq = self._seq + 1
-        entry = (time_ns, seq, fn)
-        heap = self._heap
-        self._push(heap, entry)
-        if len(heap) > self.heap_hwm:
-            self.heap_hwm = len(heap)
-        return entry
-
-    def schedule_many(
-        self, items: Iterable[Tuple[int, Callable[[], None]]]
-    ) -> None:
-        """Batch-schedule ``(delay_ns, fn)`` pairs in one call.
-
-        Amortizes attribute lookups and the high-water-mark update across
-        the batch; no handles are returned, so these events cannot be
-        cancelled.  Delays are trusted to be non-negative.
-        """
-        now = self.now
-        seq = self._seq
-        heap = self._heap
-        push = self._push
-        for delay_ns, fn in items:
-            seq += 1
-            push(heap, (now + delay_ns, seq, fn))
-        self._seq = seq
-        if len(heap) > self.heap_hwm:
-            self.heap_hwm = len(heap)
 
     # -- execution ------------------------------------------------------
 
@@ -301,7 +245,7 @@ class Simulator:
         * The clock is advanced to ``until`` only when no event remains at
           or before it — if the run stopped on ``max_events`` with such
           events still pending, the clock stays put (at the last executed
-          event's time) so the next ``run()``/``step()`` never moves time
+          event's time) so the next ``run()`` never moves time
           backwards, and a later ``run(until=...)`` call resumes exactly
           where the budget cut in.
         * ``max_events`` counts executed (non-cancelled) events only; the
@@ -377,27 +321,6 @@ class Simulator:
             if nxt is None or nxt > until:
                 self.now = until
         return executed
-
-    def step(self) -> bool:
-        """Execute the single next (non-cancelled) event.
-
-        Returns ``False`` when no event remains.
-        """
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            entry = self._pop(heap)
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                continue
-            self.now = entry[0]
-            if len(entry) == 3:
-                entry[2]()
-            else:
-                entry[2](entry[3])
-            self.events_executed += 1
-            return True
-        return False
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle.

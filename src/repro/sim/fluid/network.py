@@ -44,6 +44,7 @@ replace added in, so every float is bit-identical (docs/FLUID.md,
 
 from __future__ import annotations
 
+from functools import partial
 from math import frexp, ldexp, sqrt
 from sys import float_info
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -271,7 +272,7 @@ class FluidNetwork:
             delay = fl.flow.start_ns - now
             if delay < 0:
                 delay = 0
-            sim.schedule_call(delay, self.on_flow_start, i)
+            sim.schedule(delay, partial(self.on_flow_start, i))
         if self.hybrid and self.tick_ns > 0:
             sim.schedule(self.tick_ns, self.on_tick)
 

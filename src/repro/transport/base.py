@@ -90,7 +90,12 @@ class SenderBase:
         #: optional repro.obs.Tracer recording cwnd/alpha/rate updates;
         #: None (the default) keeps the ACK path branch-only
         self.tracer = None
-        # RFC 6298 state
+        # RFC 6298 state.  A zero RTO would re-arm the timeout tick at the
+        # instant it fires (backoff doubles 0), so the clock never moves.
+        if min_rto_ns <= 0:
+            raise ValueError(f"min_rto_ns must be > 0, got {min_rto_ns}")
+        if init_rto_ns is not None and init_rto_ns <= 0:
+            raise ValueError(f"init_rto_ns must be > 0, got {init_rto_ns}")
         self.min_rto_ns = min_rto_ns
         self.max_rto_ns = max_rto_ns
         self.srtt_ns: Optional[int] = None

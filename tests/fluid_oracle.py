@@ -14,6 +14,7 @@ recalibration moves both sides together.
 
 from __future__ import annotations
 
+from functools import partial
 from math import sqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -155,7 +156,7 @@ class ReferenceFluidNetwork:
             delay = fl.flow.start_ns - now
             if delay < 0:
                 delay = 0
-            sim.schedule_call(delay, self.on_flow_start, i)
+            sim.schedule(delay, partial(self.on_flow_start, i))
         if self.hybrid and self.tick_ns > 0:
             sim.schedule(self.tick_ns, self.on_tick)
 

@@ -65,8 +65,10 @@ class TestCli:
         (["--workload", "nonsense"], "unknown workload 'nonsense'"),
         (["--workload", "mixed"], "needs the leafspine topology"),
         (["--scheme", "mqecn", "--scheduler", "wfq"], "round-robin scheduler"),
+        (["--scheduler", "sp", "--pias", "--queues", "1"],
+         "n_high=1, n_queues=1"),
     ], ids=["tiny-buffer", "no-queues", "unknown-workload", "mixed-on-star",
-            "mqecn-on-wfq"])
+            "mqecn-on-wfq", "pias-on-one-queue"])
     def test_run_rejects_configs_the_build_would_crash_on(
         self, argv, why, capsys
     ):

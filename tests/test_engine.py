@@ -1,5 +1,8 @@
-"""The discrete-event engine: ordering, cancellation, run bounds, and
-end-to-end runs of every scheduling discipline on it."""
+"""The discrete-event engine: ordering, cancellation, run bounds, the
+port's transmit pair, and end-to-end runs of every scheduling discipline
+on it."""
+
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +11,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 from repro.harness.schemes import SCHEDULERS
 from repro.net import packet
-from repro.sanitize import detach
+from repro.sanitize import SanitizeError, detach
 from repro.sim.engine import Simulator
 
 
@@ -56,58 +59,20 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-1, lambda: None)
 
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_at(5, lambda: None)
-
-    def test_schedule_at_now_is_allowed(self):
+    def test_zero_delay_fires_now(self):
         sim = Simulator()
         fired = []
-        sim.schedule(0, lambda: fired.append(sim.now))
+        sim.schedule(10, lambda: sim.schedule(0, lambda: fired.append(sim.now)))
         sim.run()
-        assert fired == [0]
+        assert fired == [10]
 
-    def test_schedule_call_passes_argument(self):
+    def test_partial_passes_argument(self):
         sim = Simulator()
         fired = []
-        sim.schedule_call(10, fired.append, "a")
-        sim.schedule_call(5, fired.append, "b")
+        sim.schedule(10, partial(fired.append, "a"))
+        sim.schedule(5, partial(fired.append, "b"))
         sim.run()
         assert fired == ["b", "a"]
-
-    def test_schedule_call_interleaves_with_schedule(self):
-        # 3-tuple and 4-tuple heap entries coexist; seq breaks all ties,
-        # so heapq never compares the callable slots.
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, lambda: fired.append("plain"))
-        sim.schedule_call(10, fired.append, "arg")
-        sim.schedule(10, lambda: fired.append("plain2"))
-        sim.run()
-        assert fired == ["plain", "arg", "plain2"]
-
-    def test_schedule_many_preserves_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_many(
-            [
-                (30, lambda: fired.append(30)),
-                (10, lambda: fired.append(10)),
-                (20, lambda: fired.append(20)),
-            ]
-        )
-        sim.run()
-        assert fired == [10, 20, 30]
-
-    def test_schedule_many_ties_fire_in_list_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_many([(5, lambda i=i: fired.append(i)) for i in range(8)])
-        sim.run()
-        assert fired == list(range(8))
 
 
 class TestCancellation:
@@ -134,11 +99,11 @@ class TestCancellation:
         sim.run()
         assert fired == [0, 1, 3, 4]
 
-    def test_cancel_schedule_call_handle(self):
+    def test_cancel_partial_handle(self):
         sim = Simulator()
         fired = []
-        ev = sim.schedule_call(10, fired.append, 1)
-        sim.schedule_call(20, fired.append, 2)
+        ev = sim.schedule(10, partial(fired.append, 1))
+        sim.schedule(20, partial(fired.append, 2))
         sim.cancel(ev)
         sim.run()
         assert fired == [2]
@@ -168,7 +133,7 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         handles = [
-            sim.schedule_call(i + 1, fired.append, i) for i in range(200)
+            sim.schedule(i + 1, partial(fired.append, i)) for i in range(200)
         ]
         for handle in handles[:100]:  # exactly half: not yet
             sim.cancel(handle)
@@ -249,7 +214,7 @@ class TestRunBounds:
             sim.schedule(t, lambda: times.append(sim.now))
         sim.run(until=100, max_events=1)
         before = sim.now
-        sim.step()
+        sim.run(max_events=1)
         assert sim.now >= before
         assert times == sorted(times)
 
@@ -272,16 +237,20 @@ class TestRunBounds:
 
 
 class TestStepAndPeek:
+    """A single step is ``run(max_events=1)``."""
+
     def test_step_executes_one(self):
         sim = Simulator()
         fired = []
         sim.schedule(1, lambda: fired.append(1))
         sim.schedule(2, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
+        assert sim.run(max_events=1) == 1
+        assert fired == [1] and sim.now == 1
 
     def test_step_on_empty_returns_false(self):
-        assert Simulator().step() is False
+        sim = Simulator()
+        assert not sim.run(max_events=1)
+        assert sim.now == 0
 
     def test_peek_skips_cancelled(self):
         sim = Simulator()
@@ -354,11 +323,6 @@ class TestCounters:
         sim.run()
         assert sim.heap_hwm == 5  # high-water mark, not current size
 
-    def test_heap_hwm_counts_schedule_many_batch(self):
-        sim = Simulator()
-        sim.schedule_many([(i + 1, lambda: None) for i in range(7)])
-        assert sim.heap_hwm == 7
-
     def test_events_executed_accumulates_across_runs(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)
@@ -366,6 +330,63 @@ class TestCounters:
         sim.schedule(1, lambda: None)
         sim.run()
         assert sim.events_executed == 2
+
+
+class TestScheduleTx:
+    """The port's transmit pair: a done tick and a delivery carrying the
+    packet, pushed by one call."""
+
+    @staticmethod
+    def _tie_order(use_tx):
+        # other events at both instants, armed before and after the pair
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, lambda: fired.append("tx-before"))
+        sim.schedule(25, lambda: fired.append("rx-before"))
+        done = partial(fired.append, "done")
+        if use_tx:
+            sim.schedule_tx(10, done, 25, fired.append, "pkt")
+        else:
+            sim.schedule(10, done)
+            sim.schedule(25, partial(fired.append, "pkt"))
+        sim.schedule(10, lambda: fired.append("tx-after"))
+        sim.schedule(25, lambda: fired.append("rx-after"))
+        sim.run()
+        return fired, sim.now, sim.heap_hwm, sim.events_executed
+
+    def test_pair_pops_like_two_schedules(self):
+        paired = self._tie_order(use_tx=True)
+        assert paired == self._tie_order(use_tx=False)
+        assert paired[0] == [
+            "tx-before", "done", "tx-after", "rx-before", "pkt", "rx-after",
+        ]
+
+    def test_equal_instants_keep_done_first(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_tx(0, partial(fired.append, "done"), 0, fired.append, "pkt")
+        sim.run()
+        assert fired == ["done", "pkt"]
+
+    def test_heap_hwm_counts_both_pushes(self):
+        sim = Simulator()
+        sim.schedule(5, lambda: None)
+        sim.schedule_tx(1, lambda: None, 3, lambda pkt: None, None)
+        assert sim.heap_hwm == 3 and sim.pending == 3
+
+    def test_sanitized_push_sees_both_entries(self):
+        sim = Simulator(sanitize=True)
+        try:
+            sim.schedule_tx(1, lambda: None, 3, lambda pkt: None, None)
+            assert sim._san._live == {1, 2}
+            sim.run()
+            assert not sim._san._live and not sim._san.violations
+            # a delivery behind the clock is caught on the second push
+            with pytest.raises(SanitizeError, match="push-into-past"):
+                sim.schedule_tx(0, lambda: None, -1, lambda pkt: None, None)
+        finally:
+            detach()
+            packet.reset_freelist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200))

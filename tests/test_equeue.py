@@ -5,9 +5,9 @@ The one run loop can be bound to two push/pop primitive pairs: plain
 ("checked").  Three layers of evidence, from the structure up to the
 paper's pinned experiments, hold for both:
 
-1. engine fuzz — randomized schedule/cancel/step/peek sequences against a
-   sorted-list reference model, over clustered, bimodal and far-future
-   delay mixes;
+1. engine fuzz — randomized schedule/transmit-pair/cancel/step/peek
+   sequences against a sorted-list reference model, over clustered,
+   bimodal and far-future delay mixes (a step is ``run(max_events=1)``);
 2. Simulator-level re-entrant fuzz — callbacks that schedule and cancel
    more work (including zero-delay and far-future events) must execute
    the identical event sequence as the reference model with lazy
@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -107,21 +108,33 @@ def test_fuzz_backend_matches_reference_model(backend, mix, seed):
 
     def step_both():
         expect = ref.pop_live()
-        assert sim.step() == (expect is not None)
+        assert sim.run(max_events=1) == (expect is not None)
         if expect is not None:
             assert (sim.now, fired[-1]) == expect
-            del handles[expect]
+            handles.pop(expect, None)
         return expect
 
     for _ in range(4000):
         op = rng.random()
-        if op < 0.55 or not ref.entries:
+        if op < 0.45 or not ref.entries:
             tag += 1
             entry = (sim.now + delay(rng), tag)
-            handles[entry] = sim.schedule_call(
-                entry[0] - sim.now, fired.append, tag
+            handles[entry] = sim.schedule(
+                entry[0] - sim.now, partial(fired.append, tag)
             )
             ref.push(entry)
+        elif op < 0.55:
+            # a port's transmit pair: two uncancellable entries, the
+            # delivery carrying its argument in the heap entry
+            tx_ns = delay(rng)
+            rx_ns = tx_ns + delay(rng)
+            sim.schedule_tx(
+                tx_ns, partial(fired.append, tag + 1), rx_ns, fired.append,
+                tag + 2,
+            )
+            ref.push((sim.now + tx_ns, tag + 1))
+            ref.push((sim.now + rx_ns, tag + 2))
+            tag += 2
         elif op < 0.70 and handles:
             victim = rng.choice(sorted(handles))
             sim.cancel(handles.pop(victim))
@@ -152,7 +165,7 @@ def test_peek_is_nondestructive_and_matches_pop(backend):
         pending = sim.pending
         assert sim.peek_time() == head
         assert sim.pending == pending
-        assert sim.step() == (head is not None)
+        assert sim.run(max_events=1) == (head is not None)
         if head is None:
             break
         assert sim.now == head
@@ -173,12 +186,16 @@ class _RefSim:
         self._cancelled = set()
         self._seq = 0
 
-    def schedule_call(self, delay, fn, arg):
+    def schedule(self, delay, fn):
         self._seq += 1
-        entry = (self.now + delay, self._seq, fn, arg)
+        entry = (self.now + delay, self._seq, fn)
         self._entries.append(entry)
         self._entries.sort(key=lambda e: e[:2])
         return entry
+
+    def schedule_tx(self, tx_ns, done_fn, rx_ns, rx_fn, pkt):
+        self.schedule(tx_ns, done_fn)
+        self.schedule(rx_ns, partial(rx_fn, pkt))
 
     def cancel(self, handle):
         self._cancelled.add(handle[1])
@@ -199,7 +216,7 @@ class _RefSim:
                 break
             self._entries.pop(0)
             self.now = entry[0]
-            entry[2](entry[3])
+            entry[2]()
             executed += 1
         if until is not None and self.now < until:
             live = [e for e in self._entries if e[1] not in self._cancelled]
@@ -220,12 +237,19 @@ def _run_reentrant(sim, seed):
         for _ in range(rng.randrange(0, 3)):
             tag2 = len(log) * 1000 + rng.randrange(100)
             delay = rng.choice((0, rng.randrange(1, 300), rng.randrange(1, 10_000_000)))
-            pending.append(sim.schedule_call(delay, fire, tag2))
+            pending.append(sim.schedule(delay, partial(fire, tag2)))
+        if rng.random() < 0.1:
+            # a transmit pair, which may tie with the entries above
+            tx_ns = rng.choice((0, rng.randrange(1, 300)))
+            sim.schedule_tx(
+                tx_ns, partial(log.append, (tag, "done")),
+                tx_ns + rng.choice((0, 200)), fire, -tag,
+            )
         if pending and rng.random() < 0.3:
             sim.cancel(pending.pop(rng.randrange(len(pending))))
 
     for tag in range(40):
-        pending.append(sim.schedule_call(rng.randrange(0, 5_000), fire, tag))
+        pending.append(sim.schedule(rng.randrange(0, 5_000), partial(fire, tag)))
     executed = sim.run(max_events=6000)
     return log, sim.now, sim.events_executed, executed
 
@@ -252,7 +276,7 @@ def _run_churn(sim, seed):
     timers = []
 
     def arm(tag):
-        timers.append(sim.schedule_call(rng.randrange(0, 40_000), fire, tag))
+        timers.append(sim.schedule(rng.randrange(0, 40_000), partial(fire, tag)))
 
     def cancel_some(n):
         for _ in range(n):

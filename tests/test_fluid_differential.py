@@ -8,6 +8,7 @@ operands or order.
 """
 
 import random
+from functools import partial
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -178,8 +179,8 @@ class _World:
                     continue
                 full_tick = self.links[li].capacity_bps * tick_ns / 8e9
                 nbytes = int(full_tick * rng.choice([0.001, 0.02, 0.5, 1.0, 1.2]))
-                self.sim.schedule_call(
-                    act_ns + rng.randint(0, _ACT_NS), port.send, nbytes
+                self.sim.schedule(
+                    act_ns + rng.randint(0, _ACT_NS), partial(port.send, nbytes)
                 )
         checkpoints = [rng.randint(0, 8_000_000) for _ in range(4)]
         if second_act:

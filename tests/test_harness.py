@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import REGISTRY_NAMES, ExperimentConfig
 from repro.harness.report import format_fct_rows, format_table
 from repro.harness.runner import run_experiment
 from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
@@ -50,6 +50,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scheduler="dwrr", pias=True).validate()
 
+    @pytest.mark.parametrize("fields, field", [
+        (dict(scheme="nope"), "scheme"),
+        (dict(scheduler="nope"), "scheduler"),
+        (dict(transport="nope"), "transport"),
+        (dict(scheduler="sp", pias=True, n_queues=4, n_high=4), "n_high"),
+        (dict(scheduler="sp", pias=True, n_high=0), "n_high"),
+        (dict(quantum_bytes=0), "quantum_bytes"),
+        (dict(link_rate_bps=0), "link_rate_bps"),
+        (dict(link_rate_bps=-GBPS), "link_rate_bps"),
+        (dict(persistent_connections=True, connections_per_pair=0),
+         "connections_per_pair"),
+        (dict(max_sim_ns=-1), "max_sim_ns"),
+        (dict(min_rto_ns=0), "min_rto_ns"),
+        (dict(min_rto_ns=-1), "min_rto_ns"),
+    ], ids=[
+        "unknown-scheme", "unknown-scheduler", "unknown-transport",
+        "pias-no-low-band", "pias-no-high-band", "zero-quantum",
+        "zero-rate", "negative-rate", "no-connections", "negative-deadline",
+        "zero-rto", "negative-rto",
+    ])
+    def test_validation_names_the_field(self, fields, field):
+        """Each of these used to pass validate() and then crash deep in
+        the run, hang it, or quietly return nothing."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**fields).validate()
+
+    def test_validation_keeps_legal_edges(self):
+        ExperimentConfig(max_sim_ns=0).validate()  # 0 means auto
+        ExperimentConfig(max_sim_ns=1000).validate()  # a partial run
+        ExperimentConfig(connections_per_pair=0).validate()  # unused
+        ExperimentConfig(scheduler="sp", pias=True, n_high=3).validate()
+
 
 class TestRegistries:
     def test_all_paper_schemes_present(self):
@@ -63,6 +95,15 @@ class TestRegistries:
 
     def test_transports(self):
         assert set(TRANSPORTS) == {"dctcp", "ecnstar", "reno"}
+
+    def test_validate_knows_every_registered_name(self):
+        assert {
+            name: set(names) for name, names in REGISTRY_NAMES.items()
+        } == {
+            "scheme": set(SCHEMES),
+            "scheduler": set(SCHEDULERS),
+            "transport": set(TRANSPORTS),
+        }
 
     def test_factories_produce_fresh_instances(self):
         cfg = ExperimentConfig()

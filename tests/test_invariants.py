@@ -71,7 +71,7 @@ def test_property_port_conserves_bytes(sched_idx, n_queues, arrivals, buffer_kb)
     t = 0
     for i, (dscp, payload, gap) in enumerate(arrivals):
         t += gap
-        sim.schedule_at(
+        sim.schedule(
             t, _Arrival(port, data_pkt(flow_id=i, seq=i, payload=payload, dscp=dscp))
         )
     sim.run()

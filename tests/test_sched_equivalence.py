@@ -14,6 +14,7 @@ exactly what the generic scheduler path transmits.
 
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -391,7 +392,7 @@ def test_fifo_port_bypass_matches_generic_path(seed):
             link=Link(sink, 1_000),
         )
         for when, i, payload in arrivals:
-            sim.schedule_call(when, port.receive, _pkt(i, payload))
+            sim.schedule(when, partial(port.receive, _pkt(i, payload)))
         sim.run()
         return sink.order, port.stats, port.occupancy
 

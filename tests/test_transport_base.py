@@ -1,6 +1,7 @@
 """The sender core: windowing, recovery, RTO, pacing — on a lossless and a
 lossy two-host wire."""
 
+import pytest
 
 from repro.net.host import Host
 from repro.net.link import Link
@@ -149,6 +150,21 @@ class TestRto:
         # timeouts at t = 5, 15, 35, 75 ms (doubling gaps); the next would
         # land at 155 ms, past the horizon
         assert sender.stats.timeouts == 4
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(min_rto_ns=0), "min_rto_ns"),
+        (dict(min_rto_ns=-1), "min_rto_ns"),
+        (dict(init_rto_ns=0), "init_rto_ns"),
+        (dict(min_rto_ns=5 * MSEC, init_rto_ns=-1), "init_rto_ns"),
+    ])
+    def test_non_positive_rto_is_rejected_at_construction(self, kw, field):
+        """A zero RTO re-arms the timeout tick at the instant it fires, so
+        a run would never advance the clock; the constructor refuses it
+        (no run is attempted here, so this test cannot hang)."""
+        sim = Simulator()
+        host = Host(sim, 0, make_nic(sim, GBPS, link=None))
+        with pytest.raises(ValueError, match=field):
+            DctcpSender(sim, host, Flow(1, 0, 1, 10 * KB), **kw)
 
 
 class TestAppPacing:
