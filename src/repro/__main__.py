@@ -27,9 +27,6 @@ Examples::
     # hybrid fluid/packet mode: long flows on the fluid solver
     python -m repro run --topology leafspine --workload bulk --mode hybrid
 
-    # cross-validate fluid/hybrid accuracy against the packet engine
-    python -m repro fluidcheck --json fluidcheck.json
-
     # run with every runtime invariant check armed (freelist poisoning,
     # pop-order); zero overhead when off.  `--sanitize` exists on `run`
     # only; REPRO_SANITIZE=1 arms every Simulator the process builds
@@ -96,13 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--mode", default="packet", choices=("packet", "fluid", "hybrid"),
+        "--mode", default="packet", choices=("packet", "hybrid"),
         help=(
             "simulation mode: 'packet' is the exact packet engine "
-            "(default); 'fluid' solves every flow as a fluid rate; "
-            "'hybrid' promotes flows of at least --fluid-size-bytes to "
-            "the fluid solver and keeps short flows packet-exact (see "
-            "docs/FLUID.md)"
+            "(default); 'hybrid' promotes flows of at least "
+            "--fluid-size-bytes to the fluid solver and keeps short flows "
+            "packet-exact (see docs/FLUID.md)"
         ),
     )
     parser.add_argument(
@@ -198,7 +194,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--mode", default="packet", choices=("packet", "fluid", "hybrid"),
+        "--mode", default="packet", choices=("packet", "hybrid"),
         help=(
             "simulation mode for every grid point (result-affecting: "
             "cached results are keyed by it; see docs/FLUID.md)"
@@ -219,58 +215,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def build_fluidcheck_parser() -> argparse.ArgumentParser:
-    from repro.harness.fluidcheck import CHECK_CONFIGS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro fluidcheck",
-        description=(
-            "Cross-validate fluid/hybrid FCT and goodput against the "
-            "packet engine on the pinned configs (see docs/FLUID.md); "
-            "exit 1 on any tolerance violation."
-        ),
-    )
-    parser.add_argument(
-        "--config",
-        action="append",
-        choices=sorted(CHECK_CONFIGS),
-        help="pinned config to check (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--mode",
-        action="append",
-        choices=("hybrid", "fluid"),
-        help="mode to cross-validate (repeatable; default: both)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="also write the checks as a JSON artifact (CI uploads it)",
-    )
-    return parser
-
-
-def fluidcheck_main(argv=None) -> int:
-    from repro.harness.fluidcheck import run_fluidcheck, write_json
-
-    args = build_fluidcheck_parser().parse_args(argv)
-    checks = run_fluidcheck(
-        configs=args.config, modes=tuple(args.mode or ("hybrid", "fluid"))
-    )
-    violations = 0
-    for check in checks:
-        print(check.describe())
-        violations += 0 if check.ok else 1
-    if args.json is not None:
-        write_json(checks, args.json)
-        print(f"fluidcheck JSON -> {args.json}")
-    if violations:
-        print(f"{violations} tolerance violation(s)", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _sweep_label(result: SweepResult) -> str:
@@ -378,11 +322,6 @@ def sweep_main(argv=None) -> int:
         f"{stats.cache_hits} cache hits, {stats.cache_misses} misses, "
         f"{stats.errors} errors{rate}"
     )
-    if stats.serial_fallback:
-        print(
-            "note: no usable multiprocessing start method on this "
-            "platform; the sweep ran serially"
-        )
     return 0 if outcome.ok else 1
 
 
@@ -445,7 +384,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 SUBCOMMANDS = {
     "sweep": sweep_main,
     "trace": trace_main,
-    "fluidcheck": fluidcheck_main,
 }
 
 

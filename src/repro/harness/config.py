@@ -104,14 +104,14 @@ class ExperimentConfig:
 
     # Simulation mode (repro.sim.fluid): "packet" simulates every flow
     # packet-by-packet (the default — the engine every digest pins);
-    # "fluid" models every flow as a piecewise-constant rate solved at
-    # epochs; "hybrid" promotes flows of at least `fluid_size_bytes` to
-    # fluid while short flows stay packet-exact, with two-way coupling
-    # (fluid load sets residual port rates / standing-queue delay /
-    # marking; measured packet throughput feeds back into the solver).
-    # Unlike sanitize this is NOT a result-neutral knob —
-    # fluid results are an approximation — so the sweep cache
-    # fingerprint includes both fields.  See docs/FLUID.md.
+    # "hybrid" promotes flows of at least `fluid_size_bytes` to
+    # piecewise-constant fluid rates solved at epochs while short flows
+    # stay packet-exact, with two-way coupling (fluid load sets
+    # standing-queue delay and marking at the ports; measured packet
+    # throughput feeds back into the solver).  `fluid_size_bytes=1`
+    # promotes every flow.  Unlike sanitize this is NOT a
+    # result-neutral knob — fluid results are an approximation — so the
+    # sweep cache fingerprint includes both fields.  See docs/FLUID.md.
     mode: str = "packet"
     fluid_size_bytes: int = 1_000_000
 
@@ -150,6 +150,22 @@ class ExperimentConfig:
             )
         if self.topology not in ("star", "leafspine"):
             raise ValueError(f"unknown topology {self.topology!r}")
+        if self.topology == "star" and self.n_hosts < 2:
+            raise ValueError(f"n_hosts must be >= 2, got {self.n_hosts}")
+        if self.topology == "leafspine":
+            for name in ("n_leaf", "n_spine", "hosts_per_leaf"):
+                value = getattr(self, name)
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1, got {value}")
+            if self.n_leaf * self.hosts_per_leaf < 2:
+                raise ValueError(
+                    "n_leaf x hosts_per_leaf must give at least 2 hosts, got "
+                    f"{self.n_leaf} x {self.hosts_per_leaf}"
+                )
+        for name in ("base_rtt_ns", "link_delay_ns"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0.0 < self.load < 1.0:
             raise ValueError(f"load must be in (0,1), got {self.load}")
         if self.n_flows < 1:
@@ -187,10 +203,10 @@ class ExperimentConfig:
             )
         if self.pias and not self.scheduler.startswith("sp"):
             raise ValueError("PIAS tagging needs a strict-priority high queue")
-        if self.mode not in ("packet", "fluid", "hybrid"):
+        if self.mode not in ("packet", "hybrid"):
             raise ValueError(
-                f"unknown mode {self.mode!r}: expected packet, fluid, "
-                "or hybrid"
+                f"unknown mode {self.mode!r}: expected packet or hybrid "
+                "(mode='hybrid' with fluid_size_bytes=1 promotes every flow)"
             )
         if self.fluid_size_bytes < 1:
             raise ValueError(

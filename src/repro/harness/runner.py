@@ -462,9 +462,7 @@ def _deadline_ns(cfg: ExperimentConfig, flows: List[Flow]) -> int:
         # with the same generosity factor.  Epochs make the extra
         # simulated time nearly free.
         promoted = sum(
-            f.size_bytes
-            for f in flows
-            if cfg.mode == "fluid" or f.size_bytes >= cfg.fluid_size_bytes
+            f.size_bytes for f in flows if f.size_bytes >= cfg.fluid_size_bytes
         )
         deadline += 4 * promoted * 8 * SEC // cfg.link_rate_bps
     return deadline

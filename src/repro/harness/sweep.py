@@ -24,15 +24,12 @@ Design notes
   process with a result pipe; a worker that crashes (EOF on the pipe) or
   exceeds ``timeout_s`` (terminated) yields a structured
   :class:`SweepError` result while the rest of the sweep proceeds.
-* **Spawn-safe workers, loud fallback.**  The worker bootstrap is
-  start-method agnostic: ``fork`` is preferred (cheapest), but platforms
-  offering only ``spawn``/``forkserver`` (e.g. Windows, macOS defaults)
+* **Spawn-safe workers.**  The worker bootstrap is start-method
+  agnostic: ``fork`` is preferred (cheapest), but platforms offering
+  only ``spawn``/``forkserver`` (e.g. Windows, macOS defaults)
   parallelise too, because the child entry point is module-level and its
-  arguments pickle.  ``processes=0`` (or 1) still runs in-process with
-  identical semantics — useful under debuggers — and on the (rare)
-  platform with *no* usable start method the sweep falls back to serial
-  **loudly**: a stderr warning plus ``SweepStats.serial_fallback=True``,
-  never an invisible loss of parallelism.
+  arguments pickle.  ``processes=0`` (or 1) runs in-process with
+  identical semantics — useful under debuggers.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -197,14 +193,6 @@ class SweepStats:
     #: summed per-run wall time of those runs (>= ``wall_s`` when the
     #: sweep is parallel)
     run_wall_s: float = 0.0
-    #: True when parallelism was requested but no usable multiprocessing
-    #: start method exists, so the sweep silently-no-more ran serially
-    #: (a loud warning is also printed to stderr when this trips)
-    serial_fallback: bool = False
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.total if self.total else 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -236,12 +224,11 @@ class SweepOutcome:
         return [r for r in self.results if not r.ok]
 
 
-#: payload keys `_result_from_payload` indexes (the rest have defaults);
-#: `run_sweep` treats a cached payload missing any of them as a miss
-_REQUIRED_PAYLOAD_KEYS = frozenset((
+#: the integer counters of a payload, decoded by name
+_COUNTERS = (
     "completed", "total", "timeouts", "timeouts_small", "drops", "marks",
-    "sim_ns", "flow_stats",
-))
+    "sim_ns", "events", "heap_hwm",
+)
 
 
 def _result_from_payload(
@@ -250,25 +237,27 @@ def _result_from_payload(
     wall_s: float,
     from_cache: bool,
 ) -> SweepResult:
-    summary = None
-    if payload.get("summary") is not None:
-        summary = FctSummary(**payload["summary"])
+    """Decode ``SweepResult.payload()`` output back into a result.
+
+    A payload of the wrong shape (a missing key, a non-integer counter,
+    malformed summary or flow pairs) raises ``KeyError``, ``TypeError``
+    or ``ValueError``.
+    """
+    counters = {name: payload[name] for name in _COUNTERS}
+    metrics = payload["metrics"]
+    if any(type(v) is not int for v in counters.values()) or (
+        type(metrics) is not dict
+    ):
+        raise TypeError("payload counters must be ints and metrics a dict")
+    summary = payload["summary"]
     return SweepResult(
         config=cfg,
-        summary=summary,
-        completed=payload["completed"],
-        total=payload["total"],
-        timeouts=payload["timeouts"],
-        timeouts_small=payload["timeouts_small"],
-        drops=payload["drops"],
-        marks=payload["marks"],
-        sim_ns=payload["sim_ns"],
-        events=payload.get("events", 0),
+        summary=None if summary is None else FctSummary(**summary),
         wall_s=wall_s,
-        flow_stats=[tuple(pair) for pair in payload["flow_stats"]],
-        metrics=payload.get("metrics", {}),
-        heap_hwm=payload.get("heap_hwm", 0),
+        flow_stats=[(size, fct) for size, fct in payload["flow_stats"]],
+        metrics=metrics,
         from_cache=from_cache,
+        **counters,
     )
 
 
@@ -292,8 +281,8 @@ class ResultCache:
     Layout: ``<root>/<key>.json`` where ``key = config_key(cfg)``.  Each
     entry records the key, the config fingerprint (for humans debugging a
     miss), and the result payload.  Writes are atomic (tmp + rename) so a
-    crashed run never leaves a torn entry; unreadable entries are treated
-    as misses.
+    crashed run never leaves a torn entry; unreadable entries, and
+    entries whose payload does not decode, are treated as misses.
     """
 
     def __init__(self, root: Union[str, "os.PathLike[str]", None] = None) -> None:
@@ -310,12 +299,9 @@ class ResultCache:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
-        # valid JSON of the wrong shape is as unreadable as a torn file
-        if (
-            not isinstance(entry, dict)
-            or entry.get("key") != key
-            or not isinstance(entry.get("payload"), dict)
-        ):
+        # valid JSON of the wrong shape is as unreadable as a torn file;
+        # the payload itself is checked where it is decoded
+        if not isinstance(entry, dict) or entry.get("key") != key:
             return None
         return entry
 
@@ -348,6 +334,25 @@ class ResultCache:
             except OSError:
                 pass
             raise
+
+
+def _cached_result(
+    cache: ResultCache, cfg: ExperimentConfig
+) -> Optional[SweepResult]:
+    """The cached result for ``cfg``, or ``None`` on a miss.
+
+    An entry whose payload does not decode is a miss too: the sweep
+    re-runs the config and overwrites the entry.
+    """
+    entry = cache.get(cfg)
+    if entry is None:
+        return None
+    try:
+        return _result_from_payload(
+            cfg, entry["payload"], entry["wall_s"], from_cache=True
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 # -- execution -----------------------------------------------------------
@@ -412,11 +417,8 @@ def _resolve_processes(
 ) -> Tuple[int, Optional[str]]:
     """Pick (worker count, start method); ``(0, None)`` means serial.
 
-    ``0`` workers is only ever the *requested* serial mode (``processes``
-    in {0, 1} or a single config) — except on a platform with no usable
-    ``multiprocessing`` start method at all, where the caller must treat
-    the fallback as an event worth reporting (``SweepStats.serial_fallback``),
-    never silently degrade.
+    Serial is what ``processes`` in {0, 1} or a single config asks for.
+    Every platform offers ``spawn``, so a start method is always found.
     """
     if processes is None:
         processes = os.cpu_count() or 1
@@ -424,10 +426,7 @@ def _resolve_processes(
     if processes <= 1:
         return 0, None
     available = multiprocessing.get_all_start_methods()
-    for method in _START_METHODS:
-        if method in available:
-            return processes, method
-    return 0, None
+    return processes, next(m for m in _START_METHODS if m in available)
 
 
 DispatchFn = Callable[[int, int], None]
@@ -577,16 +576,16 @@ def run_sweep(
     processes:
         Worker processes.  ``None`` means one per CPU (capped at the
         number of configs); ``0`` or ``1`` runs serially in-process.  Any
-        available start method works (``fork`` preferred, ``spawn`` /
-        ``forkserver`` otherwise); a platform with none runs serially
-        with a stderr warning and ``SweepStats.serial_fallback`` set.
+        available start method works (``fork`` preferred, ``forkserver``
+        then ``spawn`` otherwise).
     timeout_s:
         Per-config wall-clock budget.  An over-budget worker is
         terminated and reported as a ``SweepError(kind="timeout")``
         (parallel mode only — a serial run cannot be interrupted).
     cache:
         A :class:`ResultCache`; hits skip the simulation entirely.  Only
-        successful results are cached.
+        successful results are cached; an entry that does not decode is
+        a miss, re-run and overwritten.
     progress:
         ``progress(done, total, result)`` called after every cell, cache
         hits included (from the coordinating process, in completion
@@ -653,18 +652,10 @@ def run_sweep(
 
     to_run: List[Tuple[int, ExperimentConfig]] = []
     for idx, cfg in enumerate(configs):
-        entry = cache.get(cfg) if cache is not None else None
-        if entry is not None and _REQUIRED_PAYLOAD_KEYS.issubset(
-            entry["payload"]
-        ):
+        hit = _cached_result(cache, cfg) if cache is not None else None
+        if hit is not None:
             stats.cache_hits += 1
-            finish(
-                idx,
-                _result_from_payload(
-                    cfg, entry["payload"], entry.get("wall_s", 0.0),
-                    from_cache=True,
-                ),
-            )
+            finish(idx, hit)
         else:
             if cache is not None:
                 stats.cache_misses += 1
@@ -672,17 +663,6 @@ def run_sweep(
 
     n_workers, start_method = _resolve_processes(processes, len(to_run))
     if n_workers == 0:
-        requested = processes if processes is not None else (os.cpu_count() or 1)
-        if requested > 1 and len(to_run) > 1:
-            # Parallelism was asked for and there is work to parallelise,
-            # yet no multiprocessing start method exists on this platform.
-            # Losing the machine's cores must never be invisible.
-            stats.serial_fallback = True
-            sys.stderr.write(
-                "repro.harness.sweep: WARNING: no multiprocessing start "
-                "method available on this platform — running "
-                f"{len(to_run)} configs serially\n"
-            )
         _run_serial(to_run, finish, on_dispatch if spans_on else None)
     else:
         _run_parallel(

@@ -55,11 +55,6 @@ class Switch:
 
     # -- aggregate statistics --------------------------------------------
 
-    @property
-    def total_occupancy(self) -> int:
-        """Bytes buffered across all ports (used by per-pool ECN/RED)."""
-        return sum(p.occupancy for p in self.ports)
-
     def total_drops(self) -> int:
         return sum(p.stats.dropped_pkts for p in self.ports)
 

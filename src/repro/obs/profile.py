@@ -33,7 +33,7 @@ class RunProfile:
     events_per_sec: float = 0.0
     #: process high-water RSS (bytes), 0 where the platform can't say
     rss_hwm_bytes: int = 0
-    # -- fluid/hybrid mode (empty for pure packet runs) ------------------
+    # -- hybrid mode (empty for pure packet runs) -------------------------
     #: FluidNetwork.stats_dict(): promoted flows, epochs, solver
     #: iterations, threshold crossings — deterministic properties of the
     #: run, reported so fluid epoch cost stays observable in benches

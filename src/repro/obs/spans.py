@@ -18,7 +18,7 @@ engine     chunk     ``harness.runner.run_experiment`` — one span per
                      sim-time bounds, executed events, packet-freelist
                      pressure deltas and the process RSS
 fluid      epoch     ``sim.fluid.FluidNetwork`` — one span per fluid
-                     epoch (hybrid/fluid modes)
+                     epoch (hybrid mode)
 sweep      job       ``harness.sweep.run_sweep`` — one span per grid cell
                      (queued → dispatched → finished) with cache/crash
                      status, plus one ``sweep`` span for the whole pool

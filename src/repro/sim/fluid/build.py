@@ -50,17 +50,13 @@ def split_flows(
 ) -> Tuple[List["Flow"], List["Flow"]]:
     """Partition generated flows into (packet, fluid) per ``cfg.mode``.
 
-    ``packet`` keeps everything packet-exact; ``fluid`` promotes every
-    flow; ``hybrid`` promotes flows of at least ``fluid_size_bytes`` —
-    the long-lived transfers whose steady state the fluid model
-    describes — and leaves the latency-sensitive short flows on the
-    packet engine.
+    ``packet`` keeps everything packet-exact; ``hybrid`` promotes flows
+    of at least ``fluid_size_bytes`` — the long-lived transfers whose
+    steady state the fluid model describes — and leaves the
+    latency-sensitive short flows on the packet engine.
     """
-    mode = cfg.mode
-    if mode == "packet":
+    if cfg.mode == "packet":
         return list(flows), []
-    if mode == "fluid":
-        return [], list(flows)
     threshold = cfg.fluid_size_bytes
     packet: List["Flow"] = []
     fluid: List["Flow"] = []

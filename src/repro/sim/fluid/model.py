@@ -93,8 +93,8 @@ class FluidLink:
         base_delay_ns: int = 0,
         q_delay_cap_ns: int = 0,
     ) -> None:
-        #: the packet-mode port this link shadows (None in pure-fluid
-        #: unit tests, where links are abstract capacities)
+        #: the packet-mode port this link shadows (None in unit tests,
+        #: where links are abstract capacities)
         self.port = port
         #: nominal capacity, bits/s
         self.capacity_bps = capacity_bps

@@ -17,12 +17,11 @@ see the drift.
 
 Hybrid coupling (both directions, applied in :meth:`_epoch_apply`):
 
-* **fluid → packet:** each saturated link's port has its ``rate_bps``
-  set to the residual capacity left by fluid flows (the per-size
-  serialization cache is invalidated), its link delay extended by the
-  standing-queue delay the AQM would hold, and its ``fluid`` slot
-  pointed at the :class:`~repro.sim.fluid.model.FluidLink` so the port
-  CE-marks transiting ECT packets at the fluid marking rate.
+* **fluid → packet:** each saturated link's port keeps its line rate
+  but has its link delay extended by the standing-queue delay the AQM
+  would hold, and its ``fluid`` slot pointed at the
+  :class:`~repro.sim.fluid.model.FluidLink` so the port CE-marks
+  transiting ECT packets at the fluid marking rate.
 * **packet → fluid:** a periodic ``on_tick`` samples each port's
   transmitted bytes into a packet-rate EWMA; the solver sees
   ``capacity − packet_rate`` and re-solves when any link's measured
@@ -38,8 +37,8 @@ rates by touching a link only on a tick in which it sent or its decay
 could still trigger a re-solve (an idle link's rate is a value and the
 tick it was measured at, halved forward on demand by :func:`halved`).
 Per-link sums are taken in activation order, the order the scans they
-replace added in, so every float is bit-identical (docs/FLUID.md,
-"Epoch cost").
+replace added in, so every float is bit-identical to
+``tests/fluid_oracle.py`` (docs/FLUID.md, "Epoch cost and exactness").
 """
 
 from __future__ import annotations

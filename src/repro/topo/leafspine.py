@@ -131,9 +131,6 @@ class LeafSpineTopology:
 
     # -- routing -------------------------------------------------------------
 
-    def leaf_of(self, host_id: int) -> int:
-        return host_id // self.hosts_per_leaf
-
     def ecmp_spine(self, flow_id: int) -> int:
         """Deterministic per-flow spine choice."""
         return ((flow_id + self.ecmp_salt) * _HASH_MULT & 0xFFFFFFFF) % self.n_spine

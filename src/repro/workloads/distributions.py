@@ -104,7 +104,7 @@ CACHE = EmpiricalCdf(
     ],
 )
 
-#: Bulk transfer: a synthetic two-point mix for the fluid/hybrid mode —
+#: Bulk transfer: a synthetic two-point mix for hybrid mode —
 #: 30% short request/response messages (30 KB) and 70% long bulk
 #: transfers (25 MB), so most *flows above any reasonable promotion
 #: threshold are identical long transfers* whose steady state the fluid

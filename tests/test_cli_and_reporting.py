@@ -28,6 +28,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--scheme", "nonsense"])
 
+    @pytest.mark.parametrize("command", [[], ["run"], ["sweep"]])
+    def test_fluid_mode_is_not_a_choice(self, command, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--mode", "fluid"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fluid'" in capsys.readouterr().err
+
     def test_main_rejects_the_retired_bench_command(self, capsys):
         """Retired sub-commands exit 2 before the run parser sees them:
         ``<word> --help`` must not print the run help and exit 0."""

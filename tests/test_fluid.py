@@ -8,14 +8,14 @@ Four layers of guarantees, cheapest first:
   propagation delay where the ramp model vanishes) the fluid engine's
   FCTs equal the analytic shares **exactly** — integer nanoseconds, no
   tolerance;
-* on a small leaf-spine, hybrid mode's promoted-flow FCT distribution
-  stays within the 5% acceptance bands of the packet engine (pooled
-  over three seeds; everything is seeded, so the deviations are exact
-  reproducible numbers — the full harness is ``python -m repro
-  fluidcheck``, see docs/FLUID.md);
-* fluid/hybrid runs at a fixed seed are pinned by SHA-256 digests, the
-  same guard the packet engine gets from the golden traces — and the
-  new ``mode``/``fluid_size_bytes`` config fields invalidate the sweep
+* on three bulk configs (a 9-host star and two small leaf-spines),
+  hybrid mode's promoted-flow FCT distribution and goodput stay within
+  5% of the packet engine (pooled over three seeds; everything is
+  seeded, so the deviations are exact reproducible numbers — the table
+  is in docs/FLUID.md);
+* hybrid runs at a fixed seed are pinned by SHA-256 digests, the same
+  guard the packet engine gets from the golden traces — and the
+  ``mode``/``fluid_size_bytes`` config fields invalidate the sweep
   cache like any other field.
 """
 
@@ -192,33 +192,36 @@ class TestStaticSingleBottleneckExact:
         }
 
 
-#: small leaf-spine cross-validation: promoted (>= 1 MB) flows pooled
-#: over three seeds, hybrid vs packet-exact.  The bands are the PR
-#: acceptance bands; every run is seeded, so a failure is a behaviour
-#: change, not noise.
-_XVAL_BASE = dict(
-    scheme="tcn",
-    scheduler="sp_dwrr",
-    topology="leafspine",
-    n_leaf=2,
-    n_spine=2,
-    hosts_per_leaf=4,
-    workload="bulk",
-    workload_clip_bytes=2_000_000,
-    load=0.1,
-    n_flows=40,
-)
+#: hybrid-vs-packet cross-validation: promoted (>= 1 MB) flows pooled
+#: over three seeds (pooling keeps the p99 out of single-seed noise).
+#: Every config sits inside the model's validity domain on purpose
+#: (moderate long-flow concurrency, two-point bulk workload; docs/FLUID.md
+#: says where it is not).  Every run is seeded, so a failure is a
+#: behaviour change, not noise: do not retune these to make it pass.
+_XVAL_BULK = dict(workload="bulk", workload_clip_bytes=2_000_000)
+_XVAL_FABRIC = dict(topology="leafspine", n_leaf=2, n_spine=2, hosts_per_leaf=4)
+_XVAL_CONFIGS = {
+    "leafspine_sp_dwrr": dict(
+        scheme="tcn", scheduler="sp_dwrr", load=0.1, n_flows=40,
+        **_XVAL_FABRIC, **_XVAL_BULK,
+    ),
+    "star_bulk": dict(
+        topology="star", n_hosts=9, load=0.3, n_flows=100, **_XVAL_BULK
+    ),
+    "leafspine_bulk": dict(
+        load=0.1, n_flows=80, **_XVAL_FABRIC, **_XVAL_BULK
+    ),
+}
 _XVAL_SEEDS = (1, 2, 3)
 _PROMOTION = 1_000_000
 
 
-def _pooled(mode):
+def _pooled(mode, base):
     fcts, goodputs = [], []
     for seed in _XVAL_SEEDS:
         result = run_experiment(
             ExperimentConfig(
-                mode=mode, fluid_size_bytes=_PROMOTION, seed=seed,
-                **_XVAL_BASE,
+                mode=mode, fluid_size_bytes=_PROMOTION, seed=seed, **base
             )
         )
         for flow in result.flows:
@@ -228,10 +231,11 @@ def _pooled(mode):
     return fcts, goodputs
 
 
-class TestHybridAccuracyOnLeafSpine:
-    @pytest.fixture(scope="class")
-    def pools(self):
-        return _pooled("packet"), _pooled("hybrid")
+class TestHybridAccuracy:
+    @pytest.fixture(scope="class", params=sorted(_XVAL_CONFIGS))
+    def pools(self, request):
+        base = _XVAL_CONFIGS[request.param]
+        return _pooled("packet", base), _pooled("hybrid", base)
 
     def test_every_promoted_flow_completes_in_both_modes(self, pools):
         (ref_fcts, _), (hyb_fcts, _) = pools
@@ -255,11 +259,13 @@ class TestHybridAccuracyOnLeafSpine:
 #: json.dumps of the FCT vector.  Any change to solver arithmetic,
 #: epoch ordering, promotion policy or the hybrid coupling flips one.
 _FLUID_GOLDEN = {
+    # fluid_size_bytes=1 promotes every flow: no packet flow shares the
+    # fabric, so the fluid network runs uncoupled
     "star_bulk_fluid": {
         "config": dict(
             scheme="tcn", scheduler="dwrr", workload="bulk",
             workload_clip_bytes=2_000_000, load=0.3, n_flows=20,
-            seed=3, mode="fluid", fluid_size_bytes=1_000_000,
+            seed=3, mode="hybrid", fluid_size_bytes=1,
         ),
         "fct_sha256": (
             "1eaa2b8806b1ac83a0a41753332e4a8377ab4973999ed1eb6499a59dd91baa50"
@@ -373,7 +379,6 @@ class TestModeInSweepCacheFingerprint:
         base = config_key(ExperimentConfig(**_CACHE_BASE))
         for variant in (
             ExperimentConfig(mode="hybrid", **_CACHE_BASE),
-            ExperimentConfig(mode="fluid", **_CACHE_BASE),
             ExperimentConfig(fluid_size_bytes=500_000, **_CACHE_BASE),
         ):
             assert config_key(variant) != base

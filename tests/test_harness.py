@@ -64,15 +64,27 @@ class TestConfig:
         (dict(max_sim_ns=-1), "max_sim_ns"),
         (dict(min_rto_ns=0), "min_rto_ns"),
         (dict(min_rto_ns=-1), "min_rto_ns"),
+        (dict(n_hosts=1), "n_hosts"),
+        (dict(topology="leafspine", n_leaf=0), "n_leaf"),
+        (dict(topology="leafspine", n_spine=0), "n_spine"),
+        (dict(topology="leafspine", hosts_per_leaf=0), "hosts_per_leaf"),
+        (dict(topology="leafspine", n_leaf=1, hosts_per_leaf=1),
+         "hosts_per_leaf"),
+        (dict(base_rtt_ns=-1), "base_rtt_ns"),
+        (dict(link_delay_ns=-1), "link_delay_ns"),
+        (dict(mode="fluid"), "fluid_size_bytes=1"),
     ], ids=[
         "unknown-scheme", "unknown-scheduler", "unknown-transport",
         "pias-no-low-band", "pias-no-high-band", "zero-quantum",
         "zero-rate", "negative-rate", "no-connections", "negative-deadline",
-        "zero-rto", "negative-rto",
+        "zero-rto", "negative-rto", "one-host-star", "no-leaves",
+        "no-spines", "no-hosts-per-leaf", "one-host-fabric",
+        "negative-rtt", "negative-link-delay", "fluid-mode",
     ])
     def test_validation_names_the_field(self, fields, field):
         """Each of these used to pass validate() and then crash deep in
-        the run, hang it, or quietly return nothing."""
+        the run, hang it, or quietly return nothing (``mode="fluid"`` is
+        the deleted spelling of hybrid mode at ``fluid_size_bytes=1``)."""
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**fields).validate()
 
@@ -81,6 +93,11 @@ class TestConfig:
         ExperimentConfig(max_sim_ns=1000).validate()  # a partial run
         ExperimentConfig(connections_per_pair=0).validate()  # unused
         ExperimentConfig(scheduler="sp", pias=True, n_high=3).validate()
+        ExperimentConfig(n_hosts=2).validate()
+        ExperimentConfig(topology="leafspine", n_leaf=1, hosts_per_leaf=2,
+                         n_spine=1).validate()
+        ExperimentConfig(n_hosts=1, topology="leafspine").validate()  # star only
+        ExperimentConfig(link_delay_ns=0).validate()
 
 
 class TestRegistries:

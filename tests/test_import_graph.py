@@ -168,7 +168,7 @@ class TestCliDispatch:
             "--cache-dir", str(tmp_path),
         )
         assert facts["exit"] == 0
-        assert _under(modules, "repro.sanitize", "repro.harness.fluidcheck") == []
+        assert _under(modules, "repro.sanitize") == []
 
 
 _SWEEP = """

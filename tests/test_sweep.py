@@ -36,6 +36,20 @@ def _canon(result):
     return json.dumps(result.payload(), sort_keys=True)
 
 
+def _entry(key, drop=(), **changes):
+    """A cache entry whose payload decodes unless ``changes``/``drop``
+    break it."""
+    payload = {
+        "summary": None, "completed": 0, "total": 0, "timeouts": 0,
+        "timeouts_small": 0, "drops": 0, "marks": 0, "sim_ns": 0,
+        "events": 0, "flow_stats": [], "metrics": {}, "heap_hwm": 0,
+    }
+    payload.update(changes)
+    for name in drop:
+        del payload[name]
+    return {"key": key, "wall_s": 0.0, "payload": payload}
+
+
 class TestConfigKey:
     def test_stable_across_instances(self):
         a = ExperimentConfig(scheme="tcn", seed=1, **BASE)
@@ -260,11 +274,19 @@ class TestCache:
             lambda key: [],
             lambda key: {"key": key, "payload": {}},
             lambda key: {"key": key, "payload": 3},
+            lambda key: _entry(key, summary={"bogus": 1}),
+            lambda key: _entry(key, flow_stats=7),
+            lambda key: _entry(key, completed="1"),
+            lambda key: _entry(key, drop=("events", "metrics", "heap_hwm")),
         ],
-        ids=["null", "list", "empty-payload", "int-payload"],
+        ids=[
+            "null", "list", "empty-payload", "int-payload", "bogus-summary",
+            "int-flow-stats", "str-counter", "older-payload",
+        ],
     )
     def test_wrong_shape_entry_is_a_miss_and_heals(self, tmp_path, blob):
-        """Valid JSON of the wrong shape used to crash the whole sweep."""
+        """Valid JSON of the wrong shape used to crash the whole sweep or
+        load as a result; every entry that does not decode is a miss."""
         cache = ResultCache(tmp_path)
         cfg = ExperimentConfig(scheme="tcn", seed=1, **BASE)
         path = cache.path_for(config_key(cfg))
@@ -411,41 +433,6 @@ class TestResolveProcesses:
         )
         assert sweep_mod._resolve_processes(2, 4) == (2, "spawn")
 
-    def test_no_start_method_means_serial(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: []
-        )
-        assert sweep_mod._resolve_processes(4, 4) == (0, None)
-
-
-class TestSerialFallback:
-    """No start method at all: run serially, but never silently."""
-
-    def test_flag_and_warning(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: []
-        )
-        outcome = run_sweep(_grid()[:2], processes=4)
-        assert outcome.ok
-        assert outcome.stats.serial_fallback
-        err = capsys.readouterr().err
-        assert "WARNING" in err and "serially" in err
-
-    def test_requested_serial_does_not_trip_the_flag(self, capsys):
-        outcome = run_sweep(_grid()[:2], processes=0)
-        assert not outcome.stats.serial_fallback
-        assert "WARNING" not in capsys.readouterr().err
-
-    def test_results_match_parallel_path(self, monkeypatch):
-        configs = _grid()[:2]
-        normal = run_sweep(configs, processes=0)
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: []
-        )
-        fallback = run_sweep(configs, processes=4)
-        for a, b in zip(normal, fallback):
-            assert _canon(a) == _canon(b)
-
 
 @pytest.mark.skipif(
     "spawn" not in multiprocessing.get_all_start_methods(),
@@ -461,7 +448,7 @@ class TestSpawnBootstrap:
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         spawned = run_sweep(configs, processes=2)
-        assert spawned.ok and not spawned.stats.serial_fallback
+        assert spawned.ok
         for a, b in zip(serial, spawned):
             assert _canon(a) == _canon(b)
 

@@ -292,16 +292,6 @@ class TestSweepObservabilityFields:
         assert back.metrics == result.metrics
         assert back.heap_hwm == result.profile["heap_hwm"] > 0
 
-    def test_old_payloads_without_new_fields_still_load(self):
-        cfg = ExperimentConfig(**_CFG)
-        payload = {
-            "summary": None, "completed": 0, "total": 0, "timeouts": 0,
-            "timeouts_small": 0, "drops": 0, "marks": 0, "sim_ns": 0,
-            "flow_stats": [],
-        }
-        back = _result_from_payload(cfg, payload, wall_s=0.0, from_cache=True)
-        assert back.metrics == {} and back.heap_hwm == 0
-
     def test_sweep_stats_json_round_trip(self):
         stats = SweepStats(
             total=4, cache_hits=1, cache_misses=3, errors=0,
