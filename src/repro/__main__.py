@@ -51,22 +51,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+    from repro.harness.schemes import REGISTRIES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run a TCN-reproduction experiment.",
     )
-    parser.add_argument("--scheme", default="tcn", choices=sorted(SCHEMES))
-    parser.add_argument(
-        "--scheduler", default="dwrr", choices=sorted(SCHEDULERS)
-    )
-    parser.add_argument(
-        "--transport", default="dctcp", choices=sorted(TRANSPORTS)
-    )
-    parser.add_argument(
-        "--topology", default="star", choices=("star", "leafspine")
-    )
+    for name, default in (
+        ("scheme", "tcn"), ("scheduler", "dwrr"), ("transport", "dctcp"),
+        ("topology", "star"),
+    ):
+        parser.add_argument(
+            f"--{name}", default=default, choices=sorted(REGISTRIES[name])
+        )
     parser.add_argument("--workload", default="websearch")
     parser.add_argument("--load", type=float, default=0.7)
     parser.add_argument("--flows", type=int, default=200)
@@ -93,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--mode", default="packet", choices=("packet", "hybrid"),
+        "--mode", default="packet", choices=sorted(REGISTRIES["mode"]),
         help=(
             "simulation mode: 'packet' is the exact packet engine "
             "(default); 'hybrid' promotes flows of at least "
@@ -149,7 +146,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
-    from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+    from repro.harness.schemes import REGISTRIES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -159,18 +156,15 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "--transport/--workload/--load/--seed to add grid points."
         ),
     )
-    parser.add_argument("--scheme", action="append", choices=sorted(SCHEMES))
-    parser.add_argument(
-        "--scheduler", action="append", choices=sorted(SCHEDULERS)
-    )
-    parser.add_argument(
-        "--transport", action="append", choices=sorted(TRANSPORTS)
-    )
+    for name in ("scheme", "scheduler", "transport"):
+        parser.add_argument(
+            f"--{name}", action="append", choices=sorted(REGISTRIES[name])
+        )
     parser.add_argument("--workload", action="append")
     parser.add_argument("--load", type=float, action="append")
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument(
-        "--topology", default="star", choices=("star", "leafspine")
+        "--topology", default="star", choices=sorted(REGISTRIES["topology"])
     )
     parser.add_argument("--flows", type=int, default=200)
     parser.add_argument("--queues", type=int, default=4)
@@ -194,7 +188,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--mode", default="packet", choices=("packet", "hybrid"),
+        "--mode", default="packet", choices=sorted(REGISTRIES["mode"]),
         help=(
             "simulation mode for every grid point (result-affecting: "
             "cached results are keyed by it; see docs/FLUID.md)"

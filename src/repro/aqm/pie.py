@@ -54,6 +54,8 @@ class Pie(Aqm):
         dq_thresh_bytes: int = 10_000,
         rng: Optional[random.Random] = None,
     ) -> None:
+        if update_interval_ns <= 0:  # the update timer re-arms at this delay
+            raise ValueError(f"update_interval_ns must be > 0: {update_interval_ns}")
         self.target_delay_ns = target_delay_ns
         self.update_interval_ns = update_interval_ns
         self.alpha = alpha

@@ -17,8 +17,9 @@ from repro.core.thresholds import (
     standard_red_threshold_bytes,
     standard_tcn_threshold_ns,
 )
+from repro.harness.schemes import REGISTRIES
 from repro.units import GBPS, HEADER, KB, MSEC, MSS, USEC
-from repro.workloads.distributions import workload_by_name
+from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
 
 #: schemes that are only defined on round-robin schedulers
 ROUND_ROBIN_ONLY = {"mqecn"}
@@ -26,18 +27,13 @@ ROUND_ROBIN_ONLY = {"mqecn"}
 #: schedulers that expose rounds
 ROUND_ROBIN_SCHEDULERS = {"wrr", "dwrr", "sp_dwrr"}
 
-#: the keys of the registries in :mod:`repro.harness.schemes`, named here so
-#: ``validate()`` can check a config without importing the simulator
-#: (``tests/test_harness.py`` pins the two equal)
-REGISTRY_NAMES = {
-    "scheme": (
-        "codel", "dequeue_red", "droptail", "ideal", "mqecn", "perport_red",
-        "pie", "red_std", "tcn",
-    ),
-    "scheduler": (
-        "dwrr", "fifo", "pifo", "sp", "sp_dwrr", "sp_wfq", "wfq", "wrr",
-    ),
-    "transport": ("dctcp", "ecnstar", "reno"),
+#: fields a scheme's marker rejects unless > 0 (read as ``effective_<field>``
+#: where the field may be left unset)
+_POSITIVE_BY_SCHEME = {
+    "tcn": ("tcn_threshold_ns",),
+    "codel": ("codel_target_ns", "codel_interval_ns"),
+    "ideal": ("dq_thresh_bytes",),
+    "pie": ("dq_thresh_bytes",),
 }
 
 
@@ -128,14 +124,17 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Fail fast on inconsistent combinations."""
-        for name, choices in REGISTRY_NAMES.items():
+        for name, registry in REGISTRIES.items():
             value = getattr(self, name)
-            if value not in choices:
+            if value not in registry:
+                hint = "; mode='hybrid' with fluid_size_bytes=1 promotes every flow"
                 raise ValueError(
                     f"unknown {name} {value!r}: expected one of "
-                    f"{', '.join(choices)}"
+                    f"{', '.join(sorted(registry))}{hint if name == 'mode' else ''}"
                 )
-        for name in ("link_rate_bps", "quantum_bytes", "min_rto_ns"):
+        for name in (
+            "link_rate_bps", "quantum_bytes", "min_rto_ns", "base_rtt_ns", "lam"
+        ):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -148,8 +147,6 @@ class ExperimentConfig:
                 "connections_per_pair must be >= 1 with persistent_connections, "
                 f"got {self.connections_per_pair}"
             )
-        if self.topology not in ("star", "leafspine"):
-            raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "star" and self.n_hosts < 2:
             raise ValueError(f"n_hosts must be >= 2, got {self.n_hosts}")
         if self.topology == "leafspine":
@@ -162,10 +159,8 @@ class ExperimentConfig:
                     "n_leaf x hosts_per_leaf must give at least 2 hosts, got "
                     f"{self.n_leaf} x {self.hosts_per_leaf}"
                 )
-        for name in ("base_rtt_ns", "link_delay_ns"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.link_delay_ns is not None and self.link_delay_ns < 0:
+            raise ValueError(f"link_delay_ns must be >= 0, got {self.link_delay_ns}")
         if not 0.0 < self.load < 1.0:
             raise ValueError(f"load must be in (0,1), got {self.load}")
         if self.n_flows < 1:
@@ -203,15 +198,28 @@ class ExperimentConfig:
             )
         if self.pias and not self.scheduler.startswith("sp"):
             raise ValueError("PIAS tagging needs a strict-priority high queue")
-        if self.mode not in ("packet", "hybrid"):
-            raise ValueError(
-                f"unknown mode {self.mode!r}: expected packet or hybrid "
-                "(mode='hybrid' with fluid_size_bytes=1 promotes every flow)"
-            )
         if self.fluid_size_bytes < 1:
             raise ValueError(
                 f"fluid_size_bytes must be >= 1, got {self.fluid_size_bytes}"
             )
+        for name in _POSITIVE_BY_SCHEME.get(self.scheme, ()):
+            value = getattr(self, "effective_" + name, getattr(self, name))
+            if value <= 0:
+                raise ValueError(f"{self.scheme} needs {name} > 0, got {value}")
+        if self.scheme == "mqecn" and not 0.0 < self.mqecn_beta <= 1.0:
+            raise ValueError(f"mqecn_beta must be in (0, 1], got {self.mqecn_beta}")
+        clip = self.workload_clip_bytes
+        if clip is not None:
+            cdfs = (
+                ALL_WORKLOADS[: self.n_services] if self.workload == "mixed"
+                else [workload_by_name(self.workload)]
+            )
+            smallest = max(cdf.sizes[0] for cdf in cdfs)
+            if clip <= smallest:
+                raise ValueError(
+                    "workload_clip_bytes must exceed the smallest flow size "
+                    f"({smallest:g} B), got {clip}"
+                )
 
     # -- derived constants -----------------------------------------------
 
@@ -246,6 +254,26 @@ class ExperimentConfig:
         return 4 * self.base_rtt_ns
 
     @property
+    def effective_link_delay_ns(self) -> int:
+        """Star links: a quarter of the base RTT unless pinned."""
+        if self.link_delay_ns is not None:
+            return self.link_delay_ns
+        return self.base_rtt_ns // 4
+
+    @property
+    def host_link_delay_ns(self) -> int:
+        """Leaf-spine host links: all of the base RTT but the eight 650 ns
+        fabric hops (§6.2: 80 of 85.2 us sit at the hosts)."""
+        return max(1, (self.base_rtt_ns - 8 * 650) // 4)
+
+    @property
     def n_low(self) -> int:
         """Low-priority (fair-queued) queues under sp_* schedulers."""
         return self.n_queues - self.n_high
+
+    @property
+    def n_services(self) -> int:
+        """Service queues available to workloads (low band under sp_*)."""
+        if self.scheduler.startswith("sp_") or self.pias:
+            return self.n_low
+        return self.n_queues

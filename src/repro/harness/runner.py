@@ -17,32 +17,27 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+from repro.harness.schemes import resolve
 from repro.metrics.fct import FctCollector, FctSummary
 from repro.net.packet import freelist_stats
-from repro.obs import (
-    Histogram,
-    RunProfile,
-    SpanRecorder,
-    Tracer,
-    current_rss_bytes,
-)
-from repro.obs.spans import wall_ns
+from repro.obs.histogram import Histogram
+from repro.obs.profile import RunProfile, current_rss_bytes
 from repro.pias.tagger import PiasTagger
 from repro.sim.engine import Simulator
-from repro.sim.fluid import build_fluid_network, split_flows
 from repro.sim.rng import RngFactory
-from repro.topo.leafspine import LeafSpineTopology
-from repro.topo.star import StarTopology
 from repro.transport.base import SenderBase
 from repro.transport.flow import Flow
 from repro.transport.receiver import Receiver
 from repro.units import MSEC, MSS, SEC
 from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
 from repro.workloads.generator import FlowGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only
+    from repro.obs.spans import SpanRecorder
+    from repro.obs.trace import Tracer
 
 _RUN_CHUNK_NS = 50 * MSEC
 
@@ -98,9 +93,10 @@ def run_experiment(
     spans-on run to the spans-off golden results.
     """
     cfg.validate()
+    parts = resolve(cfg)
     sim = Simulator(sanitize=cfg.sanitize or None)
     rng = RngFactory(cfg.seed)
-    topo = _build_topology(sim, cfg)
+    topo = parts.topology(sim)
     flows = _build_flows(cfg, rng, topo)
     collector = FctCollector()
     tagger = _build_tagger(cfg)
@@ -108,11 +104,16 @@ def run_experiment(
     # live as rates in the fluid engine and complete into the same
     # collector; `flows` (and the completion condition below) still
     # cover both populations
-    packet_flows, fluid_flows = split_flows(cfg, flows)
-    senders = _wire_endpoints(sim, cfg, topo, packet_flows, collector, tagger)
+    fluid = parts.fluid
+    packet_flows, fluid_flows = (
+        fluid.split_flows(cfg, flows) if fluid is not None else (flows, [])
+    )
+    senders = _wire_endpoints(
+        sim, cfg, topo, packet_flows, collector, tagger, parts.sender
+    )
     fluid_net = None
-    if fluid_flows:
-        fluid_net = build_fluid_network(
+    if fluid is not None and fluid_flows:
+        fluid_net = fluid.build_fluid_network(
             sim,
             cfg,
             topo,
@@ -122,11 +123,10 @@ def run_experiment(
             hybrid=bool(packet_flows),
         )
         fluid_net.on_start()
-    switches = _switches_of(topo)
     if tracer is not None:
         # Switch egress ports carry the AQM/scheduler behaviour under
         # study; host NIC ports stay untraced to bound trace volume.
-        for sw in switches:
+        for sw in topo.switches:
             for port in sw.ports:
                 port.tracer = tracer
         for sender in senders:
@@ -143,6 +143,8 @@ def run_experiment(
     chunk_idx = 0
     prev_alloc = prev_reuse = 0
     if spans_on:
+        from repro.obs.spans import wall_ns
+
         prev_alloc, prev_reuse, _free = freelist_stats()
     while collector.count < len(flows) and sim.now < deadline:
         sim_from = sim.now
@@ -192,13 +194,13 @@ def run_experiment(
         total=len(flows),
         timeouts=sum(s.stats.timeouts for s in senders),
         timeouts_small=timeouts_small,
-        drops=sum(sw.total_drops() for sw in switches),
-        marks=sum(sw.total_marks() for sw in switches),
+        drops=sum(sw.total_drops() for sw in topo.switches),
+        marks=sum(sw.total_marks() for sw in topo.switches),
         sim_ns=sim.now,
         wall_s=wall_s,
         events=events,
         flows=flows,
-        metrics=_run_metrics(switches, collector, tracer),
+        metrics=_run_metrics(topo.switches, collector, tracer),
         profile=RunProfile.capture(
             sim,
             run_loop_s,
@@ -250,54 +252,11 @@ def _run_metrics(
 # -- builders ------------------------------------------------------------
 
 
-def _build_topology(sim: Simulator, cfg: ExperimentConfig):
-    sched_factory = lambda: SCHEDULERS[cfg.scheduler](cfg)  # noqa: E731
-    aqm_factory = lambda: SCHEMES[cfg.scheme](cfg)  # noqa: E731
-    if cfg.topology == "star":
-        delay = (
-            cfg.link_delay_ns
-            if cfg.link_delay_ns is not None
-            else cfg.base_rtt_ns // 4
-        )
-        return StarTopology(
-            sim,
-            cfg.n_hosts,
-            cfg.link_rate_bps,
-            sched_factory,
-            aqm_factory,
-            buffer_bytes=cfg.buffer_bytes,
-            link_delay_ns=delay,
-        )
-    # leafspine: most of the base RTT is end-host delay (as in §6.2 where
-    # 80 of 85.2 us sit at the hosts), so it rides on the host links.
-    host_delay = max(1, (cfg.base_rtt_ns - 8 * 650) // 4)
-    return LeafSpineTopology(
-        sim,
-        cfg.n_leaf,
-        cfg.n_spine,
-        cfg.hosts_per_leaf,
-        sched_factory,
-        aqm_factory,
-        edge_rate_bps=cfg.link_rate_bps,
-        buffer_bytes=cfg.buffer_bytes,
-        host_link_delay_ns=host_delay,
-        fabric_link_delay_ns=650,
-        ecmp_salt=cfg.seed,
-    )
-
-
-def _n_services(cfg: ExperimentConfig) -> int:
-    """Service queues available to workloads (low band under sp_*)."""
-    if cfg.scheduler.startswith("sp_") or cfg.pias:
-        return cfg.n_low
-    return cfg.n_queues
-
-
 def _build_flows(
     cfg: ExperimentConfig, rng: RngFactory, topo
 ) -> List[Flow]:
     gen = FlowGenerator(rng)
-    n_services = _n_services(cfg)
+    n_services = cfg.n_services
 
     def prepare(cdf):
         if cfg.workload_clip_bytes is not None:
@@ -385,8 +344,8 @@ def _wire_endpoints(
     flows: List[Flow],
     collector: FctCollector,
     tagger: Optional[PiasTagger],
+    make_sender: Callable[..., SenderBase],
 ) -> List[SenderBase]:
-    sender_cls = TRANSPORTS[cfg.transport]
     senders: List[SenderBase] = []
     pool = (
         ConnectionPool(cfg.connections_per_pair, cfg.max_warm_cwnd)
@@ -398,7 +357,7 @@ def _wire_endpoints(
     base_ns = sim.now
     for flow in flows:
         Receiver(sim, topo.hosts[flow.dst], flow, on_complete=collector.on_complete)
-        sender = sender_cls(
+        sender = make_sender(
             sim,
             topo.hosts[flow.src],
             flow,
@@ -440,12 +399,6 @@ class _WarmStart:
 
         sender.on_done = record_and_chain
         sender.start()
-
-
-def _switches_of(topo) -> List:
-    if isinstance(topo, StarTopology):
-        return [topo.switch]
-    return list(topo.leaves) + list(topo.spines)
 
 
 def _deadline_ns(cfg: ExperimentConfig, flows: List[Flow]) -> int:

@@ -1,154 +1,174 @@
-"""Named registries: marking schemes, schedulers, transports.
+"""Named registries: every name an :class:`ExperimentConfig` selects.
 
-Every figure's bench selects by name; the factories close over an
-:class:`~repro.harness.config.ExperimentConfig` so a fresh scheduler/AQM
-instance is minted per switch port (exactly like per-port qdisc instances).
+Each maps a name to a factory of the config that imports its class when
+called, so this module loads no simulator code and a run imports only
+what its config names (:func:`resolve`).  A factory returns the maker of
+the instances: a fresh scheme/scheduler per switch port (exactly like
+per-port qdisc instances), a sender per flow, the topology.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import sys
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
 
-from repro.aqm.base import Aqm, NoopAqm
-from repro.aqm.codel import CoDel
-from repro.aqm.dequeue_red import DequeueRed
-from repro.aqm.ideal import IdealRed
-from repro.aqm.mqecn import MqEcn
-from repro.aqm.perport import PerPortRed
-from repro.aqm.perqueue import PerQueueRed
-from repro.aqm.pie import Pie
-from repro.core.tcn import Tcn
-from repro.harness.config import ExperimentConfig
-from repro.sched.base import Scheduler, make_queues
-from repro.sched.dwrr import DwrrScheduler
-from repro.sched.fifo import FifoScheduler
-from repro.sched.pifo import PifoScheduler, stfq_rank
-from repro.sched.sp import StrictPriorityScheduler
-from repro.sched.wfq import WfqScheduler
-from repro.sched.wrr import WrrScheduler
-from repro.transport.dctcp import DctcpSender
-from repro.transport.tcp import EcnStarSender, RenoSender
+if TYPE_CHECKING:  # pragma: no cover - annotation-only
+    from repro.harness.config import ExperimentConfig
 
-AqmFactory = Callable[[ExperimentConfig], Optional[Aqm]]
-SchedulerFactory = Callable[[ExperimentConfig], Scheduler]
+Factory = Callable[["ExperimentConfig"], Callable[..., Any]]
 
 
-# -- marking schemes ----------------------------------------------------------
-
-def _tcn(cfg: ExperimentConfig) -> Aqm:
-    return Tcn(cfg.effective_tcn_threshold_ns)
-
-
-def _codel(cfg: ExperimentConfig) -> Aqm:
-    return CoDel(
-        target_ns=cfg.effective_codel_target_ns,
-        interval_ns=cfg.effective_codel_interval_ns,
-    )
+def _load(where: str) -> Any:
+    """Import ``module`` or ``module:name`` and return it."""
+    module, _, name = where.partition(":")
+    __import__(module)  # the statement's entry point: `-X importtime` logs it
+    loaded = sys.modules[module]
+    return getattr(loaded, name) if name else loaded
 
 
-def _red_std(cfg: ExperimentConfig) -> Aqm:
-    return PerQueueRed(cfg.effective_red_threshold_bytes)
+def _made(where: str, **fields: str) -> Factory:
+    """Factory of ``where`` with each keyword read from the config field
+    it names: ``_made("m:C", x="y")(cfg)`` is ``partial(C, x=cfg.y)``."""
+
+    def factory(cfg: ExperimentConfig) -> Callable[..., Any]:
+        kwargs = {arg: getattr(cfg, field) for arg, field in fields.items()}
+        return partial(_load(where), **kwargs)
+
+    return factory
 
 
-def _dequeue_red(cfg: ExperimentConfig) -> Aqm:
-    return DequeueRed(cfg.effective_red_threshold_bytes)
+def _queued(where: str, **fields: str) -> Factory:
+    """Like :func:`_made`, over ``cfg.n_queues`` fresh queues per port."""
+
+    def factory(cfg: ExperimentConfig) -> Callable[[], Any]:
+        make = _made(where, **fields)(cfg)
+        make_queues = _load("repro.sched.base:make_queues")
+        n, quantum = cfg.n_queues, cfg.quantum_bytes
+        return lambda: make(make_queues(n, quanta=[quantum] * n))
+
+    return factory
 
 
-def _perport_red(cfg: ExperimentConfig) -> Aqm:
-    return PerPortRed(cfg.effective_red_threshold_bytes)
-
-
-def _mqecn(cfg: ExperimentConfig) -> Aqm:
-    return MqEcn(cfg.base_rtt_ns, lam=cfg.lam, beta=cfg.mqecn_beta)
-
-
-def _ideal(cfg: ExperimentConfig) -> Aqm:
-    return IdealRed(
-        cfg.base_rtt_ns, lam=cfg.lam, dq_thresh_bytes=cfg.dq_thresh_bytes
-    )
-
-
-def _pie(cfg: ExperimentConfig) -> Aqm:
-    return Pie(
-        target_delay_ns=cfg.effective_tcn_threshold_ns,
-        update_interval_ns=cfg.base_rtt_ns,
-        dq_thresh_bytes=cfg.dq_thresh_bytes,
-    )
-
-
-def _none(cfg: ExperimentConfig) -> Aqm:
-    return NoopAqm()
-
+_RED_THRESHOLD = {"threshold_bytes": "effective_red_threshold_bytes"}
 
 #: scheme name -> AQM factory.  Names follow the paper's terminology.
-SCHEMES: Dict[str, AqmFactory] = {
-    "tcn": _tcn,                    # the contribution (§4)
-    "codel": _codel,                # sojourn-time competitor (§4.3)
-    "mqecn": _mqecn,                # round-robin-only dynamic RED
-    "red_std": _red_std,            # per-queue ECN/RED, standard threshold
-    "dequeue_red": _dequeue_red,    # Wu et al. dequeue marking
-    "perport_red": _perport_red,    # policy-violating per-port RED (§3.2.2)
-    "ideal": _ideal,                # Equation 2 via Algorithm 1
-    "pie": _pie,                    # extension
-    "droptail": _none,              # no ECN at all
+SCHEMES: Dict[str, Factory] = {
+    # the contribution (§4)
+    "tcn": _made("repro.core.tcn:Tcn", threshold_ns="effective_tcn_threshold_ns"),
+    # sojourn-time competitor (§4.3)
+    "codel": _made(
+        "repro.aqm.codel:CoDel",
+        target_ns="effective_codel_target_ns",
+        interval_ns="effective_codel_interval_ns",
+    ),
+    # round-robin-only dynamic RED
+    "mqecn": _made(
+        "repro.aqm.mqecn:MqEcn", rtt_ns="base_rtt_ns", lam="lam", beta="mqecn_beta"
+    ),
+    # per-queue ECN/RED, standard threshold
+    "red_std": _made("repro.aqm.perqueue:PerQueueRed", **_RED_THRESHOLD),
+    # Wu et al. dequeue marking
+    "dequeue_red": _made("repro.aqm.dequeue_red:DequeueRed", **_RED_THRESHOLD),
+    # policy-violating per-port RED (§3.2.2)
+    "perport_red": _made("repro.aqm.perport:PerPortRed", **_RED_THRESHOLD),
+    # Equation 2 via Algorithm 1
+    "ideal": _made(
+        "repro.aqm.ideal:IdealRed",
+        rtt_ns="base_rtt_ns", lam="lam", dq_thresh_bytes="dq_thresh_bytes",
+    ),
+    # extension
+    "pie": _made(
+        "repro.aqm.pie:Pie",
+        target_delay_ns="effective_tcn_threshold_ns",
+        update_interval_ns="base_rtt_ns",
+        dq_thresh_bytes="dq_thresh_bytes",
+    ),
+    # no ECN at all
+    "droptail": _made("repro.aqm.base:NoopAqm"),
 }
-
-
-# -- schedulers -----------------------------------------------------------
-
-def _queues(cfg: ExperimentConfig, n: int, priorities=None):
-    return make_queues(
-        n, quanta=[cfg.quantum_bytes] * n, priorities=priorities
-    )
-
-
-def _fifo(cfg: ExperimentConfig) -> Scheduler:
-    return FifoScheduler()
-
-
-def _sp(cfg: ExperimentConfig) -> Scheduler:
-    return StrictPriorityScheduler(_queues(cfg, cfg.n_queues))
-
-
-def _wrr(cfg: ExperimentConfig) -> Scheduler:
-    return WrrScheduler(_queues(cfg, cfg.n_queues))
-
-
-def _dwrr(cfg: ExperimentConfig) -> Scheduler:
-    return DwrrScheduler(_queues(cfg, cfg.n_queues))
-
-
-def _wfq(cfg: ExperimentConfig) -> Scheduler:
-    return WfqScheduler(_queues(cfg, cfg.n_queues))
-
-
-def _sp_dwrr(cfg: ExperimentConfig) -> Scheduler:
-    return DwrrScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
-
-
-def _sp_wfq(cfg: ExperimentConfig) -> Scheduler:
-    return WfqScheduler(_queues(cfg, cfg.n_queues), n_high=cfg.n_high)
-
-
-def _pifo(cfg: ExperimentConfig) -> Scheduler:
-    return PifoScheduler(_queues(cfg, cfg.n_queues), rank_fn=stfq_rank)
-
 
 #: scheduler name -> factory
-SCHEDULERS: Dict[str, SchedulerFactory] = {
-    "fifo": _fifo,
-    "sp": _sp,
-    "wrr": _wrr,
-    "dwrr": _dwrr,
-    "wfq": _wfq,
-    "sp_dwrr": _sp_dwrr,
-    "sp_wfq": _sp_wfq,
-    "pifo": _pifo,
+SCHEDULERS: Dict[str, Factory] = {
+    "fifo": _made("repro.sched.fifo:FifoScheduler"),
+    "sp": _queued("repro.sched.sp:StrictPriorityScheduler"),
+    "wrr": _queued("repro.sched.wrr:WrrScheduler"),
+    "dwrr": _queued("repro.sched.dwrr:DwrrScheduler"),
+    "wfq": _queued("repro.sched.wfq:WfqScheduler"),
+    "sp_dwrr": _queued("repro.sched.dwrr:DwrrScheduler", n_high="n_high"),
+    "sp_wfq": _queued("repro.sched.wfq:WfqScheduler", n_high="n_high"),
+    "pifo": _queued("repro.sched.pifo:PifoScheduler"),  # STFQ ranks
 }
 
-#: transport name -> sender class
-TRANSPORTS = {
-    "dctcp": DctcpSender,
-    "ecnstar": EcnStarSender,
-    "reno": RenoSender,
+#: transport name -> factory of the sender
+TRANSPORTS: Dict[str, Factory] = {
+    "dctcp": _made("repro.transport.dctcp:DctcpSender"),
+    "ecnstar": _made("repro.transport.tcp:EcnStarSender"),
+    "reno": _made("repro.transport.tcp:RenoSender"),
 }
+
+#: topology name -> factory of the fabric, given the simulator and the
+#: per-port scheduler and AQM factories
+TOPOLOGIES: Dict[str, Factory] = {
+    "star": _made(
+        "repro.topo.star:StarTopology",
+        n_hosts="n_hosts",
+        link_rate_bps="link_rate_bps",
+        buffer_bytes="buffer_bytes",
+        link_delay_ns="effective_link_delay_ns",
+    ),
+    "leafspine": _made(
+        "repro.topo.leafspine:LeafSpineTopology",
+        n_leaf="n_leaf",
+        n_spine="n_spine",
+        hosts_per_leaf="hosts_per_leaf",
+        edge_rate_bps="link_rate_bps",
+        buffer_bytes="buffer_bytes",
+        host_link_delay_ns="host_link_delay_ns",
+        ecmp_salt="seed",
+    ),
+}
+
+#: mode name -> factory of the fluid builder module (None: packet-exact)
+MODES: Dict[str, Callable[[ExperimentConfig], Any]] = {
+    "packet": lambda cfg: None,
+    "hybrid": lambda cfg: _load("repro.sim.fluid.build"),
+}
+
+
+#: the config field each registry keys
+REGISTRIES: Dict[str, Dict[str, Any]] = {
+    "scheme": SCHEMES,
+    "scheduler": SCHEDULERS,
+    "transport": TRANSPORTS,
+    "topology": TOPOLOGIES,
+    "mode": MODES,
+}
+
+
+class Parts(NamedTuple):
+    """What one config's names resolve to: ``topology(sim)`` builds the
+    fabric, ``sender(sim, host, flow, ...)`` one flow's sender, and
+    ``fluid`` is :mod:`repro.sim.fluid.build` in hybrid mode, else None."""
+
+    topology: Callable[..., Any]
+    sender: Callable[..., Any]
+    fluid: Optional[Any]
+
+
+def resolve(cfg: ExperimentConfig) -> Parts:
+    """Import every class ``cfg`` names and bind it to the config.
+
+    The build calls this before its first event, so nothing is imported
+    while the simulation runs; a sweep calls it for every config it will
+    run before forking, so its workers import nothing.
+    """
+    return Parts(
+        topology=partial(
+            TOPOLOGIES[cfg.topology](cfg),
+            sched_factory=SCHEDULERS[cfg.scheduler](cfg),
+            aqm_factory=SCHEMES[cfg.scheme](cfg),
+        ),
+        sender=TRANSPORTS[cfg.transport](cfg),
+        fluid=MODES[cfg.mode](cfg),
+    )

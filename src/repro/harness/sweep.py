@@ -47,6 +47,7 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.schemes import resolve
 from repro.metrics.fct import FctSummary
 from repro.obs.spans import SpanRecorder, wall_ns
 
@@ -466,11 +467,14 @@ def _run_parallel(
     queue = list(configs)[::-1]          # pop() takes them in input order
     # This module does not import the simulator (a fully cached sweep
     # never needs it), so left alone every one-job worker would import it
-    # afresh.  Load it once where the workers inherit it from: this
-    # process under fork, the fork server under forkserver.  (spawn
+    # afresh.  Load it once where the workers inherit it from: under fork,
+    # this process loads the runner and every class the configs to run
+    # name; under forkserver, the fork server loads the runner.  (spawn
     # children re-import whatever the parent holds.)
     if queue and start_method == "fork":
         import_module(_RUNNER_MODULE)
+        for _idx, cfg in queue:
+            resolve(cfg)
     elif start_method == "forkserver":
         ctx.set_forkserver_preload([_RUNNER_MODULE])
     running: Dict[object, Tuple[int, ExperimentConfig, object, float]] = {}

@@ -48,15 +48,12 @@ GOODPUT_FACTOR = MSS / (MSS + HEADER + ACK_SIZE)
 def split_flows(
     cfg: "ExperimentConfig", flows: Sequence["Flow"]
 ) -> Tuple[List["Flow"], List["Flow"]]:
-    """Partition generated flows into (packet, fluid) per ``cfg.mode``.
+    """Partition a hybrid run's flows into (packet, fluid).
 
-    ``packet`` keeps everything packet-exact; ``hybrid`` promotes flows
-    of at least ``fluid_size_bytes`` — the long-lived transfers whose
-    steady state the fluid model describes — and leaves the
-    latency-sensitive short flows on the packet engine.
+    Flows of at least ``fluid_size_bytes`` — the long-lived transfers
+    whose steady state the fluid model describes — are promoted; the
+    latency-sensitive short flows stay on the packet engine.
     """
-    if cfg.mode == "packet":
-        return list(flows), []
     threshold = cfg.fluid_size_bytes
     packet: List["Flow"] = []
     fluid: List["Flow"] = []

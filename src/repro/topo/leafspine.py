@@ -93,6 +93,7 @@ class LeafSpineTopology:
         for spine_id in range(n_spine):
             spine = Switch(sim, name=f"spine{spine_id}")
             self.spines.append(spine)
+        self.switches = self.leaves + self.spines  # every switch, leaves first
 
         # hosts and leaf->host ports
         for leaf_id, leaf in enumerate(self.leaves):

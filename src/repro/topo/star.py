@@ -49,6 +49,7 @@ class StarTopology:
         self.link_rate_bps = link_rate_bps
         self.link_delay_ns = link_delay_ns
         self.switch = Switch(sim, name="sw0")
+        self.switches = [self.switch]  # every switch of the fabric
         self.hosts: List[Host] = []
         for host_id in range(n_hosts):
             scheduler = sched_factory()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.config import REGISTRY_NAMES, ExperimentConfig
+from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_fct_rows, format_table
 from repro.harness.runner import run_experiment
 from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
@@ -73,6 +73,18 @@ class TestConfig:
         (dict(base_rtt_ns=-1), "base_rtt_ns"),
         (dict(link_delay_ns=-1), "link_delay_ns"),
         (dict(mode="fluid"), "fluid_size_bytes=1"),
+        (dict(scheme="pie", base_rtt_ns=0), "base_rtt_ns"),
+        (dict(scheme="tcn", lam=0), "lam"),
+        (dict(scheme="tcn", tcn_threshold_ns=0), "tcn_threshold_ns"),
+        (dict(scheme="codel", codel_target_ns=0), "codel_target_ns"),
+        (dict(scheme="codel", codel_interval_ns=0), "codel_interval_ns"),
+        (dict(scheme="codel", base_rtt_ns=0), "base_rtt_ns"),
+        (dict(scheme="mqecn", mqecn_beta=0), "mqecn_beta"),
+        (dict(scheme="ideal", dq_thresh_bytes=0), "dq_thresh_bytes"),
+        (dict(workload_clip_bytes=0), "workload_clip_bytes"),
+        (dict(workload_clip_bytes=1460), "workload_clip_bytes"),
+        (dict(topology="leafspine", workload="mixed",
+              workload_clip_bytes=1000), "workload_clip_bytes"),
     ], ids=[
         "unknown-scheme", "unknown-scheduler", "unknown-transport",
         "pias-no-low-band", "pias-no-high-band", "zero-quantum",
@@ -80,6 +92,10 @@ class TestConfig:
         "zero-rto", "negative-rto", "one-host-star", "no-leaves",
         "no-spines", "no-hosts-per-leaf", "one-host-fabric",
         "negative-rtt", "negative-link-delay", "fluid-mode",
+        "pie-zero-rtt", "tcn-zero-lambda", "tcn-zero-threshold",
+        "codel-zero-target", "codel-zero-interval", "codel-zero-rtt",
+        "mqecn-zero-beta", "ideal-zero-dq-thresh", "zero-clip",
+        "clip-at-smallest-size", "mixed-clip-below-websearch",
     ])
     def test_validation_names_the_field(self, fields, field):
         """Each of these used to pass validate() and then crash deep in
@@ -98,6 +114,8 @@ class TestConfig:
                          n_spine=1).validate()
         ExperimentConfig(n_hosts=1, topology="leafspine").validate()  # star only
         ExperimentConfig(link_delay_ns=0).validate()
+        ExperimentConfig(codel_target_ns=0).validate()  # tcn ignores CoDel's
+        ExperimentConfig(workload_clip_bytes=1461).validate()
 
 
 class TestRegistries:
@@ -113,21 +131,11 @@ class TestRegistries:
     def test_transports(self):
         assert set(TRANSPORTS) == {"dctcp", "ecnstar", "reno"}
 
-    def test_validate_knows_every_registered_name(self):
-        assert {
-            name: set(names) for name, names in REGISTRY_NAMES.items()
-        } == {
-            "scheme": set(SCHEMES),
-            "scheduler": set(SCHEDULERS),
-            "transport": set(TRANSPORTS),
-        }
-
     def test_factories_produce_fresh_instances(self):
         cfg = ExperimentConfig()
-        a, b = SCHEMES["tcn"](cfg), SCHEMES["tcn"](cfg)
-        assert a is not b
-        s1, s2 = SCHEDULERS["dwrr"](cfg), SCHEDULERS["dwrr"](cfg)
-        assert s1.queues[0] is not s2.queues[0]
+        make_aqm, make_sched = SCHEMES["tcn"](cfg), SCHEDULERS["dwrr"](cfg)
+        assert make_aqm() is not make_aqm()
+        assert make_sched().queues[0] is not make_sched().queues[0]
 
 
 class TestRunExperiment:
@@ -201,8 +209,8 @@ class TestDrainedHeapReturnsPromptly:
         # heap drains once the other nine finish
         real_wire = runner_mod._wire_endpoints
 
-        def wire_all_but_last(sim, cfg, topo, flows, collector, tagger):
-            return real_wire(sim, cfg, topo, flows[:-1], collector, tagger)
+        def wire_all_but_last(sim, cfg, topo, flows, *rest):
+            return real_wire(sim, cfg, topo, flows[:-1], *rest)
 
         monkeypatch.setattr(runner_mod, "_wire_endpoints", wire_all_but_last)
 

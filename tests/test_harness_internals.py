@@ -88,7 +88,8 @@ class TestWorkloadClip:
 class TestBdpBoundedWindow:
     def test_max_cwnd_scales_with_bdp(self):
         """A 10G config allows a much larger window than a 1G config."""
-        from repro.harness.runner import _wire_endpoints, _build_topology, _build_flows
+        from repro.harness.runner import _build_flows, _wire_endpoints
+        from repro.harness.schemes import resolve
         from repro.metrics.fct import FctCollector
         from repro.sim.engine import Simulator
         from repro.sim.rng import RngFactory
@@ -100,11 +101,12 @@ class TestBdpBoundedWindow:
                 load=0.5, n_flows=3, seed=1, link_rate_bps=rate,
             )
             cfg.validate()
+            parts = resolve(cfg)
             sim = Simulator()
-            topo = _build_topology(sim, cfg)
+            topo = parts.topology(sim)
             flows = _build_flows(cfg, RngFactory(1), topo)
             senders = _wire_endpoints(
-                sim, cfg, topo, flows, FctCollector(), None
+                sim, cfg, topo, flows, FctCollector(), None, parts.sender
             )
             windows[rate] = senders[0].max_cwnd
         assert windows[10 * GBPS] > windows[GBPS]

@@ -70,6 +70,13 @@ class TestPie:
         port = make_port(sim, scheduler=sched, aqm=aqm, rate_bps=GBPS)
         return sim, port, sched, aqm
 
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_rejects_a_non_positive_update_interval(self, interval):
+        """The update timer re-arms itself at this delay: at 0 a run
+        would never leave the current instant."""
+        with pytest.raises(ValueError, match="update_interval_ns"):
+            Pie(update_interval_ns=interval)
+
     def test_probability_starts_at_zero(self):
         sim, port, sched, aqm = self._pie_port()
         assert aqm.on_enqueue(port, sched.queues[0], data_pkt(), 0) is False

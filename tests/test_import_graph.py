@@ -100,22 +100,83 @@ class TestEngineOnly:
             assert ("repro.sanitize" in modules) is armed
 
 
+#: the ledger's ``fabric_mixed`` cell, at test size: TCN over SP/DWRR on
+#: a 2x2 leaf-spine with PIAS, DCTCP and the mixed workload
+FABRIC_MIXED = dict(
+    scheme="tcn", scheduler="sp_dwrr", transport="dctcp",
+    topology="leafspine", n_leaf=2, n_spine=2, hosts_per_leaf=3,
+    link_rate_bps=10**10, buffer_bytes=300_000, base_rtt_ns=85_200,
+    n_queues=8, n_high=1, pias=True, workload="mixed",
+    workload_clip_bytes=20_000_000, load=0.6, n_flows=8, seed=1,
+)
+
+#: where a simulator's classes live: the config and CLI surfaces load none
+SIMULATOR = (
+    "repro.net", "repro.sched", "repro.aqm", "repro.transport", "repro.topo",
+    "repro.sim",
+)
+
+
 class TestRunExperiment:
-    def test_the_call_imports_nothing(self):
+    def test_the_run_loop_imports_nothing(self):
+        """What a config names is imported by the build, before the first
+        event: no import cost lands in the run loop's time.  (The profile
+        read after the loop may load a stdlib module; no ``repro`` one.)"""
         modules, facts = _run(
             "import sys\n"
             "from repro import ExperimentConfig, run_experiment\n"
-            "cfg = ExperimentConfig(n_flows=4, seed=1)\n"
-            "before = sorted(m for m in sys.modules if m.startswith('repro'))\n"
-            "result = run_experiment(cfg)\n"
-            "after = sorted(m for m in sys.modules if m.startswith('repro'))\n"
-            "facts.update(done=result.completed, before=before, after=after)\n"
+            "from repro.sim.engine import Simulator\n"
+            "real_run = Simulator.run\n"
+            "def run(self, *args, **kwargs):\n"
+            "    facts.setdefault('first', sorted(sys.modules))\n"
+            "    executed = real_run(self, *args, **kwargs)\n"
+            "    facts['last'] = sorted(sys.modules)\n"
+            "    return executed\n"
+            "Simulator.run = run\n"
+            "result = run_experiment(ExperimentConfig(n_flows=4, seed=1))\n"
+            "facts.update(done=result.completed, after=sorted(sys.modules))\n"
             "facts['multiprocessing'] = 'multiprocessing' in sys.modules\n"
         )
         assert facts["done"] == 4
-        assert facts["before"] == facts["after"]
+        assert facts["first"] == facts["last"]
+        assert _repro(facts["first"]) == _repro(facts["after"])
         assert not facts["multiprocessing"]
         assert _under(modules, "repro.harness.sweep", "repro.sanitize") == []
+
+    def test_a_run_loads_what_its_config_names(self):
+        modules, facts = _run(
+            "from repro import ExperimentConfig, run_experiment\n"
+            f"result = run_experiment(ExperimentConfig(**{FABRIC_MIXED!r}))\n"
+            "facts['done'] = result.completed\n"
+        )
+        assert facts["done"] == FABRIC_MIXED["n_flows"]
+        assert _under(modules, "repro.sim.fluid", "repro.topo.star") == []
+        assert _under(modules, "repro.aqm") == ["repro.aqm", "repro.aqm.base"]
+        assert _under(modules, "repro.sched") == [
+            "repro.sched", "repro.sched.base", "repro.sched.dwrr",
+            "repro.sched.fifo",
+        ]
+        assert _under(modules, "repro.transport.tcp") == []
+
+    def test_hybrid_mode_loads_the_fluid_engine(self):
+        modules, facts = _run(
+            "from repro import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig(workload='bulk', n_flows=4, seed=1,\n"
+            "                       mode='hybrid')\n"
+            "facts['done'] = run_experiment(cfg).completed\n"
+        )
+        assert facts["done"] == 4
+        assert "repro.sim.fluid.build" in modules
+
+    def test_validation_and_parsers_load_no_simulator(self):
+        modules, _ = _run(
+            "from repro import ExperimentConfig\n"
+            "from repro.__main__ import build_parser, build_sweep_parser\n"
+            f"ExperimentConfig(**{FABRIC_MIXED!r}).validate()\n"
+            "build_parser()\n"
+            "build_sweep_parser()\n"
+        )
+        assert _under(modules, *SIMULATOR) == []
 
 
 def _cli(*argv):
@@ -180,8 +241,12 @@ real = sweep._execute_config
 
 def probe(cfg):
     inherited = "repro.harness.runner" in sys.modules
+    before = set(sys.modules)
     payload, wall_s = real(cfg)
-    payload["metrics"] = dict(payload["metrics"], runner_inherited=inherited)
+    imported = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+    payload["metrics"] = dict(
+        payload["metrics"], runner_inherited=inherited, imported=imported
+    )
     return payload, wall_s
 
 sweep._execute_config = probe  # forked workers inherit the patched module
@@ -191,6 +256,7 @@ outcome = run_sweep(grid, processes=2, cache=ResultCache(sys.argv[1]))
 facts["ok"] = outcome.ok
 facts["hits"] = outcome.stats.cache_hits
 facts["inherited"] = [r.metrics.get("runner_inherited") for r in outcome]
+facts["imported"] = [r.metrics.get("imported") for r in outcome]
 """
 
 
@@ -204,6 +270,7 @@ class TestSweepWorkers:
         assert cold["ok"] and cold["hits"] == 0
         assert not cold["held_before"]  # importing run_sweep is not enough
         assert cold["inherited"] == [True, True]
+        assert cold["imported"] == [[], []]  # each worker imports nothing
         assert "repro.harness.runner" in modules  # loaded once, pre-fork
 
         modules, warm = _run(code)
@@ -218,7 +285,7 @@ class TestSweepWorkers:
 
 #: modules the event loop reaches, plus the runner that builds a run:
 #: module-level imports only, so nothing is imported for the first time
-#: while a simulation is being built or run
+#: while a simulation is run
 HOT_PATH = sorted(
     p.relative_to(PKG).as_posix()
     for pattern in (
@@ -235,6 +302,9 @@ HOT_PATH = sorted(
 ALLOWED_LOCAL_IMPORTS = {
     # constructor-time, and only when the sanitizer is armed
     ("sim/engine.py", "Simulator.__init__", "repro.sanitize"),
+    # the span clock, only when a SpanRecorder was passed (its module is
+    # then loaded already)
+    ("harness/runner.py", "run_experiment", "repro.obs.spans"),
 }
 
 

@@ -104,7 +104,7 @@ class TestFabricExperiment:
     def test_tcn_threshold_uniform_across_fabric(self):
         """Every port of every switch gets the same TCN threshold — the
         'easy to configure' property (§4.1)."""
-        from repro.harness.runner import _build_topology
+        from repro.harness.schemes import resolve
         from repro.sim.engine import Simulator
 
         cfg = ExperimentConfig(
@@ -113,9 +113,9 @@ class TestFabricExperiment:
             link_rate_bps=10 * GBPS, base_rtt_ns=85_200,
         )
         sim = Simulator()
-        topo = _build_topology(sim, cfg)
+        topo = resolve(cfg).topology(sim)
         thresholds = set()
-        for sw in list(topo.leaves) + list(topo.spines):
+        for sw in topo.switches:
             for port in sw.ports:
                 thresholds.add(port.aqm.threshold_ns)
         assert len(thresholds) == 1

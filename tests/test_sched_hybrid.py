@@ -13,7 +13,8 @@ from tests.helpers import drain_in_order, fill
 def test_queue_indices_stay_global(name):
     """No discipline rewrites the caller's ``PacketQueue.index``: trace
     labels and per-queue AQM state read it as the queue's port-wide id."""
-    sched = SCHEDULERS[name](ExperimentConfig(scheduler=name, n_queues=8, n_high=2))
+    cfg = ExperimentConfig(scheduler=name, n_queues=8, n_high=2)
+    sched = SCHEDULERS[name](cfg)()
     n = len(sched.queues)
     assert [q.index for q in sched.queues] == list(range(n))
     for qidx in range(n):
