@@ -16,19 +16,22 @@ paper-vs-measured record of every figure.
 """
 
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 
 def _lazy_exports(
     package: str, exports: Dict[str, str]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """PEP 562 ``__getattr__``/``__dir__`` serving a package's re-exports.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """PEP 562 ``__getattr__``/``__dir__`` and ``__all__`` of a package.
 
     ``exports`` maps every public name of ``package`` to the module that
-    defines it.  The first access imports that module and stores the
-    object in the package's namespace, so every later access is a plain
-    attribute read that never reaches ``__getattr__``: a process pays for
-    the modules it uses, not for everything the package can name.
+    defines it, and is the one place a package spells its surface:
+    ``__all__`` is its keys.  The first access imports that module and
+    stores the object in the package's namespace, so every later access
+    is a plain attribute read that never reaches ``__getattr__``: a
+    process pays for the modules it uses, not for everything the package
+    can name.  A type checker sees a name served this way as ``Any``;
+    code under ``src/repro`` imports from the home module instead.
 
     The helper lives here, not in a module of its own, because every file
     under ``src/repro`` must map to a ledger layer
@@ -52,218 +55,19 @@ def _lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace).union(exports))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(exports)
 
-
-if TYPE_CHECKING:
-    from repro.core.tcn import Tcn, ProbabilisticTcn
-    from repro.core.thresholds import (
-        standard_red_threshold_bytes,
-        standard_tcn_threshold_ns,
-        ideal_red_threshold_bytes,
-    )
-    from repro.aqm import (
-        Aqm,
-        NoopAqm,
-        CoDel,
-        MqEcn,
-        Pie,
-        PerQueueRed,
-        PerPortRed,
-        PerPoolRed,
-        BufferPool,
-        DequeueRed,
-        IdealRed,
-        RateMeter,
-        RedMarker,
-    )
-    from repro.sched import (
-        Scheduler,
-        FifoScheduler,
-        StrictPriorityScheduler,
-        WrrScheduler,
-        DwrrScheduler,
-        WfqScheduler,
-        SpDwrrScheduler,
-        SpWfqScheduler,
-        PifoScheduler,
-    )
-    from repro.sched.base import make_queues
-    from repro.sim import Simulator, RngFactory
-    from repro.net import (
-        Packet,
-        PacketKind,
-        PacketQueue,
-        Link,
-        EgressPort,
-        Switch,
-        Host,
-        DscpClassifier,
-        make_nic,
-    )
-    from repro.transport import (
-        Flow,
-        SenderBase,
-        DctcpSender,
-        DcqcnSender,
-        EcnStarSender,
-        RenoSender,
-        Receiver,
-    )
-    from repro.workloads import (
-        EmpiricalCdf,
-        WEB_SEARCH,
-        DATA_MINING,
-        HADOOP,
-        CACHE,
-        ALL_WORKLOADS,
-        workload_by_name,
-        FlowGenerator,
-    )
-    from repro.pias import PiasTagger
-    from repro.apps import Pinger, IncastApp, IncastQuery
-    from repro.topo import StarTopology, LeafSpineTopology
-    from repro.metrics import (
-        FctCollector,
-        FctSummary,
-        percentile,
-        GoodputTracker,
-        OccupancySampler,
-    )
-    from repro.harness import (
-        ExperimentConfig,
-        ExperimentResult,
-        run_experiment,
-        run_sweep,
-        ResultCache,
-        SweepError,
-        SweepOutcome,
-        SweepResult,
-        SweepStats,
-        SCHEMES,
-        SCHEDULERS,
-        TRANSPORTS,
-        format_table,
-        format_fct_rows,
-        format_port_breakdown,
-    )
-    from repro.obs import (
-        Tracer,
-        Histogram,
-        RunProfile,
-        TraceSummary,
-        summarize_events,
-        format_trace_summary,
-    )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # core
-    "Tcn",
-    "ProbabilisticTcn",
-    "standard_red_threshold_bytes",
-    "standard_tcn_threshold_ns",
-    "ideal_red_threshold_bytes",
-    # aqm
-    "Aqm",
-    "NoopAqm",
-    "CoDel",
-    "MqEcn",
-    "Pie",
-    "PerQueueRed",
-    "PerPortRed",
-    "PerPoolRed",
-    "BufferPool",
-    "DequeueRed",
-    "IdealRed",
-    "RateMeter",
-    "RedMarker",
-    # schedulers
-    "Scheduler",
-    "FifoScheduler",
-    "StrictPriorityScheduler",
-    "WrrScheduler",
-    "DwrrScheduler",
-    "WfqScheduler",
-    "SpDwrrScheduler",
-    "SpWfqScheduler",
-    "PifoScheduler",
-    "make_queues",
-    # sim + net
-    "Simulator",
-    "RngFactory",
-    "Packet",
-    "PacketKind",
-    "PacketQueue",
-    "Link",
-    "EgressPort",
-    "Switch",
-    "Host",
-    "DscpClassifier",
-    "make_nic",
-    # transport
-    "Flow",
-    "SenderBase",
-    "DctcpSender",
-    "DcqcnSender",
-    "EcnStarSender",
-    "RenoSender",
-    "Receiver",
-    # workloads
-    "EmpiricalCdf",
-    "WEB_SEARCH",
-    "DATA_MINING",
-    "HADOOP",
-    "CACHE",
-    "ALL_WORKLOADS",
-    "workload_by_name",
-    "FlowGenerator",
-    # apps / pias
-    "PiasTagger",
-    "Pinger",
-    "IncastApp",
-    "IncastQuery",
-    # topologies
-    "StarTopology",
-    "LeafSpineTopology",
-    # metrics
-    "FctCollector",
-    "FctSummary",
-    "percentile",
-    "GoodputTracker",
-    "OccupancySampler",
-    # harness
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "run_sweep",
-    "ResultCache",
-    "SweepError",
-    "SweepOutcome",
-    "SweepResult",
-    "SweepStats",
-    "SCHEMES",
-    "SCHEDULERS",
-    "TRANSPORTS",
-    "format_table",
-    "format_fct_rows",
-    "format_port_breakdown",
-    # observability
-    "Tracer",
-    "Histogram",
-    "RunProfile",
-    "TraceSummary",
-    "summarize_events",
-    "format_trace_summary",
-]
-
 _EXPORTS = {
+    # core
     "Tcn": "repro.core.tcn",
     "ProbabilisticTcn": "repro.core.tcn",
     "standard_red_threshold_bytes": "repro.core.thresholds",
     "standard_tcn_threshold_ns": "repro.core.thresholds",
     "ideal_red_threshold_bytes": "repro.core.thresholds",
+    # aqm
     "Aqm": "repro.aqm",
     "NoopAqm": "repro.aqm",
     "CoDel": "repro.aqm",
@@ -277,6 +81,7 @@ _EXPORTS = {
     "IdealRed": "repro.aqm",
     "RateMeter": "repro.aqm",
     "RedMarker": "repro.aqm",
+    # schedulers
     "Scheduler": "repro.sched",
     "FifoScheduler": "repro.sched",
     "StrictPriorityScheduler": "repro.sched",
@@ -287,6 +92,7 @@ _EXPORTS = {
     "SpWfqScheduler": "repro.sched",
     "PifoScheduler": "repro.sched",
     "make_queues": "repro.sched.base",
+    # sim + net
     "Simulator": "repro.sim",
     "RngFactory": "repro.sim",
     "Packet": "repro.net",
@@ -298,6 +104,7 @@ _EXPORTS = {
     "Host": "repro.net",
     "DscpClassifier": "repro.net",
     "make_nic": "repro.net",
+    # transport
     "Flow": "repro.transport",
     "SenderBase": "repro.transport",
     "DctcpSender": "repro.transport",
@@ -305,6 +112,7 @@ _EXPORTS = {
     "EcnStarSender": "repro.transport",
     "RenoSender": "repro.transport",
     "Receiver": "repro.transport",
+    # workloads
     "EmpiricalCdf": "repro.workloads",
     "WEB_SEARCH": "repro.workloads",
     "DATA_MINING": "repro.workloads",
@@ -313,17 +121,21 @@ _EXPORTS = {
     "ALL_WORKLOADS": "repro.workloads",
     "workload_by_name": "repro.workloads",
     "FlowGenerator": "repro.workloads",
+    # apps / pias
     "PiasTagger": "repro.pias",
     "Pinger": "repro.apps",
     "IncastApp": "repro.apps",
     "IncastQuery": "repro.apps",
+    # topologies
     "StarTopology": "repro.topo",
     "LeafSpineTopology": "repro.topo",
+    # metrics
     "FctCollector": "repro.metrics",
     "FctSummary": "repro.metrics",
     "percentile": "repro.metrics",
     "GoodputTracker": "repro.metrics",
     "OccupancySampler": "repro.metrics",
+    # harness
     "ExperimentConfig": "repro.harness",
     "ExperimentResult": "repro.harness",
     "run_experiment": "repro.harness",
@@ -339,6 +151,7 @@ _EXPORTS = {
     "format_table": "repro.harness",
     "format_fct_rows": "repro.harness",
     "format_port_breakdown": "repro.harness",
+    # observability
     "Tracer": "repro.obs",
     "Histogram": "repro.obs",
     "RunProfile": "repro.obs",
@@ -347,4 +160,4 @@ _EXPORTS = {
     "format_trace_summary": "repro.obs",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -28,9 +28,9 @@ Examples::
     python -m repro run --topology leafspine --workload bulk --mode hybrid
 
     # run with every runtime invariant check armed (freelist poisoning,
-    # pop-order); zero overhead when off.  `--sanitize` exists on `run`
-    # only; REPRO_SANITIZE=1 arms every Simulator the process builds
-    python -m repro run --topology leafspine --sanitize
+    # pop-order); zero overhead when off.  REPRO_SANITIZE=1 arms every
+    # Simulator the process builds, and is the sanitizer's only switch
+    REPRO_SANITIZE=1 python -m repro run --topology leafspine
 
 Performance is measured by the ledger, ``python3 benchmarks/ledger/run.py``
 (see benchmarks/ledger/README.md).
@@ -80,14 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ports", action="store_true",
         help="print the per-port traffic/mark/drop breakdown",
-    )
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help=(
-            "arm the runtime sanitizer: freelist use-after-release / "
-            "double-release poisoning, event-queue order checks (see "
-            "docs/STATIC_ANALYSIS.md; also REPRO_SANITIZE=1)"
-        ),
     )
     parser.add_argument(
         "--mode", default="packet", choices=sorted(REGISTRIES["mode"]),
@@ -220,7 +212,7 @@ def sweep_main(argv=None) -> int:
     from repro.harness.config import ExperimentConfig
     from repro.harness.report import format_fct_rows
     from repro.harness.sweep import ResultCache, run_sweep
-    from repro.obs import SpanRecorder
+    from repro.obs.spans import SpanRecorder
     from repro.units import KB
 
     args = build_sweep_parser().parse_args(argv)
@@ -320,14 +312,16 @@ def sweep_main(argv=None) -> int:
 
 
 def trace_main(argv=None) -> int:
-    from repro.obs import (
+    from repro.obs.records import (
         chrome_trace,
+        trace_events_to_chrome,
+        write_chrome,
+    )
+    from repro.obs.summary import (
         format_span_summary,
         format_trace_summary,
         read_records,
         summarize_events,
-        trace_events_to_chrome,
-        write_chrome,
     )
 
     args = build_trace_parser().parse_args(argv)
@@ -369,7 +363,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         pias=args.pias,
         seed=args.seed,
         buffer_bytes=args.buffer_kb * KB,
-        sanitize=args.sanitize,
         mode=args.mode,
         fluid_size_bytes=args.fluid_size_bytes,
     )
@@ -404,13 +397,10 @@ def main(argv=None) -> int:
         render_run_report,
     )
     from repro.harness.runner import run_experiment
-    from repro.obs import (
-        RunProfile,
-        SpanRecorder,
-        Tracer,
-        format_trace_summary,
-        summarize_events,
-    )
+    from repro.obs.profile import RunProfile
+    from repro.obs.spans import SpanRecorder
+    from repro.obs.summary import format_trace_summary, summarize_events
+    from repro.obs.trace import Tracer
 
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)

@@ -1,14 +1,6 @@
 """Measurement and traffic applications that run on hosts."""
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.apps.pinger import Pinger
-    from repro.apps.incast import IncastApp, IncastQuery
-
-__all__ = ["Pinger", "IncastApp", "IncastQuery"]
 
 _EXPORTS = {
     "Pinger": "repro.apps.pinger",
@@ -16,4 +8,4 @@ _EXPORTS = {
     "IncastQuery": "repro.apps.incast",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -13,37 +13,7 @@ Everything the paper evaluates lives here, plus the PIE extension:
 * :class:`repro.core.tcn.Tcn` — the paper's contribution (in ``repro.core``).
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.aqm.base import Aqm, NoopAqm
-    from repro.aqm.red import RedMarker
-    from repro.aqm.perqueue import PerQueueRed
-    from repro.aqm.perport import PerPortRed, PerPoolRed, BufferPool
-    from repro.aqm.dequeue_red import DequeueRed
-    from repro.aqm.mqecn import MqEcn
-    from repro.aqm.ratemeter import RateMeter
-    from repro.aqm.ideal import IdealRed
-    from repro.aqm.codel import CoDel
-    from repro.aqm.pie import Pie
-
-__all__ = [
-    "Aqm",
-    "NoopAqm",
-    "RedMarker",
-    "PerQueueRed",
-    "PerPortRed",
-    "PerPoolRed",
-    "BufferPool",
-    "DequeueRed",
-    "MqEcn",
-    "RateMeter",
-    "IdealRed",
-    "CoDel",
-    "Pie",
-]
 
 _EXPORTS = {
     "Aqm": "repro.aqm.base",
@@ -61,4 +31,4 @@ _EXPORTS = {
     "Pie": "repro.aqm.pie",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

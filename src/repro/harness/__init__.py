@@ -1,46 +1,6 @@
 """Experiment harness: declarative configs -> built topology -> results."""
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.harness.config import ExperimentConfig
-    from repro.harness.runner import ExperimentResult, run_experiment
-    from repro.harness.schemes import SCHEMES, SCHEDULERS, TRANSPORTS
-    from repro.harness.report import (
-        format_table,
-        format_fct_rows,
-        format_port_breakdown,
-    )
-    from repro.harness.sweep import (
-        ResultCache,
-        SweepError,
-        SweepOutcome,
-        SweepResult,
-        SweepStats,
-        config_key,
-        run_sweep,
-    )
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "run_sweep",
-    "ResultCache",
-    "SweepError",
-    "SweepOutcome",
-    "SweepResult",
-    "SweepStats",
-    "config_key",
-    "SCHEMES",
-    "SCHEDULERS",
-    "TRANSPORTS",
-    "format_table",
-    "format_fct_rows",
-    "format_port_breakdown",
-]
 
 _EXPORTS = {
     "ExperimentConfig": "repro.harness.config",
@@ -61,4 +21,4 @@ _EXPORTS = {
     "run_sweep": "repro.harness.sweep",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

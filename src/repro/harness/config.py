@@ -105,22 +105,15 @@ class ExperimentConfig:
     # stay packet-exact, with two-way coupling (fluid load sets
     # standing-queue delay and marking at the ports; measured packet
     # throughput feeds back into the solver).  `fluid_size_bytes=1`
-    # promotes every flow.  Unlike sanitize this is NOT a
-    # result-neutral knob — fluid results are an approximation — so the
-    # sweep cache fingerprint includes both fields.  See docs/FLUID.md.
+    # promotes every flow.  This is NOT a result-neutral knob — fluid
+    # results are an approximation — so the sweep cache fingerprint
+    # includes both fields.  See docs/FLUID.md.
     mode: str = "packet"
     fluid_size_bytes: int = 1_000_000
 
     # bookkeeping
     seed: int = 1
     max_sim_ns: int = 0            # 0 -> auto (generous multiple of last arrival)
-    # Runtime sanitizer (repro.sanitize): invariant checks with zero
-    # effect on results — a sanitized run either raises or is
-    # bit-identical to an unsanitized one — so the sweep cache
-    # fingerprint excludes it.  False still defers to the
-    # REPRO_SANITIZE environment switch at engine construction, so an
-    # unmodified suite can run fully sanitized.
-    sanitize: bool = False
 
     def validate(self) -> None:
         """Fail fast on inconsistent combinations."""

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.schemes import resolve
-from repro.metrics.fct import FctCollector, FctSummary
+from repro.metrics.fct import SMALL_MAX_BYTES, FctCollector, FctSummary
 from repro.net.packet import freelist_stats
 from repro.obs.histogram import Histogram
 from repro.obs.profile import RunProfile, current_rss_bytes
@@ -94,7 +94,7 @@ def run_experiment(
     """
     cfg.validate()
     parts = resolve(cfg)
-    sim = Simulator(sanitize=cfg.sanitize or None)
+    sim = Simulator()
     rng = RngFactory(cfg.seed)
     topo = parts.topology(sim)
     flows = _build_flows(cfg, rng, topo)
@@ -183,9 +183,9 @@ def run_experiment(
             break
     wall_s = time.time() - wall_start
 
-    small_cut = 100_000
     timeouts_small = sum(
-        s.stats.timeouts for s in senders if s.flow.size_bytes <= small_cut
+        s.stats.timeouts for s in senders
+        if s.flow.size_bytes <= SMALL_MAX_BYTES
     )
     return ExperimentResult(
         config=cfg,

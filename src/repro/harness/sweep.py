@@ -87,16 +87,10 @@ def code_version() -> str:
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
-    """Canonical JSON of every result-affecting config field.
-
-    ``sanitize`` is excluded on purpose: a sanitized run either raises
-    or is bit-identical to an unsanitized one, so both share a cache
-    entry.
-    """
-    fields = dataclasses.asdict(cfg)
-    fields.pop("sanitize", None)
+    """Canonical JSON of every result-affecting config field."""
     return json.dumps(
-        fields, sort_keys=True, separators=(",", ":"), default=str,
+        dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"),
+        default=str,
     )
 
 
@@ -368,24 +362,15 @@ def _execute_config(cfg: ExperimentConfig) -> Tuple[dict, float]:
     from repro.harness.runner import run_experiment
 
     res = run_experiment(cfg)
-    summary = {s: getattr(res.summary, s) for s in FctSummary.__slots__}
-    payload = {
-        "summary": summary,
-        "completed": res.completed,
-        "total": res.total,
-        "timeouts": res.timeouts,
-        "timeouts_small": res.timeouts_small,
-        "drops": res.drops,
-        "marks": res.marks,
-        "sim_ns": res.sim_ns,
-        "events": res.events,
-        "flow_stats": [
-            [f.size_bytes, f.fct_ns] for f in res.flows if f.completed
-        ],
-        "metrics": res.metrics,
-        "heap_hwm": res.profile.get("heap_hwm", 0),
-    }
-    return payload, res.wall_s
+    cell = SweepResult(
+        config=cfg, summary=res.summary, completed=res.completed,
+        total=res.total, timeouts=res.timeouts,
+        timeouts_small=res.timeouts_small, drops=res.drops, marks=res.marks,
+        sim_ns=res.sim_ns, events=res.events,
+        flow_stats=[(f.size_bytes, f.fct_ns) for f in res.flows if f.completed],
+        metrics=res.metrics, heap_hwm=res.profile.get("heap_hwm", 0),
+    )
+    return cell.payload(), res.wall_s
 
 
 def _child_main(conn, cfg_dict: dict) -> None:

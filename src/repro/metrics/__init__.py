@@ -1,20 +1,6 @@
 """Result collection: FCT statistics, goodput and occupancy time series."""
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.metrics.fct import FctCollector, FctSummary, percentile
-    from repro.metrics.timeseries import GoodputTracker, OccupancySampler
-
-__all__ = [
-    "FctCollector",
-    "FctSummary",
-    "percentile",
-    "GoodputTracker",
-    "OccupancySampler",
-]
 
 _EXPORTS = {
     "FctCollector": "repro.metrics.fct",
@@ -24,4 +10,4 @@ _EXPORTS = {
     "OccupancySampler": "repro.metrics.timeseries",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -5,32 +5,7 @@ server-emulated Linux qdisc switch and its ns-2 simulation substrate.  Every
 object here is driven purely by :class:`repro.sim.Simulator` events.
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.net.packet import Packet, PacketKind
-    from repro.net.queue import PacketQueue
-    from repro.net.link import Link
-    from repro.net.port import EgressPort, PortStats
-    from repro.net.classifier import DscpClassifier
-    from repro.net.switch import Switch
-    from repro.net.host import Host
-    from repro.net.nic import make_nic
-
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "PacketQueue",
-    "Link",
-    "EgressPort",
-    "PortStats",
-    "DscpClassifier",
-    "Switch",
-    "Host",
-    "make_nic",
-]
 
 _EXPORTS = {
     "Packet": "repro.net.packet",
@@ -45,4 +20,4 @@ _EXPORTS = {
     "make_nic": "repro.net.nic",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

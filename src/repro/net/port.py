@@ -85,7 +85,6 @@ class EgressPort:
         "buffer_bytes",
         "scheduler",
         "aqm",
-        "classify",
         "occupancy",
         "busy",
         "stats",
@@ -121,8 +120,7 @@ class EgressPort:
         self.scheduler = scheduler
         self.aqm = aqm
         self.link = link
-        self.classify = classify or (lambda pkt: 0)
-        # hot-path cache: None means "everything to queue 0", no call made
+        # None means "everything to queue 0", no call made
         self._classify = classify
         self.occupancy = 0
         self.busy = False

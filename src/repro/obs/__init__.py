@@ -10,51 +10,7 @@ path — the bounded ring and the JSONL/Chrome I/O of
 ``metrics``.  See ``docs/OBSERVABILITY.md`` for the record formats.
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.obs.trace import DEFAULT_CAPACITY, Tracer
-    from repro.obs.histogram import Histogram
-    from repro.obs.profile import RunProfile, current_rss_bytes
-    from repro.obs.records import (
-        chrome_trace,
-        read_jsonl,
-        trace_events_to_chrome,
-        write_chrome,
-        write_jsonl,
-    )
-    from repro.obs.spans import DEFAULT_SPAN_CAPACITY, SpanRecorder
-    from repro.obs.summary import (
-        QueueSummary,
-        TraceSummary,
-        format_span_summary,
-        format_trace_summary,
-        read_records,
-        summarize_events,
-    )
-
-__all__ = [
-    "Tracer",
-    "DEFAULT_CAPACITY",
-    "Histogram",
-    "RunProfile",
-    "current_rss_bytes",
-    "SpanRecorder",
-    "DEFAULT_SPAN_CAPACITY",
-    "read_jsonl",
-    "write_jsonl",
-    "chrome_trace",
-    "trace_events_to_chrome",
-    "write_chrome",
-    "QueueSummary",
-    "TraceSummary",
-    "read_records",
-    "summarize_events",
-    "format_trace_summary",
-    "format_span_summary",
-]
 
 _EXPORTS = {
     "DEFAULT_CAPACITY": "repro.obs.trace",
@@ -77,4 +33,4 @@ _EXPORTS = {
     "summarize_events": "repro.obs.summary",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -22,8 +22,6 @@ fluid      epoch     ``sim.fluid.FluidNetwork`` — one span per fluid
 sweep      job       ``harness.sweep.run_sweep`` — one span per grid cell
                      (queued → dispatched → finished) with cache/crash
                      status, plus one ``sweep`` span for the whole pool
-sanitize   <kind>    ``repro.sanitize.Sanitizer`` — one zero-length span
-                     per recorded invariant violation
 =========  ========  =======================================================
 
 Span timestamps come from :func:`wall_ns`, the recorder's one clock.

@@ -1,10 +1,10 @@
 """The runtime sanitizer: freelist ownership and event order, checked as a run goes.
 
-``Simulator(sanitize=True)`` — or ``REPRO_SANITIZE=1`` in the
-environment, or ``--sanitize`` on the ``run`` CLI (its only home) — arms a
-:class:`Sanitizer` that enforces, while the simulation runs, what no
-source check can see (``tests/test_source_invariants.py`` confines who
-may touch the heap and the freelist; this checks how they are used):
+``REPRO_SANITIZE=1`` in the environment (or ``Simulator(sanitize=True)``
+in a test) arms a :class:`Sanitizer` that enforces, while the simulation
+runs, what no source check can see (``tests/test_source_invariants.py``
+confines who may touch the heap and the freelist; this checks how they
+are used):
 
 * **freelist discipline** — released frames are *poisoned*
   (``ts``/``enq_ts`` stamped with an impossible sentinel), so a double
@@ -26,9 +26,7 @@ primitives in place of ``heapq``'s only when sanitizing, and the
 freelist hooks are one module-global ``None`` check per call.
 Violations raise :class:`SanitizeError` by default
 (``raise_on_violation=False`` collects them instead) and are recorded
-with simulated-time context — pass a
-:class:`repro.obs.spans.SpanRecorder` to also land each violation on the
-flight-recorder timeline.
+with simulated-time context.
 
 The freelist hook is process-global (the freelist itself is), attached
 by the most recently constructed sanitizing ``Simulator``; use
@@ -38,13 +36,11 @@ by the most recently constructed sanitizing ``Simulator``; use
 from __future__ import annotations
 
 import heapq
-import os
 from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Set, Tuple
 
 from repro.sim.engine import compact_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.spans import SpanRecorder
     from repro.sim.engine import Simulator
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "Sanitizer",
     "Violation",
     "detach",
-    "env_enabled",
 ]
 
 #: the poison stamp written into released frames' ``ts``/``enq_ts`` —
@@ -74,11 +69,6 @@ class Violation(NamedTuple):
     time_ns: int
 
 
-def env_enabled() -> bool:
-    """The ``REPRO_SANITIZE`` environment switch (unset/``0`` = off)."""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-
-
 class Sanitizer:
     """Violation collector, checked heap primitives, freelist poisoning.
 
@@ -88,20 +78,16 @@ class Sanitizer:
     freelist hooks.
     """
 
-    __slots__ = (
-        "sim", "violations", "raise_on_violation", "spans", "_bar", "_live",
-    )
+    __slots__ = ("sim", "violations", "raise_on_violation", "_bar", "_live")
 
     def __init__(
         self,
         sim: Optional["Simulator"] = None,
         raise_on_violation: bool = True,
-        spans: Optional["SpanRecorder"] = None,
     ) -> None:
         self.sim = sim
         self.violations: List[Violation] = []
         self.raise_on_violation = raise_on_violation
-        self.spans = spans
         #: the least ``(time, seq)`` the next pop may surface: the last
         #: popped key, lowered by any later push below it
         self._bar: Tuple[int, int] = (-1, -1)
@@ -115,18 +101,6 @@ class Sanitizer:
         now = self.sim.now if self.sim is not None else -1
         violation = Violation(kind, message, now)
         self.violations.append(violation)
-        spans = self.spans
-        if spans is not None:
-            from repro.obs.spans import wall_ns
-
-            spans.add(
-                "sanitize",
-                kind,
-                wall_ns(),
-                0,
-                tid="sanitize",
-                args={"message": message, "sim_ns": now},
-            )
         if self.raise_on_violation:
             raise SanitizeError(f"[{kind}] t={now}ns: {message}")
 

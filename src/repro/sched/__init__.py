@@ -6,32 +6,7 @@ egress port (and any AQM) is agnostic to the discipline — the property that
 TCN exploits and queue-length ECN/RED cannot.
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.sched.base import Scheduler
-    from repro.sched.fifo import FifoScheduler
-    from repro.sched.sp import StrictPriorityScheduler
-    from repro.sched.wrr import WrrScheduler
-    from repro.sched.dwrr import DwrrScheduler, SpDwrrScheduler
-    from repro.sched.wfq import SpWfqScheduler, WfqScheduler
-    from repro.sched.pifo import PifoScheduler, stfq_rank, lstf_rank
-
-__all__ = [
-    "Scheduler",
-    "FifoScheduler",
-    "StrictPriorityScheduler",
-    "WrrScheduler",
-    "DwrrScheduler",
-    "WfqScheduler",
-    "SpDwrrScheduler",
-    "SpWfqScheduler",
-    "PifoScheduler",
-    "stfq_rank",
-    "lstf_rank",
-]
 
 _EXPORTS = {
     "Scheduler": "repro.sched.base",
@@ -47,4 +22,4 @@ _EXPORTS = {
     "lstf_rank": "repro.sched.pifo",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

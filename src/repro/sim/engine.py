@@ -84,7 +84,8 @@ class Simulator:
     """The event loop.
 
     ``sanitize`` arms the runtime sanitizer; ``None`` defers to the
-    ``REPRO_SANITIZE`` environment switch.
+    ``REPRO_SANITIZE`` environment switch (unset or ``0`` is off), the
+    one switch outside the tests.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -125,9 +126,8 @@ class Simulator:
         self.events_executed: int = 0
         #: high-water mark of the heap (cancelled entries included)
         self.heap_hwm: int = 0
-        # The REPRO_SANITIZE switch is read here rather than through
-        # repro.sanitize.env_enabled so an unarmed engine never imports
-        # the sanitizer; unset/"0" means off.
+        # read here, not in repro.sanitize, so an unarmed engine never
+        # imports the sanitizer
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         push, pop, compact = heappush, heappop, compact_heap

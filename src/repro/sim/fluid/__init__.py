@@ -24,24 +24,7 @@ See ``docs/FLUID.md`` for the model, its invariants, and its known
 error bounds (and when *not* to trust it).
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.sim.fluid.build import build_fluid_network, split_flows
-    from repro.sim.fluid.model import FluidFlow, FluidLink
-    from repro.sim.fluid.network import FluidNetwork
-    from repro.sim.fluid.solver import max_min_shares
-
-__all__ = [
-    "FluidFlow",
-    "FluidLink",
-    "FluidNetwork",
-    "build_fluid_network",
-    "max_min_shares",
-    "split_flows",
-]
 
 _EXPORTS = {
     "build_fluid_network": "repro.sim.fluid.build",
@@ -52,4 +35,4 @@ _EXPORTS = {
     "max_min_shares": "repro.sim.fluid.solver",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

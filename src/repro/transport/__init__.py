@@ -6,28 +6,7 @@ senders over a common loss-recovery core; receivers echo CE marks per
 packet (ECE) exactly as DCTCP requires.
 """
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.transport.flow import Flow
-    from repro.transport.base import SenderBase, TransportStats
-    from repro.transport.tcp import EcnStarSender, RenoSender
-    from repro.transport.dctcp import DctcpSender
-    from repro.transport.dcqcn import DcqcnSender
-    from repro.transport.receiver import Receiver
-
-__all__ = [
-    "Flow",
-    "SenderBase",
-    "TransportStats",
-    "EcnStarSender",
-    "RenoSender",
-    "DctcpSender",
-    "DcqcnSender",
-    "Receiver",
-]
 
 _EXPORTS = {
     "Flow": "repro.transport.flow",
@@ -40,4 +19,4 @@ _EXPORTS = {
     "Receiver": "repro.transport.receiver",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

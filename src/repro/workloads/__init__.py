@@ -1,31 +1,6 @@
 """Traffic workloads: empirical flow-size CDFs and Poisson flow generation."""
 
-from typing import TYPE_CHECKING
-
 from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.workloads.cdf import EmpiricalCdf
-    from repro.workloads.distributions import (
-        WEB_SEARCH,
-        DATA_MINING,
-        HADOOP,
-        CACHE,
-        ALL_WORKLOADS,
-        workload_by_name,
-    )
-    from repro.workloads.generator import FlowGenerator
-
-__all__ = [
-    "EmpiricalCdf",
-    "WEB_SEARCH",
-    "DATA_MINING",
-    "HADOOP",
-    "CACHE",
-    "ALL_WORKLOADS",
-    "workload_by_name",
-    "FlowGenerator",
-]
 
 _EXPORTS = {
     "EmpiricalCdf": "repro.workloads.cdf",
@@ -38,4 +13,4 @@ _EXPORTS = {
     "FlowGenerator": "repro.workloads.generator",
 }
 
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

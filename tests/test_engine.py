@@ -425,7 +425,7 @@ def test_property_cancelled_subset_never_fires(plan):
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_every_discipline_is_sanitizer_transparent(scheduler):
+def test_every_discipline_is_sanitizer_transparent(scheduler, monkeypatch):
     """End to end, per scheduling discipline: the checked heap primitives
     see every push and pop of the run and change nothing."""
     base = dict(
@@ -435,7 +435,8 @@ def test_every_discipline_is_sanitizer_transparent(scheduler):
     try:
         plain = run_experiment(ExperimentConfig(**base))
         packet.reset_freelist()
-        checked = run_experiment(ExperimentConfig(sanitize=True, **base))
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        checked = run_experiment(ExperimentConfig(**base))
     finally:
         detach()
         packet.reset_freelist()

@@ -365,11 +365,10 @@ def _never():
 from tests.test_trace_determinism import _GOLDEN  # noqa: E402
 
 
-def _digests(config, backend):
+def _digests(config, backend, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1" if BACKENDS[backend] else "0")
     tracer = Tracer()
-    result = run_experiment(
-        ExperimentConfig(sanitize=BACKENDS[backend], **config), tracer=tracer
-    )
+    result = run_experiment(ExperimentConfig(**config), tracer=tracer)
     detach()
     packet.reset_freelist()
     buf = io.StringIO()
@@ -381,10 +380,10 @@ def _digests(config, backend):
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_golden_digests_identical_across_backends(name):
+def test_golden_digests_identical_across_backends(name, monkeypatch):
     golden = _GOLDEN[name]
     for backend in ALL:
-        trace_sha, fct_sha = _digests(golden["config"], backend)
+        trace_sha, fct_sha = _digests(golden["config"], backend, monkeypatch)
         # both primitive pairs must land on the committed pins — not just
         # agree with each other
         assert trace_sha == golden["trace_sha256"], (

@@ -1,13 +1,14 @@
 """The public surface of ``repro`` and every sub-package.
 
 The packages serve their re-exports lazily: an ``_EXPORTS`` table (name ->
-home module) behind module ``__getattr__``/``__dir__``, with the real
-imports kept under ``if TYPE_CHECKING:`` for mypy.  Laziness
-must be invisible: everything ``__all__`` names resolves, to the very
-object its home module defines, and the two lists of names cannot drift.
+home module) behind module ``__getattr__``/``__dir__``, and ``__all__`` is
+the table's keys.  Laziness must be invisible: everything ``__all__`` names
+resolves, to the very object its home module defines, and the table is the
+only place a package spells a public name.
 """
 
 import ast
+import collections
 import importlib
 import pickle
 from pathlib import Path
@@ -42,23 +43,6 @@ def _table(tree):
     raise AssertionError("no _EXPORTS table")
 
 
-def _type_checking_imports(tree):
-    """name -> module for every import in the ``if TYPE_CHECKING:`` block."""
-    found = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.If)
-            and isinstance(node.test, ast.Name)
-            and node.test.id == "TYPE_CHECKING"
-        ):
-            for stmt in node.body:
-                assert isinstance(stmt, ast.ImportFrom) and not stmt.level
-                for alias in stmt.names:
-                    assert alias.asname is None
-                    found[alias.name] = stmt.module
-    return found
-
-
 def test_every_package_is_covered():
     on_disk = {
         ".".join(("repro",) + p.parent.relative_to(SRC).parts)
@@ -86,22 +70,24 @@ class TestEveryPackage:
             # resolved once: from now on a plain attribute of the package
             assert vars(pkg)[name] is served
 
-    def test_table_and_type_checking_block_agree(self, package):
+    def test_the_table_is_the_only_spelling(self, package):
         tree = _init_tree(package)
-        # same names, and the same home module for each of them
-        assert _table(tree) == _type_checking_imports(tree)
+        table = _table(tree)
+        assert importlib.import_module(package).__all__ == list(table)
+        # no TYPE_CHECKING mirror, no __all__ literal: each exported name
+        # is written once in the file, as its table key
+        spelled = collections.Counter(
+            node.value if isinstance(node, ast.Constant)
+            else getattr(node, "id", None) or getattr(node, "name", None)
+            for node in ast.walk(tree)
+        )
+        assert {name: spelled[name] for name in table} == dict.fromkeys(table, 1)
 
     def test_unknown_attribute_names_the_package(self, package):
         pkg = importlib.import_module(package)
         with pytest.raises(AttributeError, match=repr(package)):
             pkg.no_such_name
         assert not hasattr(pkg, "no_such_name")
-
-
-def test_lazy_packages_export_exactly_their_table():
-    for package in PACKAGES:
-        pkg = importlib.import_module(package)
-        assert set(pkg.__all__) == set(_table(_init_tree(package))), package
 
 
 def test_obs_surface_is_pinned():

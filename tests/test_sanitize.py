@@ -34,7 +34,6 @@ from repro.sanitize import (
     Sanitizer,
     Violation,
     detach,
-    env_enabled,
 )
 from repro.sim.engine import Simulator, compact_heap
 
@@ -273,14 +272,15 @@ class TestTransparency:
             result.drops, result.marks, result.sim_ns,
         )
 
-    def test_serial_run_is_bit_identical(self):
+    def test_serial_run_is_bit_identical(self, monkeypatch):
         plain = run_experiment(ExperimentConfig(**self.CFG))
         detach()
         packet.reset_freelist()
-        sanitized = run_experiment(ExperimentConfig(sanitize=True, **self.CFG))
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = run_experiment(ExperimentConfig(**self.CFG))
         assert self._facts(plain) == self._facts(sanitized)
 
-    def test_leafspine_slice_is_bit_identical(self):
+    def test_leafspine_slice_is_bit_identical(self, monkeypatch):
         cfg = dict(
             scheme="tcn", scheduler="sp_dwrr", topology="leafspine",
             workload="mixed", load=0.6, n_flows=60, seed=3,
@@ -288,7 +288,8 @@ class TestTransparency:
         plain = run_experiment(ExperimentConfig(**cfg))
         detach()
         packet.reset_freelist()
-        sanitized = run_experiment(ExperimentConfig(sanitize=True, **cfg))
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = run_experiment(ExperimentConfig(**cfg))
         assert self._facts(plain) == self._facts(sanitized)
 
     def test_off_means_no_wrapper_and_no_hook(self, monkeypatch):
@@ -306,22 +307,16 @@ class TestTransparency:
         assert sim._compact == sim._san.compact
         assert packet._san is sim._san
 
-    def test_config_fingerprint_ignores_sanitize(self):
-        from repro.harness.sweep import config_fingerprint
-
-        a = config_fingerprint(ExperimentConfig(**self.CFG))
-        b = config_fingerprint(ExperimentConfig(sanitize=True, **self.CFG))
-        assert a == b
-
 
 class TestEnvSwitch:
     def test_env_enabled_parsing(self, monkeypatch):
+        # the engine reads the switch itself: unset and "0" are off
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not env_enabled()
+        assert Simulator()._san is None
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not env_enabled()
+        assert Simulator()._san is None
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert env_enabled()
+        assert Simulator()._san is not None
 
     def test_env_arms_default_constructed_simulator(self):
         # subprocess: the hook is process-global and engine construction

@@ -243,10 +243,37 @@ def no_print(module, tree):
             yield node, "print() in library code"
 
 
+@functools.lru_cache(maxsize=None)
+def _served(package):
+    """The names ``package``'s ``__init__`` serves lazily (its ``_EXPORTS``
+    keys); empty for a module or a package outside ``src/repro``."""
+    init = SRC.parent.joinpath(*package.split("."), "__init__.py")
+    if not init.is_file():
+        return frozenset()
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
+            return frozenset(ast.literal_eval(node.value))
+    return frozenset()
+
+
+def package_import(module, tree):
+    """A name is imported from its home module, never through a package's
+    lazy ``__getattr__``: a type checker sees a lazily served name as
+    ``Any``, so one such import would blind the strict mypy tier.
+    Submodules (``from repro.net import packet``) and what an ``__init__``
+    defines itself (``_lazy_exports``) are not served, so they pass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            hit = sorted({a.name for a in node.names} & _served(node.module))
+            if hit:
+                yield node, f"imports {hit} through package {node.module}"
+
+
 CHECKS = {"wall-clock": wall_clock, "global-random": global_random,
           "slots": hot_path_slots, "abstract-surface": abstract_surface,
           "confinement": confinement, "mutable-default": mutable_default,
-          "print": no_print}
+          "print": no_print, "package-import": package_import}
 
 
 def _scopes(node, scope, scope_of):
@@ -312,6 +339,8 @@ NEGATIVE_CASES = [
     ("confinement", "repro.sched.pifo", "import heapq\n"),
     ("mutable-default", "repro.core.tcn", "def f(x=[]):\n    return x\n"),
     ("print", "repro.topo.base", "print('building')\n"),
+    ("package-import", "repro.harness.runner",
+     "from repro.sched import DwrrScheduler\n"),
 ]
 
 
