@@ -72,7 +72,6 @@ _EXPORTS = {
     "NoopAqm": "repro.aqm",
     "CoDel": "repro.aqm",
     "MqEcn": "repro.aqm",
-    "Pie": "repro.aqm",
     "PerQueueRed": "repro.aqm",
     "PerPortRed": "repro.aqm",
     "PerPoolRed": "repro.aqm",

@@ -242,12 +242,6 @@ def sweep_main(argv=None) -> int:
         )
         for scheme, scheduler, transport, workload, load, seed in grid
     ]
-    try:
-        for cfg in configs:
-            cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     # live tallies across progress callbacks: aggregate simulation
@@ -278,14 +272,18 @@ def sweep_main(argv=None) -> int:
         )
 
     spans = SpanRecorder(pid="sweep") if args.spans else None
-    outcome = run_sweep(
-        configs,
-        processes=args.processes,
-        timeout_s=args.timeout,
-        cache=cache,
-        progress=progress,
-        spans=spans,
-    )
+    try:  # a config the build refuses raises before any job starts
+        outcome = run_sweep(
+            configs,
+            processes=args.processes,
+            timeout_s=args.timeout,
+            cache=cache,
+            progress=progress,
+            spans=spans,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if spans is not None:
         n = spans.export_jsonl(args.spans)
         print(f"wrote {n} sweep spans to {args.spans}")
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         format_port_breakdown,
         render_run_report,
     )
-    from repro.harness.runner import run_experiment
+    from repro.harness.runner import preflight, run_experiment
     from repro.obs.profile import RunProfile
     from repro.obs.spans import SpanRecorder
     from repro.obs.summary import format_trace_summary, summarize_events
@@ -405,7 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     try:
-        cfg.validate()
+        preflight(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

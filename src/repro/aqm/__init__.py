@@ -1,6 +1,6 @@
 """Active queue management / ECN marking schemes.
 
-Everything the paper evaluates lives here, plus the PIE extension:
+Everything the paper evaluates lives here:
 
 * :class:`~repro.aqm.perqueue.PerQueueRed` — current practice (§3.2.1).
 * :class:`~repro.aqm.perport.PerPortRed` / ``PerPoolRed`` — §3.2.2.
@@ -9,7 +9,6 @@ Everything the paper evaluates lives here, plus the PIE extension:
 * :class:`~repro.aqm.ideal.IdealRed` — Equation 2 driven by the Algorithm 1
   departure-rate meter (:class:`~repro.aqm.ratemeter.RateMeter`).
 * :class:`~repro.aqm.codel.CoDel` — sojourn-time AQM, marking mode.
-* :class:`~repro.aqm.pie.Pie` — PIE in marking mode (extension).
 * :class:`repro.core.tcn.Tcn` — the paper's contribution (in ``repro.core``).
 """
 
@@ -28,7 +27,6 @@ _EXPORTS = {
     "RateMeter": "repro.aqm.ratemeter",
     "IdealRed": "repro.aqm.ideal",
     "CoDel": "repro.aqm.codel",
-    "Pie": "repro.aqm.pie",
 }
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

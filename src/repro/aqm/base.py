@@ -5,7 +5,7 @@ An AQM instance is attached to one egress port.  The port calls
 * :meth:`Aqm.on_enqueue` after buffer admission, *before* the packet enters
   its queue (queue-length schemes decide here), and
 * :meth:`Aqm.on_dequeue` right after the scheduler picks a packet (sojourn
-  time schemes — TCN, CoDel, PIE — decide here; the packet's ``enq_ts`` was
+  time schemes — TCN, CoDel — decide here; the packet's ``enq_ts`` was
   stamped by the port at enqueue, modelling the 2-byte enqueue-timestamp
   metadata of §4.2).
 

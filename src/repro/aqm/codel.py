@@ -58,11 +58,10 @@ class CoDel(Aqm):
     __slots__ = ("target_ns", "interval_ns", "_state")
 
     def __init__(self, target_ns: int = 5 * MSEC, interval_ns: int = 100 * MSEC) -> None:
-        if target_ns <= 0 or interval_ns <= 0:
-            raise ValueError(
-                f"target and interval must be positive, got "
-                f"({target_ns}, {interval_ns})"
-            )
+        if target_ns <= 0:
+            raise ValueError(f"target_ns must be > 0, got {target_ns}")
+        if interval_ns <= 0:
+            raise ValueError(f"interval_ns must be > 0, got {interval_ns}")
         self.target_ns = target_ns
         self.interval_ns = interval_ns
         self._state: Dict[int, _CodelState] = {}

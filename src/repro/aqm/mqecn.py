@@ -6,8 +6,9 @@ in each round a non-empty queue transmits at most ``quantum_i`` bytes, so
 reports each queue's round time through the ``round_observer`` hook; the
 smoothed estimate drives ``K_i = min(K_std, rate_i x RTT x lambda)``.
 
-Attaching MQ-ECN to a scheduler without rounds (WFQ, SP, PIFO) raises — the
-precise limitation (§3.3, Remark after Fig. 2) that motivates TCN.
+Attaching MQ-ECN to a scheduler without rounds (WFQ, SP, PIFO) raises
+``ValueError`` — the precise limitation (§3.3, Remark after Fig. 2) that
+motivates TCN.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class MqEcn(Aqm):
     def setup(self, port: "EgressPort") -> None:
         sched = port.scheduler
         if not getattr(sched, "supports_rounds", False):
-            raise TypeError(
-                f"MQ-ECN requires a round-robin scheduler, got "
-                f"{type(sched).__name__} (this is the limitation TCN removes)"
+            raise ValueError(
+                f"scheduler {type(sched).__name__} has no rounds: MQ-ECN needs "
+                f"a round-robin scheduler (the limitation TCN removes)"
             )
         sched.round_observer = self._on_round
         self._line_rate_bps = float(port.rate_bps)

@@ -27,7 +27,7 @@ class PerPortRed(Aqm):
 
     def __init__(self, threshold_bytes: int) -> None:
         if threshold_bytes < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold_bytes}")
+            raise ValueError(f"threshold_bytes must be >= 0, got {threshold_bytes}")
         self.threshold_bytes = threshold_bytes
 
     def on_enqueue(

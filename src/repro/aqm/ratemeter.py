@@ -55,7 +55,7 @@ class RateMeter:
         record_samples: bool = False,
     ) -> None:
         if dq_thresh_bytes <= 0:
-            raise ValueError(f"dq_thresh must be positive, got {dq_thresh_bytes}")
+            raise ValueError(f"dq_thresh_bytes must be > 0, got {dq_thresh_bytes}")
         if not 0.0 <= avg_weight < 1.0:
             raise ValueError(f"avg_weight must be in [0, 1), got {avg_weight}")
         self.dq_thresh = dq_thresh_bytes

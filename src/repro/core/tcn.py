@@ -44,7 +44,7 @@ class Tcn(Aqm):
 
     def __init__(self, threshold_ns: int) -> None:
         if threshold_ns <= 0:
-            raise ValueError(f"TCN threshold must be positive, got {threshold_ns}")
+            raise ValueError(f"threshold_ns must be > 0, got {threshold_ns}")
         self.threshold_ns = threshold_ns
 
     def on_dequeue(

@@ -21,22 +21,6 @@ from repro.harness.schemes import REGISTRIES
 from repro.units import GBPS, HEADER, KB, MSEC, MSS, USEC
 from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
 
-#: schemes that are only defined on round-robin schedulers
-ROUND_ROBIN_ONLY = {"mqecn"}
-
-#: schedulers that expose rounds
-ROUND_ROBIN_SCHEDULERS = {"wrr", "dwrr", "sp_dwrr"}
-
-#: fields a scheme's marker rejects unless > 0 (read as ``effective_<field>``
-#: where the field may be left unset)
-_POSITIVE_BY_SCHEME = {
-    "tcn": ("tcn_threshold_ns",),
-    "codel": ("codel_target_ns", "codel_interval_ns"),
-    "ideal": ("dq_thresh_bytes",),
-    "pie": ("dq_thresh_bytes",),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """Full description of one simulation run."""
@@ -60,7 +44,6 @@ class ExperimentConfig:
     # queues
     n_queues: int = 4              # total queues per port
     n_high: int = 1                # strict-priority queues (sp_* schedulers)
-    quantum_bytes: int = 1500      # DWRR quantum / WFQ byte-weight basis
 
     # thresholds (None -> Equations 1 and 3)
     lam: float = 1.0
@@ -69,7 +52,6 @@ class ExperimentConfig:
     codel_target_ns: Optional[int] = None      # default rtt/5 (testbed-style tuning)
     codel_interval_ns: Optional[int] = None    # default 4 x rtt
     dq_thresh_bytes: int = 10 * KB             # Algorithm 1 (ideal scheme)
-    mqecn_beta: float = 0.75
 
     # workload
     workload: str = "websearch"    # a workload name, or "mixed" (leafspine)
@@ -80,17 +62,16 @@ class ExperimentConfig:
     load: float = 0.6
     n_flows: int = 200
     pias: bool = False
-    pias_threshold_bytes: int = 100 * KB
 
     # transport tuning
     init_cwnd: float = 16.0
     min_rto_ns: int = 10 * MSEC
     # The paper's testbed client multiplexes messages over 5 persistent
-    # TCP connections per host pair (§5): a new flow on a warm connection
-    # starts from the connection's converged window instead of slow
-    # starting from scratch.  Enable for testbed-style experiments.
+    # TCP connections per host pair (§5, harness.runner.ConnectionPool):
+    # a new flow on a warm connection starts from the connection's
+    # converged window instead of slow starting from scratch.  Enable for
+    # testbed-style experiments.
     persistent_connections: bool = False
-    connections_per_pair: int = 5
     max_warm_cwnd: float = 64.0
     # Socket-buffer / TSQ equivalent: real stacks bound a flow's window to
     # a small multiple of its path BDP (receive-window autotuning, TCP
@@ -116,7 +97,12 @@ class ExperimentConfig:
     max_sim_ns: int = 0            # 0 -> auto (generous multiple of last arrival)
 
     def validate(self) -> None:
-        """Fail fast on inconsistent combinations."""
+        """Fail fast on what no single component can check.
+
+        Only rules that span fields, and rules on fields no constructor
+        reads, live here; a field's own check is its constructor's, which
+        :func:`repro.harness.runner.preflight` runs.  Loads no simulator.
+        """
         for name, registry in REGISTRIES.items():
             value = getattr(self, name)
             if value not in registry:
@@ -125,9 +111,7 @@ class ExperimentConfig:
                     f"unknown {name} {value!r}: expected one of "
                     f"{', '.join(sorted(registry))}{hint if name == 'mode' else ''}"
                 )
-        for name in (
-            "link_rate_bps", "quantum_bytes", "min_rto_ns", "base_rtt_ns", "lam"
-        ):
+        for name in ("link_rate_bps", "base_rtt_ns", "lam"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -135,31 +119,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"max_sim_ns must be >= 0 (0 = auto), got {self.max_sim_ns}"
             )
-        if self.persistent_connections and self.connections_per_pair < 1:
-            raise ValueError(
-                "connections_per_pair must be >= 1 with persistent_connections, "
-                f"got {self.connections_per_pair}"
-            )
-        if self.topology == "star" and self.n_hosts < 2:
-            raise ValueError(f"n_hosts must be >= 2, got {self.n_hosts}")
-        if self.topology == "leafspine":
-            for name in ("n_leaf", "n_spine", "hosts_per_leaf"):
-                value = getattr(self, name)
-                if value < 1:
-                    raise ValueError(f"{name} must be >= 1, got {value}")
-            if self.n_leaf * self.hosts_per_leaf < 2:
-                raise ValueError(
-                    "n_leaf x hosts_per_leaf must give at least 2 hosts, got "
-                    f"{self.n_leaf} x {self.hosts_per_leaf}"
-                )
-        if self.link_delay_ns is not None and self.link_delay_ns < 0:
-            raise ValueError(f"link_delay_ns must be >= 0, got {self.link_delay_ns}")
-        if not 0.0 < self.load < 1.0:
-            raise ValueError(f"load must be in (0,1), got {self.load}")
         if self.n_flows < 1:
             raise ValueError(f"n_flows must be >= 1, got {self.n_flows}")
-        if self.n_queues < 1:
-            raise ValueError(f"n_queues must be >= 1, got {self.n_queues}")
+        if self.fluid_size_bytes < 1:
+            raise ValueError(
+                f"fluid_size_bytes must be >= 1, got {self.fluid_size_bytes}"
+            )
         if self.buffer_bytes < MSS + HEADER:
             raise ValueError(
                 f"buffer_bytes must hold one full frame ({MSS + HEADER} B), "
@@ -174,15 +139,6 @@ class ExperimentConfig:
             except KeyError as exc:
                 raise ValueError(exc.args[0]) from None
         if (
-            self.scheme in ROUND_ROBIN_ONLY
-            and self.scheduler not in ROUND_ROBIN_SCHEDULERS
-        ):
-            raise ValueError(
-                f"scheme {self.scheme!r} needs a round-robin scheduler "
-                f"({', '.join(sorted(ROUND_ROBIN_SCHEDULERS))}), "
-                f"got {self.scheduler!r}"
-            )
-        if (
             self.scheduler.startswith("sp_") or self.pias
         ) and not 0 < self.n_high < self.n_queues:
             raise ValueError(
@@ -191,23 +147,13 @@ class ExperimentConfig:
             )
         if self.pias and not self.scheduler.startswith("sp"):
             raise ValueError("PIAS tagging needs a strict-priority high queue")
-        if self.fluid_size_bytes < 1:
-            raise ValueError(
-                f"fluid_size_bytes must be >= 1, got {self.fluid_size_bytes}"
-            )
-        for name in _POSITIVE_BY_SCHEME.get(self.scheme, ()):
-            value = getattr(self, "effective_" + name, getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{self.scheme} needs {name} > 0, got {value}")
-        if self.scheme == "mqecn" and not 0.0 < self.mqecn_beta <= 1.0:
-            raise ValueError(f"mqecn_beta must be in (0, 1], got {self.mqecn_beta}")
         clip = self.workload_clip_bytes
         if clip is not None:
             cdfs = (
                 ALL_WORKLOADS[: self.n_services] if self.workload == "mixed"
                 else [workload_by_name(self.workload)]
             )
-            smallest = max(cdf.sizes[0] for cdf in cdfs)
+            smallest = max((cdf.sizes[0] for cdf in cdfs), default=0)
             if clip <= smallest:
                 raise ValueError(
                     "workload_clip_bytes must exceed the smallest flow size "

@@ -16,7 +16,7 @@ which §6.2.1 reports explicitly).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.harness.config import ExperimentConfig
@@ -249,6 +249,26 @@ def _run_metrics(
     return dict(sorted(metrics.items()))
 
 
+def preflight(cfg: ExperimentConfig) -> None:
+    """Raise the ``ValueError`` a run of ``cfg`` would raise before its
+    first event, and run nothing.
+
+    :meth:`ExperimentConfig.validate` holds only the rules no component
+    can check alone; every other check lives in the constructor that
+    reads the field.  So this builds the run itself (topology, one flow,
+    its endpoints) on a throwaway simulator.  A sweep calls it for every
+    config it will run before it starts any job.
+    """
+    cfg.validate()
+    parts = resolve(cfg)
+    sim = Simulator(sanitize=False)
+    topo = parts.topology(sim)
+    flows = _build_flows(replace(cfg, n_flows=1), RngFactory(cfg.seed), topo)
+    _wire_endpoints(
+        sim, cfg, topo, flows, FctCollector(), _build_tagger(cfg), parts.sender
+    )
+
+
 # -- builders ------------------------------------------------------------
 
 
@@ -301,25 +321,23 @@ def _build_flows(
 def _build_tagger(cfg: ExperimentConfig) -> Optional[PiasTagger]:
     if not cfg.pias:
         return None
-    return PiasTagger(
-        threshold_bytes=cfg.pias_threshold_bytes,
-        high_dscp=0,
-        service_dscp_offset=cfg.n_high,
-    )
+    # the paper's 100 KB demotion threshold is the tagger's default
+    return PiasTagger(high_dscp=0, service_dscp_offset=cfg.n_high)
 
 
 class ConnectionPool:
     """Warm-window reuse over persistent connections (§5).
 
-    The testbed client multiplexes messages over N persistent TCP
-    connections per host pair; a message starting on a warm connection
-    inherits the connection's converged congestion window (and is already
-    past slow start).  The pool keys connections by (src, dst, k) with k
-    assigned round-robin, remembers each connection's cwnd at message
-    completion, and hands it to the next message on that connection.
+    The testbed client multiplexes messages over ``per_pair`` persistent
+    TCP connections per host pair (5 in §5); a message starting on a warm
+    connection inherits the connection's converged congestion window (and
+    is already past slow start).  The pool keys connections by (src, dst,
+    k) with k assigned round-robin, remembers each connection's cwnd at
+    message completion, and hands it to the next message on that
+    connection.
     """
 
-    def __init__(self, per_pair: int, max_cwnd: float) -> None:
+    def __init__(self, max_cwnd: float, per_pair: int = 5) -> None:
         self.per_pair = per_pair
         self.max_cwnd = max_cwnd
         self._cwnd: Dict[tuple, float] = {}
@@ -348,7 +366,7 @@ def _wire_endpoints(
 ) -> List[SenderBase]:
     senders: List[SenderBase] = []
     pool = (
-        ConnectionPool(cfg.connections_per_pair, cfg.max_warm_cwnd)
+        ConnectionPool(cfg.max_warm_cwnd)
         if cfg.persistent_connections
         else None
     )

@@ -29,23 +29,43 @@ def _load(where: str) -> Any:
 
 def _made(where: str, **fields: str) -> Factory:
     """Factory of ``where`` with each keyword read from the config field
-    it names: ``_made("m:C", x="y")(cfg)`` is ``partial(C, x=cfg.y)``."""
+    it names: ``_made("m:C", x="y")(cfg)`` makes ``C(x=cfg.y)``.
+
+    A constructor checks its own arguments, so a bad field surfaces as
+    its ``ValueError``; one whose message starts with ``x`` (or with the
+    tail of ``x``'s name, as ``delay_ns`` for ``link_delay_ns``) is
+    re-raised under the field's name, ``y``.
+    """
 
     def factory(cfg: ExperimentConfig) -> Callable[..., Any]:
         kwargs = {arg: getattr(cfg, field) for arg, field in fields.items()}
-        return partial(_load(where), **kwargs)
+        make = partial(_load(where), **kwargs)
+
+        def checked(*args: Any, **more: Any) -> Any:
+            try:
+                return make(*args, **more)
+            except ValueError as exc:
+                word, _, rest = str(exc).partition(" ")
+                for arg, field in fields.items():
+                    if arg == word or arg.endswith("_" + word):
+                        name = field.replace("effective_", "")
+                        raise ValueError(f"{name} {rest}") from exc
+                raise
+
+        return checked
 
     return factory
 
 
 def _queued(where: str, **fields: str) -> Factory:
-    """Like :func:`_made`, over ``cfg.n_queues`` fresh queues per port."""
+    """Like :func:`_made`, over ``cfg.n_queues`` fresh queues per port
+    (each with the default 1500-byte quantum)."""
 
     def factory(cfg: ExperimentConfig) -> Callable[[], Any]:
         make = _made(where, **fields)(cfg)
         make_queues = _load("repro.sched.base:make_queues")
-        n, quantum = cfg.n_queues, cfg.quantum_bytes
-        return lambda: make(make_queues(n, quanta=[quantum] * n))
+        n = cfg.n_queues
+        return lambda: make(make_queues(n))
 
     return factory
 
@@ -62,10 +82,8 @@ SCHEMES: Dict[str, Factory] = {
         target_ns="effective_codel_target_ns",
         interval_ns="effective_codel_interval_ns",
     ),
-    # round-robin-only dynamic RED
-    "mqecn": _made(
-        "repro.aqm.mqecn:MqEcn", rtt_ns="base_rtt_ns", lam="lam", beta="mqecn_beta"
-    ),
+    # round-robin-only dynamic RED (the default beta, 0.75)
+    "mqecn": _made("repro.aqm.mqecn:MqEcn", rtt_ns="base_rtt_ns", lam="lam"),
     # per-queue ECN/RED, standard threshold
     "red_std": _made("repro.aqm.perqueue:PerQueueRed", **_RED_THRESHOLD),
     # Wu et al. dequeue marking
@@ -76,13 +94,6 @@ SCHEMES: Dict[str, Factory] = {
     "ideal": _made(
         "repro.aqm.ideal:IdealRed",
         rtt_ns="base_rtt_ns", lam="lam", dq_thresh_bytes="dq_thresh_bytes",
-    ),
-    # extension
-    "pie": _made(
-        "repro.aqm.pie:Pie",
-        target_delay_ns="effective_tcn_threshold_ns",
-        update_interval_ns="base_rtt_ns",
-        dq_thresh_bytes="dq_thresh_bytes",
     ),
     # no ECN at all
     "droptail": _made("repro.aqm.base:NoopAqm"),
@@ -160,8 +171,8 @@ def resolve(cfg: ExperimentConfig) -> Parts:
     """Import every class ``cfg`` names and bind it to the config.
 
     The build calls this before its first event, so nothing is imported
-    while the simulation runs; a sweep calls it for every config it will
-    run before forking, so its workers import nothing.
+    while the simulation runs; a sweep's preflight calls it for every
+    config to run before any job starts, so workers import nothing.
     """
     return Parts(
         topology=partial(

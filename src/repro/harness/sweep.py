@@ -47,7 +47,6 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.schemes import resolve
 from repro.metrics.fct import FctSummary
 from repro.obs.spans import SpanRecorder, wall_ns
 
@@ -450,17 +449,11 @@ def _run_parallel(
 ) -> None:
     ctx = multiprocessing.get_context(start_method)
     queue = list(configs)[::-1]          # pop() takes them in input order
-    # This module does not import the simulator (a fully cached sweep
-    # never needs it), so left alone every one-job worker would import it
-    # afresh.  Load it once where the workers inherit it from: under fork,
-    # this process loads the runner and every class the configs to run
-    # name; under forkserver, the fork server loads the runner.  (spawn
-    # children re-import whatever the parent holds.)
-    if queue and start_method == "fork":
-        import_module(_RUNNER_MODULE)
-        for _idx, cfg in queue:
-            resolve(cfg)
-    elif start_method == "forkserver":
+    # Under fork, the workers inherit the runner and every class the jobs
+    # name from run_sweep's preflight; under forkserver, the fork server
+    # loads the runner.  (spawn children re-import whatever the parent
+    # holds.)
+    if start_method == "forkserver":
         ctx.set_forkserver_preload([_RUNNER_MODULE])
     running: Dict[object, Tuple[int, ExperimentConfig, object, float]] = {}
 
@@ -587,11 +580,12 @@ def run_sweep(
         and worker identity.  Job spans are added in config order at the
         end of the sweep, so the export order never depends on which
         worker finished first.
+
+    Before any job starts, every config to run goes through
+    :func:`repro.harness.runner.preflight`: a config its build would
+    refuse raises that ``ValueError`` here, and no worker is started.
     """
     configs = list(configs)
-    for cfg in configs:
-        cfg.validate()
-
     stats = SweepStats(total=len(configs))
     results: List[Optional[SweepResult]] = [None] * len(configs)
     sweep_start = time.monotonic()
@@ -640,15 +634,24 @@ def run_sweep(
             progress(done["n"], len(configs), result)
 
     to_run: List[Tuple[int, ExperimentConfig]] = []
+    hits: List[Tuple[int, SweepResult]] = []
     for idx, cfg in enumerate(configs):
         hit = _cached_result(cache, cfg) if cache is not None else None
-        if hit is not None:
-            stats.cache_hits += 1
-            finish(idx, hit)
-        else:
-            if cache is not None:
-                stats.cache_misses += 1
+        if hit is None:
             to_run.append((idx, cfg))
+        else:
+            hits.append((idx, hit))
+    # This module does not import the simulator (a fully cached sweep
+    # never needs it).  A job to run loads it here, once, and a config
+    # its build would refuse raises before any job starts.
+    if to_run:
+        preflight = import_module(_RUNNER_MODULE).preflight
+        for _idx, cfg in to_run:
+            preflight(cfg)
+    if cache is not None:
+        stats.cache_hits, stats.cache_misses = len(hits), len(to_run)
+    for idx, hit in hits:
+        finish(idx, hit)
 
     n_workers, start_method = _resolve_processes(processes, len(to_run))
     if n_workers == 0:

@@ -36,7 +36,7 @@ class Link:
 
     def __init__(self, dst: "Node", delay_ns: int) -> None:
         if delay_ns < 0:
-            raise ValueError(f"propagation delay must be >= 0, got {delay_ns}")
+            raise ValueError(f"delay_ns must be >= 0, got {delay_ns}")
         self.dst = dst
         self.delay_ns = delay_ns
 

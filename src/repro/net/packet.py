@@ -6,7 +6,7 @@ the ECN-Echo (ECE) bit the receiver reflects back; probes model ping.
 
 ``enq_ts`` is the enqueue-time timestamp metadata that §4.2 of the paper
 describes attaching in hardware — the switch egress port stamps it on
-enqueue, and sojourn-time AQMs (TCN, CoDel, PIE) read it on dequeue.
+enqueue, and sojourn-time AQMs (TCN, CoDel) read it on dequeue.
 
 Allocation
 ----------

@@ -35,7 +35,7 @@ class Scheduler:
 
     def __init__(self, queues: List[PacketQueue]) -> None:
         if not queues:
-            raise ValueError("a scheduler needs at least one queue")
+            raise ValueError("n_queues must be >= 1: a scheduler needs a queue")
         self.queues = queues
         self.total_bytes = 0
         self.round_observer: Optional[RoundObserver] = None

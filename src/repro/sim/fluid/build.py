@@ -72,7 +72,7 @@ def standing_queue_delay_ns(cfg: "ExperimentConfig", rate_bps: int) -> int:
     (no AQM) lets the buffer itself fill.
     """
     scheme = cfg.scheme
-    if scheme in ("tcn", "pie"):
+    if scheme == "tcn":
         return cfg.effective_tcn_threshold_ns
     if scheme == "codel":
         return cfg.effective_codel_target_ns

@@ -56,10 +56,16 @@ class LeafSpineTopology:
         classifier_table: Optional[dict] = None,
         ecmp_salt: int = 0,
     ) -> None:
-        if n_leaf < 1 or n_spine < 1 or hosts_per_leaf < 1:
+        for name, value in (
+            ("n_leaf", n_leaf), ("n_spine", n_spine),
+            ("hosts_per_leaf", hosts_per_leaf),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if n_leaf * hosts_per_leaf < 2:
             raise ValueError(
-                f"invalid fabric dimensions "
-                f"({n_leaf} leaves, {n_spine} spines, {hosts_per_leaf} hosts/leaf)"
+                "n_leaf x hosts_per_leaf must give at least 2 hosts, got "
+                f"{n_leaf} x {hosts_per_leaf}"
             )
         self.sim = sim
         self.n_leaf = n_leaf

@@ -44,7 +44,7 @@ class StarTopology:
         classifier_table: Optional[dict] = None,
     ) -> None:
         if n_hosts < 2:
-            raise ValueError(f"need at least 2 hosts, got {n_hosts}")
+            raise ValueError(f"n_hosts must be >= 2, got {n_hosts}")
         self.sim = sim
         self.link_rate_bps = link_rate_bps
         self.link_delay_ns = link_delay_ns

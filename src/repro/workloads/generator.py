@@ -55,6 +55,7 @@ class FlowGenerator:
         randomly mapped to one of the 4 service queues").
         """
         _check_load(load)
+        _check_services(n_services)
         stream = self.rng.stream("flows")
         arrival_gap_ns = _mean_gap_ns(cdf, load, link_rate_bps)
         flows: List[Flow] = []
@@ -99,8 +100,9 @@ class FlowGenerator:
         _check_load(load)
         if len(hosts) < 2:
             raise ValueError("all_to_all needs at least two hosts")
-        stream = self.rng.stream("flows")
         n_services = len(cdfs)
+        _check_services(n_services)
+        stream = self.rng.stream("flows")
         mean_size = sum(c.mean() for c in cdfs) / n_services
         per_host_gap_ns = mean_size * 8 * SEC / (load * edge_rate_bps)
         aggregate_gap_ns = per_host_gap_ns / len(hosts)
@@ -129,6 +131,11 @@ class FlowGenerator:
 def _check_load(load: float) -> None:
     if not 0.0 < load < 1.0:
         raise ValueError(f"load must be in (0, 1), got {load}")
+
+
+def _check_services(n_services: int) -> None:
+    if n_services < 1:
+        raise ValueError(f"n_services must be >= 1, got {n_services}")
 
 
 def _mean_gap_ns(cdf: EmpiricalCdf, load: float, rate_bps: int) -> float:

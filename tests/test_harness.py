@@ -1,11 +1,15 @@
 """Harness: config validation, scheme registries, end-to-end runs."""
 
+import multiprocessing.process
+
 import pytest
 
+from repro.harness import sweep
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_fct_rows, format_table
-from repro.harness.runner import run_experiment
+from repro.harness.runner import preflight, run_experiment
 from repro.harness.schemes import SCHEDULERS, SCHEMES, TRANSPORTS
+from repro.sim.engine import Simulator
 from repro.units import GBPS, KB, USEC
 
 
@@ -35,8 +39,8 @@ class TestConfig:
         assert cfg.effective_tcn_threshold_ns == 100 * USEC
 
     def test_validation_load(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(load=0.0).validate()
+        with pytest.raises(ValueError, match="load"):
+            preflight(ExperimentConfig(load=0.0))
 
     def test_validation_topology(self):
         with pytest.raises(ValueError):
@@ -56,12 +60,13 @@ class TestConfig:
         (dict(transport="nope"), "transport"),
         (dict(scheduler="sp", pias=True, n_queues=4, n_high=4), "n_high"),
         (dict(scheduler="sp", pias=True, n_high=0), "n_high"),
-        (dict(quantum_bytes=0), "quantum_bytes"),
         (dict(link_rate_bps=0), "link_rate_bps"),
         (dict(link_rate_bps=-GBPS), "link_rate_bps"),
-        (dict(persistent_connections=True, connections_per_pair=0),
-         "connections_per_pair"),
         (dict(max_sim_ns=-1), "max_sim_ns"),
+        (dict(n_queues=0), "n_queues"),
+        (dict(scheduler="fifo", n_queues=0), "n_services"),
+        (dict(scheduler="fifo", n_queues=0, topology="leafspine"),
+         "n_services"),
         (dict(min_rto_ns=0), "min_rto_ns"),
         (dict(min_rto_ns=-1), "min_rto_ns"),
         (dict(n_hosts=1), "n_hosts"),
@@ -73,13 +78,12 @@ class TestConfig:
         (dict(base_rtt_ns=-1), "base_rtt_ns"),
         (dict(link_delay_ns=-1), "link_delay_ns"),
         (dict(mode="fluid"), "fluid_size_bytes=1"),
-        (dict(scheme="pie", base_rtt_ns=0), "base_rtt_ns"),
         (dict(scheme="tcn", lam=0), "lam"),
         (dict(scheme="tcn", tcn_threshold_ns=0), "tcn_threshold_ns"),
         (dict(scheme="codel", codel_target_ns=0), "codel_target_ns"),
         (dict(scheme="codel", codel_interval_ns=0), "codel_interval_ns"),
         (dict(scheme="codel", base_rtt_ns=0), "base_rtt_ns"),
-        (dict(scheme="mqecn", mqecn_beta=0), "mqecn_beta"),
+        (dict(scheme="mqecn", scheduler="wfq"), "scheduler"),
         (dict(scheme="ideal", dq_thresh_bytes=0), "dq_thresh_bytes"),
         (dict(workload_clip_bytes=0), "workload_clip_bytes"),
         (dict(workload_clip_bytes=1460), "workload_clip_bytes"),
@@ -87,35 +91,51 @@ class TestConfig:
               workload_clip_bytes=1000), "workload_clip_bytes"),
     ], ids=[
         "unknown-scheme", "unknown-scheduler", "unknown-transport",
-        "pias-no-low-band", "pias-no-high-band", "zero-quantum",
-        "zero-rate", "negative-rate", "no-connections", "negative-deadline",
-        "zero-rto", "negative-rto", "one-host-star", "no-leaves",
+        "pias-no-low-band", "pias-no-high-band",
+        "zero-rate", "negative-rate", "negative-deadline", "no-queues",
+        "fifo-no-queues", "fabric-fifo-no-queues", "zero-rto",
+        "negative-rto", "one-host-star", "no-leaves",
         "no-spines", "no-hosts-per-leaf", "one-host-fabric",
         "negative-rtt", "negative-link-delay", "fluid-mode",
-        "pie-zero-rtt", "tcn-zero-lambda", "tcn-zero-threshold",
+        "tcn-zero-lambda", "tcn-zero-threshold",
         "codel-zero-target", "codel-zero-interval", "codel-zero-rtt",
-        "mqecn-zero-beta", "ideal-zero-dq-thresh", "zero-clip",
+        "mqecn-on-wfq", "ideal-zero-dq-thresh", "zero-clip",
         "clip-at-smallest-size", "mixed-clip-below-websearch",
     ])
-    def test_validation_names_the_field(self, fields, field):
+    def test_validation_names_the_field(self, fields, field, monkeypatch):
         """Each of these used to pass validate() and then crash deep in
         the run, hang it, or quietly return nothing (``mode="fluid"`` is
-        the deleted spelling of hybrid mode at ``fluid_size_bytes=1``)."""
+        the deleted spelling of hybrid mode at ``fluid_size_bytes=1``).
+        Whether validate() or a constructor refuses it, a run raises
+        before its first event and a sweep before its first worker."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("refused too late")
+
+        monkeypatch.setattr(Simulator, "run", never)
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**fields).validate()
+            run_experiment(ExperimentConfig(**fields))
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", never)
+        monkeypatch.setattr(sweep, "_execute_config", never)
+        grid = [ExperimentConfig(n_flows=4), ExperimentConfig(**fields)]
+        with pytest.raises(ValueError, match=field):
+            sweep.run_sweep(grid, processes=2)
 
     def test_validation_keeps_legal_edges(self):
-        ExperimentConfig(max_sim_ns=0).validate()  # 0 means auto
-        ExperimentConfig(max_sim_ns=1000).validate()  # a partial run
-        ExperimentConfig(connections_per_pair=0).validate()  # unused
-        ExperimentConfig(scheduler="sp", pias=True, n_high=3).validate()
-        ExperimentConfig(n_hosts=2).validate()
-        ExperimentConfig(topology="leafspine", n_leaf=1, hosts_per_leaf=2,
-                         n_spine=1).validate()
-        ExperimentConfig(n_hosts=1, topology="leafspine").validate()  # star only
-        ExperimentConfig(link_delay_ns=0).validate()
-        ExperimentConfig(codel_target_ns=0).validate()  # tcn ignores CoDel's
-        ExperimentConfig(workload_clip_bytes=1461).validate()
+        """Each of these passes validate() and every constructor check."""
+        preflight(ExperimentConfig(max_sim_ns=0))  # 0 means auto
+        preflight(ExperimentConfig(max_sim_ns=1000))  # a partial run
+        preflight(ExperimentConfig(scheduler="sp", pias=True, n_high=3))
+        preflight(ExperimentConfig(n_hosts=2))
+        preflight(ExperimentConfig(topology="leafspine", n_leaf=1,
+                                   hosts_per_leaf=2, n_spine=1))
+        preflight(ExperimentConfig(n_hosts=1, topology="leafspine"))  # star only
+        preflight(ExperimentConfig(link_delay_ns=0))
+        preflight(ExperimentConfig(codel_target_ns=0))  # tcn ignores CoDel's
+        preflight(ExperimentConfig(workload_clip_bytes=1461))
+        for scheduler in ("wrr", "dwrr", "sp_dwrr"):  # round-robin: rounds
+            preflight(ExperimentConfig(scheme="mqecn", scheduler=scheduler))
 
 
 class TestRegistries:

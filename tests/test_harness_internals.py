@@ -42,11 +42,12 @@ class TestConnectionPool:
 
 class TestPersistentConnectionsEndToEnd:
     def _cfg(self, persistent):
-        # one connection per pair so reuse definitely happens with 40 flows
+        # 40 flows over 8 host pairs and 5 connections per pair: a pair's
+        # sixth flow starts on a warm connection (6 of the 40 do)
         return ExperimentConfig(
             scheme="tcn", scheduler="dwrr", workload="websearch",
             load=0.6, n_flows=40, seed=5,
-            persistent_connections=persistent, connections_per_pair=1,
+            persistent_connections=persistent,
         )
 
     def test_runs_complete_both_ways(self):

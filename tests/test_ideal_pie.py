@@ -1,13 +1,12 @@
-"""IdealRed (Equation 2 via Algorithm 1) and the PIE extension."""
+"""IdealRed: Equation 2 driven by Algorithm 1, PIE's departure-rate meter."""
 
 import pytest
 
 from repro.aqm.ideal import IdealRed
-from repro.aqm.pie import Pie
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
-from repro.units import GBPS, KB, MSEC, USEC
+from repro.units import GBPS, KB, USEC
 from tests.helpers import data_pkt, fill, make_port
 
 
@@ -60,45 +59,3 @@ class TestIdealRed:
     def test_per_queue_meters_isolated(self):
         sim, port, sched, aqm = _ideal_port()
         assert aqm.meter_for(sched.queues[0]) is not aqm.meter_for(sched.queues[1])
-
-
-class TestPie:
-    def _pie_port(self):
-        sim = Simulator()
-        sched = DwrrScheduler(make_queues(2, quanta=[1500, 1500]))
-        aqm = Pie(target_delay_ns=100 * USEC, update_interval_ns=100 * USEC)
-        port = make_port(sim, scheduler=sched, aqm=aqm, rate_bps=GBPS)
-        return sim, port, sched, aqm
-
-    @pytest.mark.parametrize("interval", [0, -1])
-    def test_rejects_a_non_positive_update_interval(self, interval):
-        """The update timer re-arms itself at this delay: at 0 a run
-        would never leave the current instant."""
-        with pytest.raises(ValueError, match="update_interval_ns"):
-            Pie(update_interval_ns=interval)
-
-    def test_probability_starts_at_zero(self):
-        sim, port, sched, aqm = self._pie_port()
-        assert aqm.on_enqueue(port, sched.queues[0], data_pkt(), 0) is False
-
-    def test_probability_rises_under_standing_delay(self):
-        sim, port, sched, aqm = self._pie_port()
-        q0 = sched.queues[0]
-        # hold a large standing backlog while updates fire
-        fill(sched, 0, 200)  # 300 KB ~ 2.4 ms of delay at 1 Gbps
-        port.occupancy = sched.total_bytes
-        sim.run(until=5 * MSEC)
-        st = aqm._state[id(q0)]
-        assert st.prob > 0.0
-
-    def test_probability_decays_when_empty(self):
-        sim, port, sched, aqm = self._pie_port()
-        q0 = sched.queues[0]
-        aqm._state[id(q0)].prob = 0.9
-        sim.run(until=20 * MSEC)  # queue empty the whole time
-        assert aqm._state[id(q0)].prob < 0.9
-
-    def test_updates_keep_firing(self):
-        sim, port, sched, aqm = self._pie_port()
-        sim.run(until=1 * MSEC)
-        assert sim.pending > 0  # the periodic update is still scheduled

@@ -28,7 +28,7 @@ class TestSchedulerCompatibility:
     def test_rejects_non_round_robin(self, sched_cls):
         sim = Simulator()
         sched = sched_cls(make_queues(2))
-        with pytest.raises(TypeError, match="round-robin"):
+        with pytest.raises(ValueError, match="round-robin"):
             make_port(sim, scheduler=sched, aqm=MqEcn(100 * USEC))
 
     def test_accepts_dwrr(self):

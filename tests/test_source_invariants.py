@@ -7,15 +7,19 @@ check reads the AST of every module under ``src/repro``.  A finding is keyed
 by (module, innermost enclosing def or class, check); ``ALLOWED`` lists the
 legitimate sites with their exact finding counts and a reason, and an entry
 whose count no longer matches fails too.  docs/STATIC_ANALYSIS.md maps each
-check to the rule it replaced.
+check to the rule it replaced.  ``TestConfigFieldUser`` reads the benches,
+examples and CLI instead: every config field must have a user there.
 """
 
 import ast
 import collections
+import dataclasses
 import functools
 from pathlib import Path
 
 import pytest
+
+from repro.harness.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -372,3 +376,53 @@ class TestConfinementAliases:
     def test_near_misses_are_silent(self, package, call):
         source = f"import repro.net.packet as p\n\n\ndef go(f):\n    {call}\n"
         assert findings(source, f"repro.{package}.mod") == []
+
+
+# -- every config field names its user ------------------------------------
+
+ROOT = SRC.parent.parent
+
+#: where a config field's users live: the benches, the examples, the CLI
+USER_FILES = [*sorted(ROOT.joinpath("benchmarks").rglob("*.py")),
+              *sorted(ROOT.joinpath("examples").rglob("*.py")),
+              SRC / "__main__.py"]
+
+#: ExperimentConfig fields that no bench, example or CLI flag sets, with
+#: the reason each stays a field
+UNSET_FIELDS = {
+    "max_sim_ns": "partial runs: a deadline that cuts a run short",
+    "lam": "the threshold-surface sweep (ROADMAP item 12) varies it",
+    "max_cwnd_bdp_factor": "the NIC-or-TSQ probe (ROADMAP item 1) varies it",
+}
+
+
+def _names_read(path):
+    """Every keyword, attribute and string constant in one file: a config
+    field is set as ``field=``, read as ``cfg.field`` or keyed as
+    ``"field"``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword):
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+class TestConfigFieldUser:
+    """A knob no bench, example or CLI flag sets holds the one value every
+    run uses: it is a constant, and belongs at its one reader."""
+
+    def _unused(self):
+        read = set().union(*map(_names_read, USER_FILES))
+        return {f.name for f in dataclasses.fields(ExperimentConfig)} - read
+
+    def test_every_field_has_a_user(self):
+        unused = self._unused() - set(UNSET_FIELDS)
+        assert not unused, f"no bench, example or CLI flag sets {sorted(unused)}"
+
+    def test_allowlist_has_no_stale_entries(self):
+        stale = set(UNSET_FIELDS) - self._unused()
+        assert not stale, f"set by a user now, not unset: {sorted(stale)}"

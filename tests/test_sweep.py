@@ -91,14 +91,13 @@ class TestConfigKey:
 
 _DEFAULT_FINGERPRINT = (
     '{"base_rtt_ns":250000,"buffer_bytes":96000,"codel_interval_ns":null,'
-    '"codel_target_ns":null,"connections_per_pair":5,"dq_thresh_bytes":10000,'
+    '"codel_target_ns":null,"dq_thresh_bytes":10000,'
     '"fluid_size_bytes":1000000,"hosts_per_leaf":4,"init_cwnd":16.0,'
     '"lam":1.0,"link_delay_ns":null,"link_rate_bps":1000000000,"load":0.6,'
     '"max_cwnd_bdp_factor":4.0,"max_sim_ns":0,"max_warm_cwnd":64.0,'
-    '"min_rto_ns":10000000,"mode":"packet","mqecn_beta":0.75,"n_flows":200,'
+    '"min_rto_ns":10000000,"mode":"packet","n_flows":200,'
     '"n_high":1,"n_hosts":9,"n_leaf":4,"n_queues":4,"n_spine":4,'
     '"persistent_connections":false,"pias":false,'
-    '"pias_threshold_bytes":100000,"quantum_bytes":1500,'
     '"red_threshold_bytes":null,"scheduler":"dwrr","scheme":"tcn","seed":1,'
     '"tcn_threshold_ns":null,"topology":"star","transport":"dctcp",'
     '"workload":"websearch","workload_clip_bytes":null}'
@@ -106,14 +105,13 @@ _DEFAULT_FINGERPRINT = (
 
 _FABRIC_FINGERPRINT = (
     '{"base_rtt_ns":85200,"buffer_bytes":300000,"codel_interval_ns":null,'
-    '"codel_target_ns":null,"connections_per_pair":5,"dq_thresh_bytes":10000,'
+    '"codel_target_ns":null,"dq_thresh_bytes":10000,'
     '"fluid_size_bytes":1000000,"hosts_per_leaf":3,"init_cwnd":16,'
     '"lam":1.0,"link_delay_ns":null,"link_rate_bps":10000000000,"load":0.6,'
     '"max_cwnd_bdp_factor":4.0,"max_sim_ns":0,"max_warm_cwnd":64.0,'
-    '"min_rto_ns":5000000,"mode":"packet","mqecn_beta":0.75,"n_flows":400,'
+    '"min_rto_ns":5000000,"mode":"packet","n_flows":400,'
     '"n_high":1,"n_hosts":9,"n_leaf":2,"n_queues":8,"n_spine":2,'
     '"persistent_connections":false,"pias":true,'
-    '"pias_threshold_bytes":100000,"quantum_bytes":1500,'
     '"red_threshold_bytes":97500,"scheduler":"sp_dwrr","scheme":"tcn",'
     '"seed":1,"tcn_threshold_ns":78000,"topology":"leafspine",'
     '"transport":"dctcp","workload":"mixed","workload_clip_bytes":20000000}'
