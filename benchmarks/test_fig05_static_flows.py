@@ -15,8 +15,8 @@ from repro.aqm.perqueue import PerQueueRed
 from repro.apps.pinger import Pinger
 from repro.core.tcn import Tcn
 from repro.metrics.timeseries import GoodputTracker
-from repro.sched import SpWfqScheduler
 from repro.sched.base import make_queues
+from repro.sched.wfq import WfqScheduler
 from repro.sim.engine import Simulator
 from repro.topo.star import StarTopology
 from repro.transport.dctcp import DctcpSender
@@ -42,7 +42,7 @@ def _run(scheme: str):
     sim = Simulator()
     topo = StarTopology(
         sim, 4, GBPS,
-        sched_factory=lambda: SpWfqScheduler(
+        sched_factory=lambda: WfqScheduler(
             make_queues(3, quanta=[1500] * 3), n_high=1
         ),
         aqm_factory=SCHEMES[scheme],

@@ -19,7 +19,6 @@ from repro import (
     Receiver,
     Simulator,
     StarTopology,
-    StrictPriorityScheduler,
     Tcn,
     WfqScheduler,
     WrrScheduler,
@@ -32,7 +31,7 @@ SCHEDULERS = {
     "dwrr": lambda: DwrrScheduler(make_queues(2, quanta=[1500, 1500])),
     "wrr": lambda: WrrScheduler(make_queues(2)),
     "wfq": lambda: WfqScheduler(make_queues(2)),
-    "sp": lambda: StrictPriorityScheduler(make_queues(2)),
+    "sp": lambda: WfqScheduler(make_queues(2), n_high=2),  # all strict
     "pifo-stfq": lambda: PifoScheduler(make_queues(2), rank_fn=stfq_rank),
 }
 

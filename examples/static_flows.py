@@ -21,9 +21,9 @@ from repro import (
     Pinger,
     Receiver,
     Simulator,
-    SpWfqScheduler,
     StarTopology,
     Tcn,
+    WfqScheduler,
     make_queues,
 )
 from repro.units import GBPS, KB, MB, MBPS, MSEC, SEC, USEC
@@ -35,7 +35,7 @@ def main() -> None:
         sim,
         n_hosts=4,
         link_rate_bps=GBPS,
-        sched_factory=lambda: SpWfqScheduler(
+        sched_factory=lambda: WfqScheduler(
             make_queues(3, quanta=[1500] * 3), n_high=1
         ),
         aqm_factory=lambda: Tcn(256 * USEC),   # RTT x lambda for the testbed

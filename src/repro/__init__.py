@@ -69,7 +69,6 @@ _EXPORTS = {
     "ideal_red_threshold_bytes": "repro.core.thresholds",
     # aqm
     "Aqm": "repro.aqm",
-    "NoopAqm": "repro.aqm",
     "CoDel": "repro.aqm",
     "MqEcn": "repro.aqm",
     "PerQueueRed": "repro.aqm",
@@ -79,16 +78,12 @@ _EXPORTS = {
     "DequeueRed": "repro.aqm",
     "IdealRed": "repro.aqm",
     "RateMeter": "repro.aqm",
-    "RedMarker": "repro.aqm",
     # schedulers
     "Scheduler": "repro.sched",
     "FifoScheduler": "repro.sched",
-    "StrictPriorityScheduler": "repro.sched",
     "WrrScheduler": "repro.sched",
     "DwrrScheduler": "repro.sched",
     "WfqScheduler": "repro.sched",
-    "SpDwrrScheduler": "repro.sched",
-    "SpWfqScheduler": "repro.sched",
     "PifoScheduler": "repro.sched",
     "make_queues": "repro.sched.base",
     # sim + net

@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 # Each sub-command imports its own machinery when it runs, so `trace`
 # never loads the simulator.  Only what annotations need is named here.
@@ -50,29 +50,89 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.sweep import SweepResult
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _kb(text: str) -> int:
+    from repro.units import KB
+
+    return int(text) * KB
+
+
+#: The config flags ``run`` and ``sweep`` share, once: (flag, the
+#: ExperimentConfig field it sets, type, default, help).  A string default
+#: goes through the type like a typed value; a field with a registry takes
+#: its choices from it.
+CONFIG_FLAGS: Tuple[
+    Tuple[str, str, Callable[[str], Any], Any, Optional[str]], ...
+] = (
+    ("--scheme", "scheme", str, "tcn", None),
+    ("--scheduler", "scheduler", str, "dwrr", None),
+    ("--transport", "transport", str, "dctcp", None),
+    ("--topology", "topology", str, "star", None),
+    ("--workload", "workload", str, "websearch", None),
+    ("--load", "load", float, "0.7", None),
+    ("--flows", "n_flows", int, "200", None),
+    ("--queues", "n_queues", int, "4", None),
+    ("--pias", "pias", bool, False, None),
+    ("--seed", "seed", int, "1", None),
+    ("--buffer-kb", "buffer_bytes", _kb, "96", "per-port buffer (KB)"),
+    ("--mode", "mode", str, "packet", (
+        "simulation mode: 'packet' is the exact packet engine (default); "
+        "'hybrid' promotes flows of at least --fluid-size-bytes to the "
+        "fluid solver and keeps short flows packet-exact (see docs/FLUID.md)"
+    )),
+    ("--fluid-size-bytes", "fluid_size_bytes", int, "1000000", (
+        "hybrid-mode promotion threshold in bytes: flows at least this "
+        "large go fluid (default 1000000)"
+    )),
+)
+
+#: the fields ``sweep`` takes repeatedly, each repetition a grid point
+GRID_FIELDS = ("scheme", "scheduler", "transport", "workload", "load", "seed")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, grid: bool) -> None:
+    """Declare :data:`CONFIG_FLAGS`; with ``grid`` the grid fields repeat
+    (and default to None, the table's default filling in later)."""
     from repro.harness.schemes import REGISTRIES
 
+    for flag, field, kind, default, help_text in CONFIG_FLAGS:
+        if kind is bool:
+            parser.add_argument(flag, action="store_true")
+            continue
+        repeat = grid and field in GRID_FIELDS
+        parser.add_argument(
+            flag, type=kind, help=help_text,
+            action="append" if repeat else "store",
+            default=None if repeat else default,
+            choices=sorted(REGISTRIES[field]) if field in REGISTRIES else None,
+        )
+
+
+def _configs(args: argparse.Namespace, grid: bool) -> List[ExperimentConfig]:
+    """The cartesian product of the parsed config flags: one config for
+    ``run``, a grid point per combination of repeated values for
+    ``sweep``."""
+    from repro.harness.config import ExperimentConfig
+
+    axes: Dict[str, List[Any]] = {}
+    for flag, field, kind, default, _ in CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not (grid and field in GRID_FIELDS):
+            value = [value]
+        elif value is None:
+            value = [kind(default)]
+        axes[field] = value
+    return [
+        ExperimentConfig(**dict(zip(axes, point)))
+        for point in itertools.product(*axes.values())
+    ]
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run a TCN-reproduction experiment.",
     )
-    for name, default in (
-        ("scheme", "tcn"), ("scheduler", "dwrr"), ("transport", "dctcp"),
-        ("topology", "star"),
-    ):
-        parser.add_argument(
-            f"--{name}", default=default, choices=sorted(REGISTRIES[name])
-        )
-    parser.add_argument("--workload", default="websearch")
-    parser.add_argument("--load", type=float, default=0.7)
-    parser.add_argument("--flows", type=int, default=200)
-    parser.add_argument("--queues", type=int, default=4)
-    parser.add_argument("--pias", action="store_true")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--buffer-kb", type=int, default=96, help="per-port buffer (KB)"
-    )
+    _add_config_flags(parser, grid=False)
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record the event trace and write it as JSONL to PATH",
@@ -80,22 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ports", action="store_true",
         help="print the per-port traffic/mark/drop breakdown",
-    )
-    parser.add_argument(
-        "--mode", default="packet", choices=sorted(REGISTRIES["mode"]),
-        help=(
-            "simulation mode: 'packet' is the exact packet engine "
-            "(default); 'hybrid' promotes flows of at least "
-            "--fluid-size-bytes to the fluid solver and keeps short flows "
-            "packet-exact (see docs/FLUID.md)"
-        ),
-    )
-    parser.add_argument(
-        "--fluid-size-bytes", type=int, default=1_000_000,
-        help=(
-            "hybrid-mode promotion threshold in bytes: flows at least "
-            "this large go fluid (default 1000000)"
-        ),
     )
     parser.add_argument(
         "--spans", metavar="PATH", default=None,
@@ -138,8 +182,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
-    from repro.harness.schemes import REGISTRIES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
         description=(
@@ -148,22 +190,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "--transport/--workload/--load/--seed to add grid points."
         ),
     )
-    for name in ("scheme", "scheduler", "transport"):
-        parser.add_argument(
-            f"--{name}", action="append", choices=sorted(REGISTRIES[name])
-        )
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--load", type=float, action="append")
-    parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument(
-        "--topology", default="star", choices=sorted(REGISTRIES["topology"])
-    )
-    parser.add_argument("--flows", type=int, default=200)
-    parser.add_argument("--queues", type=int, default=4)
-    parser.add_argument("--pias", action="store_true")
-    parser.add_argument(
-        "--buffer-kb", type=int, default=96, help="per-port buffer (KB)"
-    )
+    _add_config_flags(parser, grid=True)
     parser.add_argument(
         "--processes", type=int, default=None,
         help="worker processes (default: one per CPU; 0 = serial)",
@@ -178,19 +205,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the result cache"
-    )
-    parser.add_argument(
-        "--mode", default="packet", choices=sorted(REGISTRIES["mode"]),
-        help=(
-            "simulation mode for every grid point (result-affecting: "
-            "cached results are keyed by it; see docs/FLUID.md)"
-        ),
-    )
-    parser.add_argument(
-        "--fluid-size-bytes", type=int, default=1_000_000,
-        help=(
-            "hybrid-mode promotion threshold in bytes (default 1000000)"
-        ),
     )
     parser.add_argument(
         "--spans", metavar="PATH", default=None,
@@ -209,39 +223,12 @@ def _sweep_label(result: SweepResult) -> str:
 
 
 def sweep_main(argv=None) -> int:
-    from repro.harness.config import ExperimentConfig
     from repro.harness.report import format_fct_rows
     from repro.harness.sweep import ResultCache, run_sweep
     from repro.obs.spans import SpanRecorder
-    from repro.units import KB
 
     args = build_sweep_parser().parse_args(argv)
-    grid = itertools.product(
-        args.scheme or ["tcn"],
-        args.scheduler or ["dwrr"],
-        args.transport or ["dctcp"],
-        args.workload or ["websearch"],
-        args.load or [0.7],
-        args.seed or [1],
-    )
-    configs = [
-        ExperimentConfig(
-            scheme=scheme,
-            scheduler=scheduler,
-            transport=transport,
-            workload=workload,
-            load=load,
-            seed=seed,
-            topology=args.topology,
-            n_flows=args.flows,
-            n_queues=args.queues,
-            pias=args.pias,
-            buffer_bytes=args.buffer_kb * KB,
-            mode=args.mode,
-            fluid_size_bytes=args.fluid_size_bytes,
-        )
-        for scheme, scheduler, transport, workload, load, seed in grid
-    ]
+    configs = _configs(args, grid=True)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     # live tallies across progress callbacks: aggregate simulation
@@ -345,27 +332,6 @@ def trace_main(argv=None) -> int:
     return 0
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    from repro.harness.config import ExperimentConfig
-    from repro.units import KB
-
-    return ExperimentConfig(
-        scheme=args.scheme,
-        scheduler=args.scheduler,
-        transport=args.transport,
-        topology=args.topology,
-        workload=args.workload,
-        load=args.load,
-        n_flows=args.flows,
-        n_queues=args.queues,
-        pias=args.pias,
-        seed=args.seed,
-        buffer_bytes=args.buffer_kb * KB,
-        mode=args.mode,
-        fluid_size_bytes=args.fluid_size_bytes,
-    )
-
-
 SUBCOMMANDS = {
     "sweep": sweep_main,
     "trace": trace_main,
@@ -401,7 +367,7 @@ def main(argv=None) -> int:
     from repro.obs.trace import Tracer
 
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    (cfg,) = _configs(args, grid=False)
     try:
         preflight(cfg)
     except ValueError as exc:

@@ -16,8 +16,6 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "Aqm": "repro.aqm.base",
-    "NoopAqm": "repro.aqm.base",
-    "RedMarker": "repro.aqm.red",
     "PerQueueRed": "repro.aqm.perqueue",
     "PerPortRed": "repro.aqm.perport",
     "PerPoolRed": "repro.aqm.perport",

@@ -45,9 +45,3 @@ class Aqm:
     ) -> bool:
         """Marking decision at dequeue; ``pkt`` has left ``queue``."""
         return False
-
-
-class NoopAqm(Aqm):
-    """Explicit no-marking AQM (drop-tail only) — the no-ECN baseline."""
-
-    __slots__ = ()

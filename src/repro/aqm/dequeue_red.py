@@ -11,9 +11,10 @@ buildups, which is why its slow-start peak in Fig. 3 is ~2xBDP rather than
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Sequence, Union
+from typing import TYPE_CHECKING
 
 from repro.aqm.base import Aqm
+from repro.aqm.perqueue import PerQueueThresholds
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
 
@@ -21,23 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.port import EgressPort
 
 
-class DequeueRed(Aqm):
+class DequeueRed(PerQueueThresholds, Aqm):
     """Per-queue static threshold, evaluated on the dequeue side."""
 
-    __slots__ = ("_threshold_spec", "_K")
-
-    def __init__(self, threshold_bytes: Union[int, Sequence[int]]) -> None:
-        self._threshold_spec = threshold_bytes
-        self._K: Dict[int, int] = {}
-
-    def setup(self, port: "EgressPort") -> None:
-        queues = port.scheduler.queues
-        spec = self._threshold_spec
-        thresholds = [spec] * len(queues) if isinstance(spec, int) else list(spec)
-        if len(thresholds) != len(queues):
-            raise ValueError(f"{len(thresholds)} thresholds for {len(queues)} queues")
-        for queue, k in zip(queues, thresholds):
-            self._K[id(queue)] = k
+    __slots__ = ()
 
     def on_dequeue(
         self, port: "EgressPort", queue: PacketQueue, pkt: Packet, now: int

@@ -67,6 +67,8 @@ class PerPoolRed(Aqm):
     __slots__ = ("pool", "threshold_bytes")
 
     def __init__(self, pool: BufferPool, threshold_bytes: int) -> None:
+        if threshold_bytes < 0:
+            raise ValueError(f"threshold_bytes must be >= 0, got {threshold_bytes}")
         self.pool = pool
         self.threshold_bytes = threshold_bytes
 

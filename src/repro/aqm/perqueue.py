@@ -1,11 +1,12 @@
 """Per-queue ECN/RED — the paper's "current practice" baseline (§3.2.1).
 
 Each queue compares its own instantaneous backlog against a static
-threshold at enqueue.  Operators set the *standard* threshold
-``K = C x RTT x lambda`` on every queue; when several queues are busy the
-per-queue capacity is far below C, so the static K admits excess backlog —
-Remark 1's latency and burst-tolerance penalty, which the FCT experiments
-quantify.
+threshold at enqueue: the simplified RED (``K_min = K_max = K``, no
+averaging) that, per §2.1, production datacenters run.  Operators set the
+*standard* threshold ``K = C x RTT x lambda`` on every queue; when several
+queues are busy the per-queue capacity is far below C, so the static K
+admits excess backlog — Remark 1's latency and burst-tolerance penalty,
+which the FCT experiments quantify.
 
 Per-queue thresholds may also be set individually, which doubles as the
 "ideal ECN/RED with prior knowledge of queue capacities" oracle used in the
@@ -15,10 +16,9 @@ lambda`` of each queue.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, Sequence, TYPE_CHECKING, Tuple, Union
 
 from repro.aqm.base import Aqm
-from repro.aqm.red import RedMarker
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
 
@@ -26,58 +26,44 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.port import EgressPort
 
 
-class PerQueueRed(Aqm):
-    """Static per-queue threshold marking at enqueue.
+class PerQueueThresholds:
+    """One static K per queue, for the queue-length schemes that compare a
+    queue's own backlog against it (mixed in ahead of :class:`Aqm`, which
+    supplies the one marking hook each scheme overrides).
 
-    Parameters
-    ----------
-    threshold_bytes:
-        A single K applied to every queue, or one K per queue (by queue
-        position in the scheduler's bank).
-    full_red:
-        Optional list of :class:`RedMarker` (one per queue) to run the
-        complete RED gateway instead of the simplified single-threshold
-        comparison.
+    ``threshold_bytes`` is a single K applied to every queue, or one K per
+    queue (by queue position in the scheduler's bank).
     """
 
-    __slots__ = ("_threshold_spec", "_full_red_spec", "_K", "_red")
+    __slots__ = ("_thresholds", "_K")
 
-    def __init__(
-        self,
-        threshold_bytes: Union[int, Sequence[int]],
-        full_red: Optional[List[RedMarker]] = None,
-    ) -> None:
-        self._threshold_spec = threshold_bytes
-        self._full_red_spec = full_red
+    def __init__(self, threshold_bytes: Union[int, Sequence[int]]) -> None:
+        uniform = isinstance(threshold_bytes, int)
+        each = (threshold_bytes,) if uniform else tuple(threshold_bytes)
+        for k in each:
+            if k < 0:
+                raise ValueError(f"threshold_bytes must be >= 0, got {k}")
+        self._thresholds: Union[int, Tuple[int, ...]] = (
+            threshold_bytes if uniform else each
+        )
         self._K: Dict[int, int] = {}
-        self._red: Dict[int, RedMarker] = {}
 
     def setup(self, port: "EgressPort") -> None:
         queues = port.scheduler.queues
-        spec = self._threshold_spec
-        if isinstance(spec, int):
-            thresholds = [spec] * len(queues)
-        else:
-            thresholds = list(spec)
-            if len(thresholds) != len(queues):
-                raise ValueError(
-                    f"{len(thresholds)} thresholds for {len(queues)} queues"
-                )
+        spec = self._thresholds
+        thresholds = [spec] * len(queues) if isinstance(spec, int) else spec
+        if len(thresholds) != len(queues):
+            raise ValueError(f"{len(thresholds)} thresholds for {len(queues)} queues")
         for queue, k in zip(queues, thresholds):
             self._K[id(queue)] = k
-        if self._full_red_spec is not None:
-            if len(self._full_red_spec) != len(queues):
-                raise ValueError(
-                    f"{len(self._full_red_spec)} RED markers for "
-                    f"{len(queues)} queues"
-                )
-            for queue, red in zip(queues, self._full_red_spec):
-                self._red[id(queue)] = red
+
+
+class PerQueueRed(PerQueueThresholds, Aqm):
+    """Static per-queue threshold marking at enqueue."""
+
+    __slots__ = ()
 
     def on_enqueue(
         self, port: "EgressPort", queue: PacketQueue, pkt: Packet, now: int
     ) -> bool:
-        red = self._red.get(id(queue))
-        if red is not None:
-            return red.decide(queue.bytes)
         return queue.bytes > self._K[id(queue)]

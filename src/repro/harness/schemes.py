@@ -95,14 +95,13 @@ SCHEMES: Dict[str, Factory] = {
         "repro.aqm.ideal:IdealRed",
         rtt_ns="base_rtt_ns", lam="lam", dq_thresh_bytes="dq_thresh_bytes",
     ),
-    # no ECN at all
-    "droptail": _made("repro.aqm.base:NoopAqm"),
 }
 
 #: scheduler name -> factory
 SCHEDULERS: Dict[str, Factory] = {
     "fifo": _made("repro.sched.fifo:FifoScheduler"),
-    "sp": _queued("repro.sched.sp:StrictPriorityScheduler"),
+    # strict priority: every queue in WFQ's strict band
+    "sp": _queued("repro.sched.wfq:WfqScheduler", n_high="n_queues"),
     "wrr": _queued("repro.sched.wrr:WrrScheduler"),
     "dwrr": _queued("repro.sched.dwrr:DwrrScheduler"),
     "wfq": _queued("repro.sched.wfq:WfqScheduler"),

@@ -24,8 +24,6 @@ class PacketQueue:
         Relative share for fair-queueing schedulers (WFQ/WRR).
     quantum:
         Bytes served per round for deficit round robin.
-    priority:
-        Strict-priority level (lower value = served first).
     bytes:
         Current backlog in bytes (wire sizes).
     """
@@ -34,7 +32,6 @@ class PacketQueue:
         "index",
         "weight",
         "quantum",
-        "priority",
         "bytes",
         "_pkts",
         "enqueued_pkts",
@@ -50,12 +47,10 @@ class PacketQueue:
         index: int,
         weight: float = 1.0,
         quantum: int = 1500,
-        priority: int = 0,
     ) -> None:
         self.index = index
         self.weight = weight
         self.quantum = quantum
-        self.priority = priority
         self.bytes = 0
         self._pkts: Deque[Packet] = deque()
         # statistics
@@ -95,5 +90,5 @@ class PacketQueue:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Queue {self.index} {len(self._pkts)}p/{self.bytes}B "
-            f"w={self.weight} q={self.quantum} prio={self.priority}>"
+            f"w={self.weight} q={self.quantum}>"
         )

@@ -1,5 +1,7 @@
-"""Packet schedulers: FIFO, SP, WRR, DWRR, WFQ (each of the last two with
-an optional strict-priority band: SP/DWRR, SP/WFQ), and PIFO.
+"""Packet schedulers: FIFO, WRR, DWRR, WFQ and PIFO.  DWRR and WFQ serve
+an optional strict-priority band of their first ``n_high`` queues ahead
+of the rest (SP/DWRR, SP/WFQ); WFQ with every queue in the band is
+strict priority (SP).
 
 All schedulers share the :class:`~repro.sched.base.Scheduler` interface so an
 egress port (and any AQM) is agnostic to the discipline — the property that
@@ -11,12 +13,9 @@ from repro import _lazy_exports
 _EXPORTS = {
     "Scheduler": "repro.sched.base",
     "FifoScheduler": "repro.sched.fifo",
-    "StrictPriorityScheduler": "repro.sched.sp",
     "WrrScheduler": "repro.sched.wrr",
     "DwrrScheduler": "repro.sched.dwrr",
     "WfqScheduler": "repro.sched.wfq",
-    "SpDwrrScheduler": "repro.sched.dwrr",
-    "SpWfqScheduler": "repro.sched.wfq",
     "PifoScheduler": "repro.sched.pifo",
     "stfq_rank": "repro.sched.pifo",
     "lstf_rank": "repro.sched.pifo",

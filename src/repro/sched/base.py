@@ -73,10 +73,12 @@ class Scheduler:
 
 def strict_band(queues: List[PacketQueue], n_high: int) -> Sequence[PacketQueue]:
     """The first ``n_high`` queues: a strict-priority band, served in index
-    order ahead of a fair-queued discipline over the rest."""
-    if not 0 <= n_high < len(queues):
+    order ahead of a fair-queued discipline over the rest.  With
+    ``n_high == len(queues)`` the band is the whole bank: strict priority
+    (queue 0 first)."""
+    if not 0 <= n_high <= len(queues):
         raise ValueError(
-            f"need 0 <= n_high < n_queues, got n_high={n_high} "
+            f"need 0 <= n_high <= n_queues, got n_high={n_high} "
             f"with {len(queues)} queues"
         )
     return tuple(queues[:n_high])
@@ -86,7 +88,6 @@ def make_queues(
     n: int,
     weights: Optional[List[float]] = None,
     quanta: Optional[List[int]] = None,
-    priorities: Optional[List[int]] = None,
 ) -> List[PacketQueue]:
     """Convenience constructor for a homogeneous or per-queue-tuned bank.
 
@@ -101,7 +102,6 @@ def make_queues(
                 index=i,
                 weight=weights[i] if weights else 1.0,
                 quantum=quanta[i] if quanta else 1500,
-                priority=priorities[i] if priorities else 0,
             )
         )
     return queues

@@ -7,8 +7,8 @@ the head packet no longer fits.
 
 With ``n_high > 0`` the first ``n_high`` queues form a strict-priority
 band served in index order ahead of the round robin — the paper's SP/DWRR
-production scheduler (§5).  The round robin only runs when every strict
-queue is empty.
+production scheduler (§5) at ``n_high=1``.  The round robin only runs when
+every strict queue is empty.
 
 This implementation additionally measures the *round time* — the interval
 between two consecutive service-turn starts of the same queue — and reports
@@ -121,14 +121,3 @@ class DwrrScheduler(Scheduler):
             active.append(queue)
             refresh[idx] = True
         return None
-
-
-class SpDwrrScheduler(DwrrScheduler):
-    """The paper's SP/DWRR: DWRR with at least one strict queue."""
-
-    __slots__ = ()
-
-    def __init__(self, queues: List[PacketQueue], n_high: int = 1) -> None:
-        if n_high < 1:
-            raise ValueError(f"SP/DWRR needs n_high >= 1, got {n_high}")
-        super().__init__(queues, n_high)

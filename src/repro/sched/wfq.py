@@ -10,7 +10,11 @@ MQ-ECN cannot run on it while TCN can.
 
 With ``n_high > 0`` the first ``n_high`` queues form a strict-priority
 band served in index order ahead of fair queueing over the rest — the
-paper's SP/WFQ production scheduler (§5).  Strict packets carry no tags.
+paper's SP/WFQ production scheduler (§5) at ``n_high=1``.  Strict packets
+carry no tags.  At ``n_high == len(queues)`` the band is every queue:
+pure strict priority (queue 0 first), one of the two fixed-function
+disciplines commodity chips offer (§2.2).  It has no rounds either, so
+MQ-ECN cannot run on it.
 """
 
 from __future__ import annotations
@@ -82,14 +86,3 @@ class WfqScheduler(Scheduler):
             for i in range(len(self._last_finish)):
                 self._last_finish[i] = 0.0
         return pkt, best_queue
-
-
-class SpWfqScheduler(WfqScheduler):
-    """The paper's SP/WFQ: WFQ with at least one strict queue."""
-
-    __slots__ = ()
-
-    def __init__(self, queues: List[PacketQueue], n_high: int = 1) -> None:
-        if n_high < 1:
-            raise ValueError(f"SP/WFQ needs n_high >= 1, got {n_high}")
-        super().__init__(queues, n_high)

@@ -68,16 +68,13 @@ def standing_queue_delay_ns(cfg: "ExperimentConfig", rate_bps: int) -> int:
     DCTCP fluid load holds the bottleneck queue at the marking
     threshold; packets crossing that link wait the threshold's drain
     time behind it.  Sojourn-threshold schemes state that delay
-    directly; byte-threshold schemes divide by the line rate; droptail
-    (no AQM) lets the buffer itself fill.
+    directly; byte-threshold schemes divide by the line rate.
     """
     scheme = cfg.scheme
     if scheme == "tcn":
         return cfg.effective_tcn_threshold_ns
     if scheme == "codel":
         return cfg.effective_codel_target_ns
-    if scheme == "droptail":
-        return cfg.buffer_bytes * _BITS_NS // rate_bps
     # queue-length-threshold family: red_std, dequeue_red, perport_red,
     # mqecn, ideal
     return cfg.effective_red_threshold_bytes * _BITS_NS // rate_bps

@@ -32,6 +32,18 @@ class TestPerQueueRed:
         fill(sched, 0, 2)
         assert port.aqm.on_enqueue(port, queue, data_pkt(), 0) is False
 
+    def test_marks_strictly_above_k_on_the_instant_backlog(self):
+        """The simplified RED of §2.1: K_min = K_max = K, no averaging."""
+        sim, port, sched = _port_with(PerQueueRed(3000))
+        queue = sched.queues[0]
+        fill(sched, 0, 2)  # exactly K
+        assert port.aqm.on_enqueue(port, queue, data_pkt(), 0) is False
+        fill(sched, 0, 1)
+        assert port.aqm.on_enqueue(port, queue, data_pkt(), 0) is True
+        while sched.dequeue(0):
+            pass
+        assert port.aqm.on_enqueue(port, queue, data_pkt(), 0) is False
+
     def test_queues_isolated(self):
         """Another queue's backlog never marks this queue's packets."""
         sim, port, sched = _port_with(PerQueueRed(3000))
@@ -52,6 +64,20 @@ class TestPerQueueRed:
         sched = DwrrScheduler(make_queues(3, quanta=[1500] * 3))
         with pytest.raises(ValueError):
             make_port(sim, scheduler=sched, aqm=PerQueueRed([1000, 2000]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PerQueueRed(-1),
+    lambda: PerQueueRed([3000, -1]),
+    lambda: DequeueRed(-1),
+    lambda: DequeueRed([-1, 3000]),
+    lambda: PerPortRed(-1),
+    lambda: PerPoolRed(BufferPool(100 * KB), -1),
+], ids=["perqueue", "perqueue-entry", "dequeue", "dequeue-entry", "perport",
+        "perpool"])
+def test_negative_threshold_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="^threshold_bytes must be >= 0"):
+        make()
 
 
 class TestPerPortRed:

@@ -84,6 +84,12 @@ class TestConfig:
         (dict(scheme="codel", codel_interval_ns=0), "codel_interval_ns"),
         (dict(scheme="codel", base_rtt_ns=0), "base_rtt_ns"),
         (dict(scheme="mqecn", scheduler="wfq"), "scheduler"),
+        (dict(scheme="mqecn", scheduler="sp"), "scheduler"),
+        (dict(scheme="red_std", red_threshold_bytes=-1), "red_threshold_bytes"),
+        (dict(scheme="dequeue_red", red_threshold_bytes=-1),
+         "red_threshold_bytes"),
+        (dict(scheme="perport_red", red_threshold_bytes=-1),
+         "red_threshold_bytes"),
         (dict(scheme="ideal", dq_thresh_bytes=0), "dq_thresh_bytes"),
         (dict(workload_clip_bytes=0), "workload_clip_bytes"),
         (dict(workload_clip_bytes=1460), "workload_clip_bytes"),
@@ -99,7 +105,9 @@ class TestConfig:
         "negative-rtt", "negative-link-delay", "fluid-mode",
         "tcn-zero-lambda", "tcn-zero-threshold",
         "codel-zero-target", "codel-zero-interval", "codel-zero-rtt",
-        "mqecn-on-wfq", "ideal-zero-dq-thresh", "zero-clip",
+        "mqecn-on-wfq", "mqecn-on-sp", "red-negative-threshold",
+        "dequeue-red-negative-threshold", "perport-red-negative-threshold",
+        "ideal-zero-dq-thresh", "zero-clip",
         "clip-at-smallest-size", "mixed-clip-below-websearch",
     ])
     def test_validation_names_the_field(self, fields, field, monkeypatch):

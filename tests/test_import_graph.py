@@ -334,7 +334,7 @@ def _local_imports(rel_path):
 
 
 def test_hot_path_modules_import_at_module_level_only():
-    assert len(HOT_PATH) > 40  # the globs still match the tree
+    assert len(HOT_PATH) > 35  # the globs still match the tree
     found = set()
     for rel_path in HOT_PATH:
         found |= _local_imports(rel_path)

@@ -12,10 +12,10 @@ from repro.aqm.mqecn import MqEcn
 from repro.aqm.perport import PerPortRed
 from repro.core.tcn import Tcn
 from repro.metrics.timeseries import GoodputTracker
-from repro.sched import SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
+from repro.sched.wfq import WfqScheduler
 from repro.sim.engine import Simulator
 from repro.topo.star import StarTopology
 from repro.transport.dctcp import DctcpSender
@@ -96,7 +96,7 @@ class TestFig5aSpWfq:
         sim = Simulator()
         topo = StarTopology(
             sim, 4, GBPS,
-            sched_factory=lambda: SpWfqScheduler(
+            sched_factory=lambda: WfqScheduler(
                 make_queues(3, quanta=[1500] * 3), n_high=1
             ),
             aqm_factory=lambda: Tcn(250 * USEC),

@@ -11,11 +11,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tcn import Tcn
-from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
-from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.wfq import WfqScheduler
 from repro.sched.wrr import WrrScheduler
 from repro.sim.engine import Simulator
@@ -30,10 +28,10 @@ _SCHED_FACTORIES = [
     lambda n: DwrrScheduler(make_queues(n, quanta=[1500] * n)),
     lambda n: WfqScheduler(make_queues(n)),
     lambda n: WrrScheduler(make_queues(n)),
-    lambda n: StrictPriorityScheduler(make_queues(n)),
+    lambda n: WfqScheduler(make_queues(n), n_high=n),
     lambda n: PifoScheduler(make_queues(n), rank_fn=stfq_rank),
-    lambda n: SpDwrrScheduler(make_queues(n, quanta=[1500] * n), n_high=1),
-    lambda n: SpWfqScheduler(make_queues(n, quanta=[1500] * n), n_high=1),
+    lambda n: DwrrScheduler(make_queues(n, quanta=[1500] * n), n_high=1),
+    lambda n: WfqScheduler(make_queues(n, quanta=[1500] * n), n_high=1),
 ]
 
 

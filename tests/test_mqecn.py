@@ -1,12 +1,13 @@
 """MQ-ECN: round-time capacity estimation and its round-robin-only scope."""
 
+from functools import partial
+
 import pytest
 
 from repro.aqm.mqecn import MqEcn
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.wfq import WfqScheduler
-from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.pifo import PifoScheduler
 from repro.sim.engine import Simulator
 from repro.units import GBPS, SEC, USEC
@@ -22,12 +23,14 @@ def _mqecn_port(n_queues=2, rate=10 * GBPS, rtt=100 * USEC, quantum=18_000):
 
 
 class TestSchedulerCompatibility:
-    @pytest.mark.parametrize(
-        "sched_cls", [WfqScheduler, StrictPriorityScheduler, PifoScheduler]
-    )
-    def test_rejects_non_round_robin(self, sched_cls):
+    @pytest.mark.parametrize("make_sched", [
+        WfqScheduler,
+        partial(WfqScheduler, n_high=2),  # strict priority
+        PifoScheduler,
+    ], ids=["WfqScheduler", "sp", "PifoScheduler"])
+    def test_rejects_non_round_robin(self, make_sched):
         sim = Simulator()
-        sched = sched_cls(make_queues(2))
+        sched = make_sched(make_queues(2))
         with pytest.raises(ValueError, match="round-robin"):
             make_port(sim, scheduler=sched, aqm=MqEcn(100 * USEC))
 

@@ -168,10 +168,10 @@ class TestMarkingPlumbing:
 class TestClassification:
     def test_classifier_selects_queue(self):
         from repro.sched.base import make_queues
-        from repro.sched.sp import StrictPriorityScheduler
+        from repro.sched.wfq import WfqScheduler
 
         sim = Simulator()
-        sched = StrictPriorityScheduler(make_queues(3))
+        sched = WfqScheduler(make_queues(3), n_high=3)
         port = make_port(sim, scheduler=sched)
         port.receive(data_pkt(dscp=2, seq=0))
         port.receive(data_pkt(dscp=2, seq=1))

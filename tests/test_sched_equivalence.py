@@ -6,7 +6,9 @@ discipline to an independently written, deliberately naive reference
 implementation of its documented semantics: randomized enqueue/dequeue
 sequences must produce the *identical* packet order.  SP/DWRR and SP/WFQ
 are ``DwrrScheduler``/``WfqScheduler`` with a strict band; their
-references compose a strict band with the plain DWRR/WFQ models.
+references compose a strict band with the plain DWRR/WFQ models.  SP is
+``WfqScheduler`` with every queue in the band, held to a plain
+lowest-index-first model.
 
 Also covered: the egress port's single-queue FIFO bypass must transmit
 exactly what the generic scheduler path transmits.
@@ -21,12 +23,10 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
-from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.fifo import FifoScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
-from repro.sched.sp import StrictPriorityScheduler
 from repro.sched.wfq import WfqScheduler
 from repro.sched.wrr import WrrScheduler
 from repro.sim.engine import Simulator
@@ -57,19 +57,14 @@ class RefFifo:
 
 class RefStrictPriority:
     def __init__(self, params):
-        n = params["n"]
-        priorities = params["priorities"]
-        # the scheduler defaults priorities to the queue index when all 0
-        if all(p == 0 for p in priorities) and n > 1:
-            priorities = list(range(n))
-        self.order = sorted(range(n), key=lambda i: (priorities[i], i))
-        self.pkts = [[] for _ in range(n)]
+        self.pkts = [[] for _ in range(params["n"])]
 
     def enqueue(self, pkt, qidx, now):
         self.pkts[qidx].append(pkt)
 
     def dequeue(self, now):
-        for i in self.order:
+        # queue 0 is the highest priority
+        for i in range(len(self.pkts)):
             if self.pkts[i]:
                 return self.pkts[i].pop(0)
         return None
@@ -269,21 +264,13 @@ def _random_trial(make_real, make_ref, seed, n_queues):
     rng = random.Random(seed)
     weights = [rng.choice([0.5, 1.0, 2.0, 3.0]) for _ in range(n_queues)]
     quanta = [rng.choice([500, 1500, 3000]) for _ in range(n_queues)]
-    priorities = (
-        [0] * n_queues
-        if rng.random() < 0.5
-        else [rng.randrange(3) for _ in range(n_queues)]
-    )
     params = {
         "n": n_queues,
         "weights": weights,
         "quanta": quanta,
-        "priorities": priorities,
         "n_high": max(1, n_queues // 3),
     }
-    queues = make_queues(
-        n_queues, weights=weights, quanta=quanta, priorities=priorities
-    )
+    queues = make_queues(n_queues, weights=weights, quanta=quanta)
     real = make_real(queues, params)
     ref = make_ref(params)
 
@@ -324,7 +311,7 @@ def _random_trial(make_real, make_ref, seed, n_queues):
 
 _DISCIPLINES = {
     "fifo": (lambda qs, p: FifoScheduler([qs[0]]), RefFifo, 1),
-    "sp": (lambda qs, p: StrictPriorityScheduler(qs), RefStrictPriority, 4),
+    "sp": (lambda qs, p: WfqScheduler(qs, n_high=len(qs)), RefStrictPriority, 4),
     "wrr": (lambda qs, p: WrrScheduler(qs), RefWrr, 4),
     "dwrr": (lambda qs, p: DwrrScheduler(qs), RefDwrr, 4),
     "wfq": (lambda qs, p: WfqScheduler(qs), RefWfq, 4),
@@ -334,12 +321,12 @@ _DISCIPLINES = {
         4,
     ),
     "sp_dwrr": (
-        lambda qs, p: SpDwrrScheduler(qs, n_high=p["n_high"]),
+        lambda qs, p: DwrrScheduler(qs, n_high=p["n_high"]),
         RefSpDwrr,
         6,
     ),
     "sp_wfq": (
-        lambda qs, p: SpWfqScheduler(qs, n_high=p["n_high"]),
+        lambda qs, p: WfqScheduler(qs, n_high=p["n_high"]),
         RefSpWfq,
         6,
     ),

@@ -1,10 +1,13 @@
-"""FIFO and strict-priority scheduler semantics."""
+"""FIFO and strict-priority scheduler semantics.
+
+Strict priority is WFQ with every queue in its strict band: queue 0 is
+the highest priority."""
 
 import pytest
 
 from repro.sched.base import make_queues
 from repro.sched.fifo import FifoScheduler
-from repro.sched.sp import StrictPriorityScheduler
+from repro.sched.wfq import WfqScheduler
 from tests.helpers import data_pkt, drain_in_order, fill
 
 
@@ -26,26 +29,23 @@ class TestFifo:
         assert s.total_bytes == 2 * 1500
 
 
+def _sp(queues):
+    return WfqScheduler(queues, n_high=len(queues))
+
+
 class TestStrictPriority:
     def test_lower_index_is_higher_priority_by_default(self):
-        s = StrictPriorityScheduler(make_queues(3))
+        s = _sp(make_queues(3))
         fill(s, 2, 2)
         fill(s, 0, 2)
         fill(s, 1, 2)
         order = [p.dscp for p in drain_in_order(s)]
         assert order == [0, 0, 1, 1, 2, 2]
 
-    def test_explicit_priorities_override_index(self):
-        queues = make_queues(3, priorities=[2, 0, 1])
-        s = StrictPriorityScheduler(queues)
-        for q in range(3):
-            fill(s, q, 1)
-        assert [p.dscp for p in drain_in_order(s)] == [1, 2, 0]
-
     def test_high_priority_preempts_between_packets(self):
         """A packet arriving in a higher queue is served before the backlog
         of lower queues (non-preemptive per packet, preemptive per queue)."""
-        s = StrictPriorityScheduler(make_queues(2))
+        s = _sp(make_queues(2))
         fill(s, 1, 3)
         pkt, _ = s.dequeue(0)
         assert pkt.dscp == 1
@@ -56,7 +56,7 @@ class TestStrictPriority:
     def test_starvation_is_real(self):
         """SP really starves: while queue 0 is backlogged, queue 1 never
         transmits (the paper's rationale for reserving SP for tiny traffic)."""
-        s = StrictPriorityScheduler(make_queues(2))
+        s = _sp(make_queues(2))
         fill(s, 0, 10)
         fill(s, 1, 10)
         first_ten = [s.dequeue(0)[0].dscp for _ in range(10)]
@@ -64,4 +64,4 @@ class TestStrictPriority:
 
     def test_needs_a_queue(self):
         with pytest.raises(ValueError):
-            StrictPriorityScheduler([])
+            _sp([])

@@ -4,8 +4,9 @@ import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.schemes import SCHEDULERS
-from repro.sched import SpDwrrScheduler, SpWfqScheduler
 from repro.sched.base import make_queues
+from repro.sched.dwrr import DwrrScheduler
+from repro.sched.wfq import WfqScheduler
 from tests.helpers import drain_in_order, fill
 
 
@@ -27,7 +28,7 @@ def test_queue_indices_stay_global(name):
 
 
 class TestSpOverLow:
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_high_queue_always_first(self, cls):
         s = cls(make_queues(4, quanta=[1500] * 4), n_high=1)
         fill(s, 2, 3)
@@ -36,7 +37,7 @@ class TestSpOverLow:
         order = [p.dscp for p in drain_in_order(s)]
         assert order[:2] == [0, 0]
 
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_low_band_fair_among_itself(self, cls):
         s = cls(make_queues(3, quanta=[1500] * 3), n_high=1)
         fill(s, 1, 40)
@@ -47,7 +48,7 @@ class TestSpOverLow:
             served[pkt.dscp] += pkt.wire_size
         assert abs(served[1] - served[2]) <= 2 * 1500
 
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_high_arrival_preempts_low_backlog(self, cls):
         s = cls(make_queues(3, quanta=[1500] * 3), n_high=1)
         fill(s, 1, 5)
@@ -56,7 +57,7 @@ class TestSpOverLow:
         pkt, _ = s.dequeue(0)
         assert pkt.dscp == 0
 
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_two_high_queues_ordered(self, cls):
         s = cls(make_queues(4, quanta=[1500] * 4), n_high=2)
         fill(s, 1, 1)
@@ -65,7 +66,7 @@ class TestSpOverLow:
         order = [p.dscp for p in drain_in_order(s)]
         assert order == [0, 1, 3]
 
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_total_bytes_spans_both_bands(self, cls):
         s = cls(make_queues(3, quanta=[1500] * 3), n_high=1)
         fill(s, 0, 2)
@@ -74,17 +75,17 @@ class TestSpOverLow:
         drain_in_order(s)
         assert s.is_empty
 
-    @pytest.mark.parametrize("cls", [SpDwrrScheduler, SpWfqScheduler])
+    @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_invalid_n_high_rejected(self, cls):
         with pytest.raises(ValueError):
-            cls(make_queues(3), n_high=3)
+            cls(make_queues(3), n_high=4)
         with pytest.raises(ValueError):
-            cls(make_queues(3), n_high=0)
+            cls(make_queues(3), n_high=-1)
 
 
 class TestSpDwrrRounds:
     def test_rounds_supported_and_observer_wired(self):
-        s = SpDwrrScheduler(make_queues(3, quanta=[1500] * 3), n_high=1)
+        s = DwrrScheduler(make_queues(3, quanta=[1500] * 3), n_high=1)
         assert s.supports_rounds is True
         seen = []
         s.round_observer = lambda q, rt, now: seen.append(rt)
@@ -97,5 +98,5 @@ class TestSpDwrrRounds:
         assert seen
 
     def test_spwfq_has_no_rounds(self):
-        s = SpWfqScheduler(make_queues(3, quanta=[1500] * 3), n_high=1)
+        s = WfqScheduler(make_queues(3, quanta=[1500] * 3), n_high=1)
         assert s.supports_rounds is False

@@ -7,8 +7,9 @@ check reads the AST of every module under ``src/repro``.  A finding is keyed
 by (module, innermost enclosing def or class, check); ``ALLOWED`` lists the
 legitimate sites with their exact finding counts and a reason, and an entry
 whose count no longer matches fails too.  docs/STATIC_ANALYSIS.md maps each
-check to the rule it replaced.  ``TestConfigFieldUser`` reads the benches,
-examples and CLI instead: every config field must have a user there.
+check to the rule it replaced.  ``TestConfigFieldUser`` and
+``TestRegistryUser`` read the benches, examples and CLI instead: every
+config field and every registry name must have a user there.
 """
 
 import ast
@@ -43,8 +44,6 @@ ALLOWED = {
         1, "the flight recorder's one clock; spans are output, never input"),
     ("repro.sched.pifo", "<module>", "confinement"): (
         1, "heapq ranks packets by programmable priority, not events by time"),
-    ("repro.aqm.base", "NoopAqm", "abstract-surface"): (
-        1, "the no-ECN baseline is the base class's never-mark behaviour"),
 }
 
 
@@ -106,9 +105,8 @@ _HOT = {"Scheduler", "Aqm", "SenderBase", "Packet", "PacketQueue", "EgressPort",
         "RateMeter"}
 # Host and Switch are absent on purpose: a handful per topology, and tests
 # patch ``receive`` on instances, which __slots__ would forbid.
-_HOT_BASES = {"Scheduler", "FifoScheduler", "WrrScheduler",
-              "StrictPriorityScheduler", "DwrrScheduler", "WfqScheduler",
-              "PifoScheduler", "SpDwrrScheduler", "SpWfqScheduler", "Aqm", "NoopAqm",
+_HOT_BASES = {"Scheduler", "FifoScheduler", "WrrScheduler", "DwrrScheduler",
+              "WfqScheduler", "PifoScheduler", "Aqm",
               "SenderBase", "DctcpSender", "DcqcnSender", "EcnStarSender", "RenoSender"}
 
 
@@ -337,7 +335,7 @@ NEGATIVE_CASES = [
     ("global-random", "repro.workloads.mix", "import random\nrandom.shuffle([])\n"),
     ("slots", "repro.net.packet", "class Packet:\n    pass\n"),
     ("abstract-surface", "repro.aqm.base",
-     "class NoopAqm(Aqm):\n    __slots__ = ()\n"
+     "class QuietAqm(Aqm):\n    __slots__ = ()\n"
      "    def on_enqueue(self, port, queue, pkt, now):\n        return False\n"
      "    def on_dequeue(self, port, queue, pkt, now):\n        return pkt.ce\n"),
     ("confinement", "repro.sched.pifo", "import heapq\n"),
@@ -426,3 +424,66 @@ class TestConfigFieldUser:
     def test_allowlist_has_no_stale_entries(self):
         stale = set(UNSET_FIELDS) - self._unused()
         assert not stale, f"set by a user now, not unset: {sorted(stale)}"
+
+
+# -- every registry name names its user ------------------------------------
+
+#: where a registry name's users live: the figure and ablation benches,
+#: the examples, the CLI
+REGISTRY_USER_FILES = [*sorted(ROOT.joinpath("benchmarks").glob("*.py")),
+                       *sorted(ROOT.joinpath("examples").rglob("*.py")),
+                       SRC / "__main__.py"]
+
+#: registry names no bench, example or CLI default uses, with the reason
+#: each stays registered
+UNUSED_REGISTRY_NAMES = {
+    "reno": "the non-ECT traffic share (ROADMAP item 13) runs it",
+}
+
+
+def _registered():
+    """``{name: class it loads}`` over SCHEMES, SCHEDULERS and TRANSPORTS,
+    read from the ``"module:Class"`` argument of each entry's factory."""
+    loads = {}
+    tree = ast.parse((SRC / "harness" / "schemes.py").read_text())
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.AnnAssign) and _name(node.target)
+                in ("SCHEMES", "SCHEDULERS", "TRANSPORTS")):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            loads[key.value] = value.args[0].value.partition(":")[2]
+    assert {"tcn", "sp", "dctcp"} <= set(loads)  # the parse still finds them
+    return loads
+
+
+def _names_used(path):
+    """Every string constant and every identifier one file spells."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+class TestRegistryUser:
+    """A registry name that no bench, example or CLI default selects, by
+    name or by the class it loads, is code only tests reach."""
+
+    def _unused(self):
+        used = set().union(*map(_names_used, REGISTRY_USER_FILES))
+        return {name for name, cls in _registered().items()
+                if name not in used and cls not in used}
+
+    def test_every_name_has_a_user(self):
+        unused = self._unused() - set(UNUSED_REGISTRY_NAMES)
+        assert not unused, f"no bench, example or CLI uses {sorted(unused)}"
+
+    def test_allowlist_has_no_stale_entries(self):
+        stale = set(UNUSED_REGISTRY_NAMES) - self._unused()
+        assert not stale, f"used now, not unused: {sorted(stale)}"
