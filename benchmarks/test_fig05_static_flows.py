@@ -14,6 +14,7 @@ from repro.aqm.codel import CoDel
 from repro.aqm.perqueue import PerQueueRed
 from repro.apps.pinger import Pinger
 from repro.core.tcn import Tcn
+from repro.metrics.fct import percentile
 from repro.metrics.timeseries import GoodputTracker
 from repro.sched.base import make_queues
 from repro.sched.wfq import WfqScheduler
@@ -67,10 +68,9 @@ def _run(scheme: str):
     sim.schedule(2 * SEC + 100 * MSEC, ping.start)
     sim.run(until=5 * SEC)
     goodputs = [tracker.goodput_bps(s, 3 * SEC, 5 * SEC) / 1e6 for s in range(3)]
-    rtts = sorted(ping.rtts_ns)
+    rtts = ping.rtts_ns
     return goodputs, (
-        statistics.mean(rtts) / 1000,
-        rtts[max(0, int(0.99 * len(rtts)) - 1)] / 1000,
+        statistics.mean(rtts) / 1000, percentile(rtts, 99) / 1000
     )
 
 

@@ -25,6 +25,7 @@ from repro import (
     Tcn,
     WfqScheduler,
     make_queues,
+    percentile,
 )
 from repro.units import GBPS, KB, MB, MBPS, MSEC, SEC, USEC
 
@@ -79,10 +80,10 @@ def main() -> None:
         rate = tracker.goodput_bps(service, 3 * SEC, 4 * SEC)
         print(f"  queue {service + 1}: {rate / 1e6:7.1f} Mbps")
 
-    rtts = sorted(ping.rtts_ns)
+    rtts = ping.rtts_ns
     print("\nqueue-3 RTT under TCN:")
     print(f"  average: {statistics.mean(rtts) / 1000:.0f} us")
-    print(f"  99th pct: {rtts[int(0.99 * len(rtts)) - 1] / 1000:.0f} us")
+    print(f"  99th pct: {percentile(rtts, 99) / 1000:.0f} us")
     print("\n(SP/WFQ policy: 500 / 250 / 250 Mbps — preserved by TCN.)")
 
 

@@ -66,7 +66,6 @@ _EXPORTS = {
     "ProbabilisticTcn": "repro.core.tcn",
     "standard_red_threshold_bytes": "repro.core.thresholds",
     "standard_tcn_threshold_ns": "repro.core.thresholds",
-    "ideal_red_threshold_bytes": "repro.core.thresholds",
     # aqm
     "Aqm": "repro.aqm",
     "CoDel": "repro.aqm",
@@ -102,7 +101,6 @@ _EXPORTS = {
     "Flow": "repro.transport",
     "SenderBase": "repro.transport",
     "DctcpSender": "repro.transport",
-    "DcqcnSender": "repro.transport",
     "EcnStarSender": "repro.transport",
     "RenoSender": "repro.transport",
     "Receiver": "repro.transport",
@@ -147,7 +145,6 @@ _EXPORTS = {
     "format_port_breakdown": "repro.harness",
     # observability
     "Tracer": "repro.obs",
-    "Histogram": "repro.obs",
     "RunProfile": "repro.obs",
     "TraceSummary": "repro.obs",
     "summarize_events": "repro.obs",

@@ -6,12 +6,12 @@ microburst that motivates low-latency AQM in the first place.  The query
 completes when the **last** response finishes, so query completion time
 (QCT) is a tail-sensitive metric: one timed-out response ruins the query.
 
-Used by the burst-tolerance ablation and the incast example.
+Used by the incast example (``examples/incast_queries.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Type
+from typing import List, Optional, Type
 
 from repro.sim.engine import Simulator
 from repro.transport.base import SenderBase
@@ -67,9 +67,6 @@ class IncastApp:
         interval_ns: int,
         n_queries: int,
         sender_cls: Type[SenderBase] = DctcpSender,
-        service: int = 0,
-        first_flow_id: int = 1_000_000,
-        on_query_done: Optional[Callable[[IncastQuery], None]] = None,
         **sender_kwargs,
     ) -> None:
         if not workers:
@@ -83,11 +80,10 @@ class IncastApp:
         self.interval_ns = interval_ns
         self.n_queries = n_queries
         self.sender_cls = sender_cls
-        self.service = service
         self.sender_kwargs = sender_kwargs
-        self.on_query_done = on_query_done
         self.queries: List[IncastQuery] = []
-        self._next_flow_id = first_flow_id
+        #: response flow ids count up from here, clear of a workload's ids
+        self._next_flow_id = 1_000_000
         self._issued = 0
 
     def start(self) -> None:
@@ -106,7 +102,6 @@ class IncastApp:
                 worker.id,
                 self.aggregator.id,
                 self.response_bytes,
-                service=self.service,
             )
             self._next_flow_id += 1
             flows.append(flow)
@@ -128,8 +123,6 @@ class IncastApp:
         query.pending -= 1
         if query.pending == 0:
             query.done_ns = self.sim.now
-            if self.on_query_done is not None:
-                self.on_query_done(query)
 
     # -- results ------------------------------------------------------------
 

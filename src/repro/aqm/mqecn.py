@@ -6,9 +6,9 @@ in each round a non-empty queue transmits at most ``quantum_i`` bytes, so
 reports each queue's round time through the ``round_observer`` hook; the
 smoothed estimate drives ``K_i = min(K_std, rate_i x RTT x lambda)``.
 
-Attaching MQ-ECN to a scheduler without rounds (WFQ, SP, PIFO) raises
-``ValueError`` — the precise limitation (§3.3, Remark after Fig. 2) that
-motivates TCN.
+Attaching MQ-ECN to a scheduler without rounds (WFQ, SP, PIFO, or a DWRR
+whose strict band holds every queue) raises ``ValueError`` — the precise
+limitation (§3.3, Remark after Fig. 2) that motivates TCN.
 """
 
 from __future__ import annotations
@@ -18,10 +18,15 @@ from typing import TYPE_CHECKING, Dict
 from repro.aqm.base import Aqm
 from repro.net.packet import Packet
 from repro.net.queue import PacketQueue
-from repro.units import SEC
+from repro.units import MTU, SEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.port import EgressPort
+
+#: EWMA weight of the *new* round-time sample (the MQ-ECN paper's suggested
+#: 0.75 — heavy weight on fresh samples gives the fast convergence seen in
+#: Fig. 2c)
+_BETA = 0.75
 
 
 class MqEcn(Aqm):
@@ -32,38 +37,21 @@ class MqEcn(Aqm):
     rtt_ns, lam:
         Equation 2 constants; ``K_std = C x RTT x lambda`` caps every
         dynamic threshold.
-    beta:
-        EWMA weight of the *new* round-time sample (the MQ-ECN paper's
-        suggested 0.75 — heavy weight on fresh samples gives the fast
-        convergence seen in Fig. 2c).
-    idle_mtu:
-        ``T_idle`` expressed in MTU transmission times at line rate: a queue
-        idle longer than this forgets its round-time history and reverts to
-        the standard threshold (fresh traffic should not be throttled by a
-        stale low-rate estimate).
+
+    A queue idle longer than ``T_idle``, one MTU transmission time at line
+    rate, forgets its round-time history and reverts to the standard
+    threshold (fresh traffic should not be throttled by a stale low-rate
+    estimate).
     """
 
     __slots__ = (
-        "rtt_ns", "lam", "beta", "idle_mtu", "mtu_bytes",
-        "_round_ns", "_last_activity", "_k_std", "_idle_ns",
+        "rtt_ns", "lam", "_round_ns", "_last_activity", "_k_std", "_idle_ns",
         "_line_rate_bps",
     )
 
-    def __init__(
-        self,
-        rtt_ns: int,
-        lam: float = 1.0,
-        beta: float = 0.75,
-        idle_mtu: float = 1.0,
-        mtu_bytes: int = 1500,
-    ) -> None:
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta}")
+    def __init__(self, rtt_ns: int, lam: float = 1.0) -> None:
         self.rtt_ns = rtt_ns
         self.lam = lam
-        self.beta = beta
-        self.idle_mtu = idle_mtu
-        self.mtu_bytes = mtu_bytes
         self._round_ns: Dict[int, float] = {}
         self._last_activity: Dict[int, int] = {}
         self._k_std = 0.0
@@ -72,7 +60,7 @@ class MqEcn(Aqm):
 
     def setup(self, port: "EgressPort") -> None:
         sched = port.scheduler
-        if not getattr(sched, "supports_rounds", False):
+        if not sched.supports_rounds:
             raise ValueError(
                 f"scheduler {type(sched).__name__} has no rounds: MQ-ECN needs "
                 f"a round-robin scheduler (the limitation TCN removes)"
@@ -80,9 +68,7 @@ class MqEcn(Aqm):
         sched.round_observer = self._on_round
         self._line_rate_bps = float(port.rate_bps)
         self._k_std = port.rate_bps * self.rtt_ns * self.lam / (8 * SEC)
-        self._idle_ns = int(
-            self.idle_mtu * self.mtu_bytes * 8 * SEC / port.rate_bps
-        )
+        self._idle_ns = int(MTU * 8 * SEC / port.rate_bps)
 
     # -- round-time bookkeeping -------------------------------------------
 
@@ -92,7 +78,7 @@ class MqEcn(Aqm):
         if prev is None:
             self._round_ns[key] = float(round_ns)
         else:
-            self._round_ns[key] = self.beta * round_ns + (1.0 - self.beta) * prev
+            self._round_ns[key] = _BETA * round_ns + (1.0 - _BETA) * prev
         self._last_activity[key] = now
 
     def rate_estimate_bps(self, queue: PacketQueue) -> float:

@@ -7,7 +7,6 @@ _EXPORTS = {
     "ProbabilisticTcn": "repro.core.tcn",
     "standard_red_threshold_bytes": "repro.core.thresholds",
     "standard_tcn_threshold_ns": "repro.core.thresholds",
-    "ideal_red_threshold_bytes": "repro.core.thresholds",
 }
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -3,7 +3,8 @@
 * Equation 1: the *standard* queue-length threshold ``K = C x RTT x lambda``
   for a queue that owns the whole link.
 * Equation 2: the *ideal* per-queue threshold ``K_i = C_i x RTT x lambda``
-  where ``C_i`` is the (dynamic) per-queue capacity.
+  where ``C_i`` is the (dynamic) per-queue capacity (computed per packet
+  by :class:`repro.aqm.ideal.IdealRed` from its measured rates).
 * Equation 3: TCN's sojourn-time threshold ``T = RTT x lambda`` — capacity
   cancels out, which is the whole point.
 
@@ -29,13 +30,6 @@ def standard_red_threshold_bytes(
     125000
     """
     return int(rate_bps * rtt_ns * lam / (8 * SEC))
-
-
-def ideal_red_threshold_bytes(
-    queue_rate_bps: float, rtt_ns: int, lam: float = 1.0
-) -> int:
-    """Equation 2: per-queue ``K_i = C_i x RTT x lambda`` in bytes."""
-    return int(queue_rate_bps * rtt_ns * lam / (8 * SEC))
 
 
 def standard_tcn_threshold_ns(rtt_ns: int, lam: float = 1.0) -> int:

@@ -18,7 +18,7 @@ from repro.core.thresholds import (
     standard_tcn_threshold_ns,
 )
 from repro.harness.schemes import REGISTRIES
-from repro.units import GBPS, HEADER, KB, MSEC, MSS, USEC
+from repro.units import FABRIC_LINK_DELAY_NS, GBPS, HEADER, KB, MSEC, MSS, USEC
 from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
 
 @dataclass
@@ -201,9 +201,9 @@ class ExperimentConfig:
 
     @property
     def host_link_delay_ns(self) -> int:
-        """Leaf-spine host links: all of the base RTT but the eight 650 ns
-        fabric hops (§6.2: 80 of 85.2 us sit at the hosts)."""
-        return max(1, (self.base_rtt_ns - 8 * 650) // 4)
+        """Leaf-spine host links: all of the base RTT but the eight fabric
+        hops (§6.2: 80 of 85.2 us sit at the hosts)."""
+        return max(1, (self.base_rtt_ns - 8 * FABRIC_LINK_DELAY_NS) // 4)
 
     @property
     def n_low(self) -> int:

@@ -53,20 +53,15 @@ def _us(value_ns: Optional[float]) -> str:
 def _port_counters(metrics: Dict[str, Any]) -> Dict[str, Dict[str, int]]:
     """``{port: {field: count}}`` from the ``port.<name>.<field>`` counters.
 
-    Port names contain no dots, so port-level keys split into
-    (name, field) and per-queue ``port.<name>.q<i>.<field>`` keys into
-    three parts; those are skipped (the ``trace`` subcommand breaks
-    queues out), as are histogram snapshots, which don't tabulate.
+    Port names contain no dots, so port-level keys split into three
+    parts and per-queue ``port.<name>.q<i>.<field>`` keys into four;
+    those are skipped (the ``trace`` subcommand breaks queues out).
     """
     ports: Dict[str, Dict[str, int]] = {}
-    for key, snap in metrics.items():
-        if not key.startswith("port.") or isinstance(snap, dict):
-            continue
-        parts = key[len("port."):].split(".")
-        if len(parts) != 2:
-            continue
-        name, fld = parts
-        ports.setdefault(name, {})[fld] = snap
+    for key, count in metrics.items():
+        parts = key.split(".")
+        if len(parts) == 3:
+            ports.setdefault(parts[1], {})[parts[2]] = count
     return ports
 
 
@@ -97,10 +92,9 @@ def format_port_breakdown(metrics: Dict[str, Any]) -> str:
     return format_table(headers, rows)
 
 
-def hottest_ports(
-    metrics: Dict[str, Any], top: int = TOP_PORTS
-) -> List[Tuple[str, int, int, int, int]]:
-    """Ports ranked by (marks + drops) descending: the congestion map.
+def hottest_ports(metrics: Dict[str, Any]) -> List[Tuple[str, int, int, int, int]]:
+    """The :data:`TOP_PORTS` ports ranked by (marks + drops) descending:
+    the congestion map.
 
     Returns ``(port, rx_pkts, tx_pkts, marks, drops)`` rows; ports with
     neither marks nor drops are omitted (nothing to rank them by).
@@ -114,7 +108,7 @@ def hottest_ports(
                 (name, c.get("rx_pkts", 0), c.get("tx_pkts", 0), marks, drops)
             )
     ranked.sort(key=lambda r: (-(r[3] + r[4]), r[0]))
-    return ranked[:top]
+    return ranked[:TOP_PORTS]
 
 
 def format_fct_rows(results: Dict[str, ExperimentResult]) -> str:

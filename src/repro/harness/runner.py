@@ -23,7 +23,6 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.schemes import resolve
 from repro.metrics.fct import SMALL_MAX_BYTES, FctCollector, FctSummary
 from repro.net.packet import freelist_stats
-from repro.obs.histogram import Histogram
 from repro.obs.profile import RunProfile, current_rss_bytes
 from repro.pias.tagger import PiasTagger
 from repro.sim.engine import Simulator
@@ -58,10 +57,9 @@ class ExperimentResult:
     wall_s: float
     events: int = 0
     flows: List[Flow] = field(repr=False, default_factory=list)
-    #: the run's metrics, sorted by name — per-port / per-queue counters
-    #: plus FCT (and, when traced, sojourn) histogram snapshots.  Every
-    #: value is derived from simulated state, so it is deterministic.
-    metrics: Dict[str, object] = field(repr=False, default_factory=dict)
+    #: the run's metrics, sorted by name — per-port / per-queue counters.
+    #: Every value is derived from simulated state, so it is deterministic.
+    metrics: Dict[str, int] = field(repr=False, default_factory=dict)
     #: RunProfile.as_dict() — events, heap high-water mark, wall time,
     #: RSS high-water mark and fluid counters.  Wall-clock derived, hence *not* deterministic (kept out of sweep
     #: cache payloads).
@@ -83,8 +81,7 @@ def run_experiment(
     every switch port and the control-law updates of every sender.
     Tracing never changes the simulation (hook points only *read* state),
     so a traced run produces the same :class:`ExperimentResult` as an
-    untraced one — modulo the trace-derived sojourn histogram in
-    ``metrics`` — which ``tests/test_trace_determinism.py`` asserts.
+    untraced one, which ``tests/test_trace_determinism.py`` asserts.
 
     Pass a :class:`repro.obs.SpanRecorder` to additionally record the
     harness-side flight recorder: one span per ``Simulator.run`` chunk
@@ -200,7 +197,7 @@ def run_experiment(
         wall_s=wall_s,
         events=events,
         flows=flows,
-        metrics=_run_metrics(topo.switches, collector, tracer),
+        metrics=_run_metrics(topo.switches),
         profile=RunProfile.capture(
             sim,
             run_loop_s,
@@ -219,15 +216,13 @@ _QUEUE_FIELDS = (
 )
 
 
-def _run_metrics(
-    switches: List, collector: FctCollector, tracer: Optional[Tracer]
-) -> Dict[str, object]:
+def _run_metrics(switches: List) -> Dict[str, int]:
     """The run's metrics dict, read from final simulated state.
 
     Names follow ``port.<name>.<field>`` / ``port.<name>.q<i>.<field>``
     so :func:`repro.harness.report.format_port_breakdown` can group them.
     """
-    metrics: Dict[str, object] = {}
+    metrics: Dict[str, int] = {}
     for sw in switches:
         for port in sw.ports:
             prefix = f"port.{port.name}"
@@ -236,16 +231,6 @@ def _run_metrics(
             for i, q in enumerate(port.scheduler.queues):
                 for fld in _QUEUE_FIELDS:
                     metrics[f"{prefix}.q{i}.{fld}"] = getattr(q, fld)
-    fct = Histogram("fct_ns")
-    for flow in collector.flows:
-        fct.record(flow.fct_ns)
-    metrics["fct_ns"] = fct.snapshot()
-    if tracer is not None:
-        sojourn = Histogram("trace.sojourn_ns")
-        for event in tracer.records:
-            if event[0] == "deq":
-                sojourn.record(event[7])
-        metrics["trace.sojourn_ns"] = sojourn.snapshot()
     return dict(sorted(metrics.items()))
 
 

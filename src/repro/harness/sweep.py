@@ -135,7 +135,7 @@ class SweepResult:
     wall_s: float = 0.0
     flow_stats: List[Tuple[int, int]] = field(repr=False, default_factory=list)
     #: the run's metrics dict (deterministic, so cacheable)
-    metrics: Dict[str, dict] = field(repr=False, default_factory=dict)
+    metrics: Dict[str, int] = field(repr=False, default_factory=dict)
     #: event-heap high-water mark — deterministic, unlike the rest of the
     #: run profile, so it travels with the payload
     heap_hwm: int = 0

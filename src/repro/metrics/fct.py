@@ -8,6 +8,7 @@ module reproduces exactly those statistics.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional
 
 from repro.transport.flow import Flow
@@ -26,9 +27,8 @@ def percentile(values: List[int], p: float) -> float:
     ordered = sorted(values)
     if p == 0:
         return float(ordered[0])
-    rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil(p/100 * n)
-    rank = min(rank, len(ordered))
-    return float(ordered[rank - 1])
+    rank = max(1, math.ceil(p * len(ordered) / 100))
+    return float(ordered[min(rank, len(ordered)) - 1])
 
 
 class FctSummary:
@@ -95,23 +95,19 @@ class FctCollector:
     def count(self) -> int:
         return len(self.flows)
 
-    def summarize(
-        self,
-        small_max: int = SMALL_MAX_BYTES,
-        large_min: int = LARGE_MIN_BYTES,
-    ) -> FctSummary:
+    def summarize(self) -> FctSummary:
         """Compute the paper's FCT statistics over completed flows.
 
         With no completed flow every average is ``None``: a run cut short
         by ``max_sim_ns`` still reports what it did.
         """
         all_fcts = [f.fct_ns for f in self.flows]
-        small = [f.fct_ns for f in self.flows if f.size_bytes <= small_max]
-        large = [f.fct_ns for f in self.flows if f.size_bytes > large_min]
+        small = [f.fct_ns for f in self.flows if f.size_bytes <= SMALL_MAX_BYTES]
+        large = [f.fct_ns for f in self.flows if f.size_bytes > LARGE_MIN_BYTES]
         medium = [
             f.fct_ns
             for f in self.flows
-            if small_max < f.size_bytes <= large_min
+            if SMALL_MAX_BYTES < f.size_bytes <= LARGE_MIN_BYTES
         ]
         return FctSummary(
             n_flows=len(all_fcts),

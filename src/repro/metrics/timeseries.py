@@ -1,11 +1,11 @@
 """Time-series instrumentation: goodput curves and buffer occupancy traces.
 
 * :class:`GoodputTracker` records application bytes delivered per key
-  (service, queue, host...) and bins them into rate curves — the data
-  behind Fig. 1 and Fig. 5a.
+  (service, queue, host...) and answers windowed rates — the data behind
+  Fig. 1 and Fig. 5a.
 * :class:`OccupancySampler` snapshots a port's buffered bytes on every
-  enqueue/dequeue (event-driven, via the port's ``occupancy_tracker`` hook)
-  or on a fixed period — the data behind Fig. 3.
+  enqueue/dequeue, via the port's ``occupancy_tracker`` hook — the data
+  behind Fig. 3.
 
 Both record in simulated-time order (the event loop only moves forward),
 which the query paths exploit: timestamps and cumulative prefix sums live
@@ -19,30 +19,24 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.port import EgressPort
-from repro.sim.engine import Simulator
 from repro.units import SEC
 
 
 class _CumSeries:
-    """Parallel arrays (time, per-event value, cumulative value)."""
+    """Parallel arrays (time, cumulative value)."""
 
-    __slots__ = ("times", "values", "cum")
+    __slots__ = ("times", "cum")
 
     def __init__(self) -> None:
         self.times: List[int] = []
-        self.values: List[int] = []
         self.cum: List[int] = []
 
     def append(self, t: int, value: int) -> None:
         self.times.append(t)
-        self.values.append(value)
         self.cum.append(value + (self.cum[-1] if self.cum else 0))
-
-    def total(self) -> int:
-        return self.cum[-1] if self.cum else 0
 
     def sum_half_open(self, t_from: int, t_to: int) -> int:
         """Sum of values with timestamp in ``(t_from, t_to]``."""
@@ -67,35 +61,12 @@ class GoodputTracker:
     def record(self, key: int, nbytes: int, now: int) -> None:
         self._events[key].append(now, nbytes)
 
-    def total_bytes(self, key: int) -> int:
-        return self._events[key].total()
-
     def goodput_bps(self, key: int, t_from_ns: int, t_to_ns: int) -> float:
         """Average delivery rate for ``key`` over a window."""
         if t_to_ns <= t_from_ns:
             raise ValueError("empty window")
         total = self._events[key].sum_half_open(t_from_ns, t_to_ns)
         return total * 8 * SEC / (t_to_ns - t_from_ns)
-
-    def series_bps(
-        self, key: int, bin_ns: int, t_end_ns: Optional[int] = None
-    ) -> List[Tuple[int, float]]:
-        """Binned rate curve: [(bin_end_time, rate_bps), ...]."""
-        series = self._events[key]
-        if not series.times:
-            return []
-        end = t_end_ns if t_end_ns is not None else series.times[-1]
-        n_bins = -(-end // bin_ns)
-        acc = [0] * n_bins
-        for t, b in zip(series.times, series.values):
-            idx = min((t - 1) // bin_ns, n_bins - 1) if t > 0 else 0
-            acc[idx] += b
-        return [
-            ((i + 1) * bin_ns, acc[i] * 8 * SEC / bin_ns) for i in range(n_bins)
-        ]
-
-    def keys(self) -> List[int]:
-        return list(self._events)
 
 
 class OccupancySampler:
@@ -109,28 +80,12 @@ class OccupancySampler:
     trace.)
     """
 
-    def __init__(self, port: EgressPort, event_driven: bool = True) -> None:
-        self.port = port
+    def __init__(self, port: EgressPort) -> None:
         self._times: List[int] = []
         self._occs: List[int] = []
         self._cum: List[int] = []
         self._peak = 0
-        if event_driven:
-            port.occupancy_tracker = self._on_change
-
-    @property
-    def samples(self) -> List[Tuple[int, int]]:
-        """The recorded ``(time, occupancy)`` pairs, oldest first."""
-        return list(zip(self._times, self._occs))
-
-    @samples.setter
-    def samples(self, pairs: List[Tuple[int, int]]) -> None:
-        self._times = []
-        self._occs = []
-        self._cum = []
-        self._peak = 0
-        for t, occ in pairs:
-            self._on_change(t, occ)
+        port.occupancy_tracker = self._on_change
 
     def _on_change(self, now: int, occupancy: int) -> None:
         self._times.append(now)
@@ -138,15 +93,6 @@ class OccupancySampler:
         self._cum.append(occupancy + (self._cum[-1] if self._cum else 0))
         if occupancy > self._peak:
             self._peak = occupancy
-
-    def start_periodic(self, sim: Simulator, period_ns: int) -> None:
-        """Alternative to event-driven tracing: fixed-period snapshots."""
-
-        def snap() -> None:
-            self._on_change(sim.now, self.port.occupancy)
-            sim.schedule(period_ns, snap)
-
-        sim.schedule(period_ns, snap)
 
     @property
     def peak_bytes(self) -> int:

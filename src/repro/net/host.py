@@ -55,11 +55,6 @@ class Host:
     ) -> None:
         self._probe_handlers[flow_id] = handler
 
-    def unregister_flow(self, flow_id: int) -> None:
-        """Drop endpoint state for a finished flow (keeps memory flat)."""
-        self._senders.pop(flow_id, None)
-        self._receivers.pop(flow_id, None)
-
     # -- data path -----------------------------------------------------------
 
     def send(self, pkt: Packet) -> None:

@@ -6,8 +6,8 @@ Zero-overhead-when-off instrumentation for the whole pipeline: a
 path — the bounded ring and the JSONL/Chrome I/O of
 :mod:`repro.obs.records` — that ``python -m repro trace`` reads back
 (:func:`read_records` and the digests of :mod:`repro.obs.summary`).
-:class:`RunProfile` and :class:`Histogram` shape a run's ``profile`` and
-``metrics``.  See ``docs/OBSERVABILITY.md`` for the record formats.
+:class:`RunProfile` shapes a run's ``profile``.  See
+``docs/OBSERVABILITY.md`` for the record formats.
 """
 
 from repro import _lazy_exports
@@ -15,7 +15,6 @@ from repro import _lazy_exports
 _EXPORTS = {
     "DEFAULT_CAPACITY": "repro.obs.trace",
     "Tracer": "repro.obs.trace",
-    "Histogram": "repro.obs.histogram",
     "RunProfile": "repro.obs.profile",
     "current_rss_bytes": "repro.obs.profile",
     "chrome_trace": "repro.obs.records",

@@ -180,8 +180,8 @@ def trace_events_to_chrome(
     * ``dequeue`` — an ``"X"`` slice per packet on its ``port[q<i>]``
       thread, spanning the queue sojourn (``ts = t - sojourn_ns``);
     * ``enqueue`` / ``mark`` / ``drop`` — instant events on that thread;
-    * ``cwnd`` / ``alpha`` / ``rate`` — counter (``"C"``) series per
-      flow, so the control laws plot alongside the queues.
+    * ``cwnd`` / ``alpha`` — counter (``"C"``) series per flow, so the
+      control laws plot alongside the queues.
     """
     tracks = _Tracks()
     tracks.pid("sim")
@@ -209,12 +209,11 @@ def trace_events_to_chrome(
                     "ph": "i", "pid": 1, "tid": tid, "cat": "packet",
                     "name": kind, "ts": t_us, "s": "t", "args": args,
                 })
-        elif kind in ("cwnd", "alpha", "rate"):
-            value = ev["rate_bps" if kind == "rate" else kind]
+        elif kind in ("cwnd", "alpha"):
             events.append({
                 "ph": "C", "pid": 1, "tid": 0, "cat": "control",
                 "name": f"{kind}.flow{ev['flow']}",
-                "ts": t_us, "args": {kind: value},
+                "ts": t_us, "args": {kind: ev[kind]},
             })
     return {"traceEvents": tracks.meta + events, "displayTimeUnit": "ms"}
 

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` records the packet lifecycle (enqueue / dequeue / mark /
 drop, with queue index and sojourn time), AQM marking decisions, and
-transport control-law updates (cwnd cuts, DCTCP alpha, DCQCN rate) into a
-bounded ring.  Components hold a ``tracer`` attribute that is ``None`` by
+transport control-law updates (cwnd cuts, DCTCP alpha) into a bounded
+ring.  Components hold a ``tracer`` attribute that is ``None`` by
 default, so the untraced hot path pays exactly one attribute load and an
 ``is not None`` test per hook point.
 
@@ -24,7 +24,6 @@ mark       ``t, port, q, flow, seq, size, where`` (``"enq"``/``"deq"``)
 drop       ``t, port, q, flow, seq, size, cause`` (``"buffer"``/``"pool"``)
 cwnd       ``t, flow, cwnd, reason`` (``"ecn"``/``"fast_retx"``/``"timeout"``)
 alpha      ``t, flow, alpha`` (DCTCP marking-fraction EWMA)
-rate       ``t, flow, rate_bps`` (DCQCN current rate after a cut)
 =========  =============================================================
 
 ``t`` is integer simulated nanoseconds.  One ``mark`` event is emitted
@@ -54,7 +53,6 @@ _SCHEMA = {
     "drop": ("drop", _PKT + ("cause",)),
     "cwnd": ("cwnd", ("t", "flow", "cwnd", "reason")),
     "alpha": ("alpha", ("t", "flow", "alpha")),
-    "rate": ("rate", ("t", "flow", "rate_bps")),
 }
 
 #: ``ev`` name -> the fields a record of that kind carries besides ``ev``
@@ -99,9 +97,6 @@ class Tracer(Ring):
 
     def alpha(self, now: int, flow_id: int, alpha: float) -> None:
         self._append(("alpha", now, flow_id, alpha))
-
-    def rate(self, now: int, flow_id: int, rate_bps: float) -> None:
-        self._append(("rate", now, flow_id, rate_bps))
 
     # -- export -----------------------------------------------------------
 

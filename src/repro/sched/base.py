@@ -30,9 +30,6 @@ class Scheduler:
 
     __slots__ = ("queues", "total_bytes", "round_observer")
 
-    #: set to True by round-robin disciplines that can drive MQ-ECN
-    supports_rounds = False
-
     def __init__(self, queues: List[PacketQueue]) -> None:
         if not queues:
             raise ValueError("n_queues must be >= 1: a scheduler needs a queue")
@@ -64,8 +61,9 @@ class Scheduler:
         return pkt
 
     @property
-    def is_empty(self) -> bool:
-        return self.total_bytes == 0
+    def supports_rounds(self) -> bool:
+        """Whether some queue takes round-robin turns, which MQ-ECN needs."""
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {len(self.queues)}q {self.total_bytes}B>"

@@ -37,7 +37,10 @@ class DwrrScheduler(Scheduler):
         "_last_turn_start",
     )
 
-    supports_rounds = True
+    @property
+    def supports_rounds(self) -> bool:
+        """False when the strict band holds every queue: no round runs."""
+        return len(self._high) < len(self.queues)
 
     def __init__(self, queues: List[PacketQueue], n_high: int = 0) -> None:
         super().__init__(queues)

@@ -24,7 +24,9 @@ class WrrScheduler(Scheduler):
         "_last_turn_start",
     )
 
-    supports_rounds = True
+    @property
+    def supports_rounds(self) -> bool:
+        return True
 
     def __init__(self, queues: List[PacketQueue]) -> None:
         super().__init__(queues)

@@ -26,7 +26,7 @@ from repro.net.port import EgressPort
 from repro.net.switch import Switch
 from repro.sched.base import Scheduler
 from repro.sim.engine import Simulator
-from repro.units import KB
+from repro.units import FABRIC_LINK_DELAY_NS, KB
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.transport.flow import Flow
@@ -49,11 +49,8 @@ class LeafSpineTopology:
         sched_factory: SchedFactory,
         aqm_factory: AqmFactory,
         edge_rate_bps: int,
-        fabric_rate_bps: Optional[int] = None,
         buffer_bytes: int = 300 * KB,
         host_link_delay_ns: int = 20_000,
-        fabric_link_delay_ns: int = 650,
-        classifier_table: Optional[dict] = None,
         ecmp_salt: int = 0,
     ) -> None:
         for name, value in (
@@ -72,23 +69,21 @@ class LeafSpineTopology:
         self.n_spine = n_spine
         self.hosts_per_leaf = hosts_per_leaf
         self.edge_rate_bps = edge_rate_bps
-        self.fabric_rate_bps = fabric_rate_bps or edge_rate_bps
         self.host_link_delay_ns = host_link_delay_ns
-        self.fabric_link_delay_ns = fabric_link_delay_ns
         self.ecmp_salt = ecmp_salt
         self.hosts: List[Host] = []
         self.leaves: List[Switch] = []
         self.spines: List[Switch] = []
 
-        def new_port(sw: Switch, rate: int, name: str) -> EgressPort:
+        def new_port(sw: Switch, name: str) -> EgressPort:
             scheduler = sched_factory()
             port = EgressPort(
                 sim,
-                rate_bps=rate,
+                rate_bps=edge_rate_bps,
                 buffer_bytes=buffer_bytes,
                 scheduler=scheduler,
                 aqm=aqm_factory(),
-                classify=DscpClassifier(len(scheduler.queues), classifier_table),
+                classify=DscpClassifier(len(scheduler.queues)),
                 name=name,
             )
             return sw.add_port(port)
@@ -105,7 +100,7 @@ class LeafSpineTopology:
         for leaf_id, leaf in enumerate(self.leaves):
             for slot in range(hosts_per_leaf):
                 host_id = leaf_id * hosts_per_leaf + slot
-                port = new_port(leaf, edge_rate_bps, f"leaf{leaf_id}:h{slot}")
+                port = new_port(leaf, f"leaf{leaf_id}:h{slot}")
                 nic = make_nic(
                     sim,
                     rate_bps=edge_rate_bps,
@@ -122,13 +117,11 @@ class LeafSpineTopology:
         for leaf_id, leaf in enumerate(self.leaves):
             ups = []
             for spine_id, spine in enumerate(self.spines):
-                up = new_port(leaf, self.fabric_rate_bps, f"leaf{leaf_id}:up{spine_id}")
-                up.link = Link(spine, fabric_link_delay_ns)
+                up = new_port(leaf, f"leaf{leaf_id}:up{spine_id}")
+                up.link = Link(spine, FABRIC_LINK_DELAY_NS)
                 ups.append(up)
-                down = new_port(
-                    spine, self.fabric_rate_bps, f"spine{spine_id}:down{leaf_id}"
-                )
-                down.link = Link(leaf, fabric_link_delay_ns)
+                down = new_port(spine, f"spine{spine_id}:down{leaf_id}")
+                down.link = Link(leaf, FABRIC_LINK_DELAY_NS)
                 for slot in range(hosts_per_leaf):
                     spine.set_route(leaf_id * hosts_per_leaf + slot, down)
             self._uplinks.append(ups)
@@ -157,14 +150,9 @@ class LeafSpineTopology:
         ]
         if src_leaf != dst_leaf:
             spine_id = self.ecmp_spine(flow.id)
+            hops.append((self._uplinks[src_leaf][spine_id], FABRIC_LINK_DELAY_NS))
             hops.append(
-                (self._uplinks[src_leaf][spine_id], self.fabric_link_delay_ns)
-            )
-            hops.append(
-                (
-                    self.spines[spine_id]._dst_table[dst],
-                    self.fabric_link_delay_ns,
-                )
+                (self.spines[spine_id]._dst_table[dst], FABRIC_LINK_DELAY_NS)
             )
         hops.append(
             (self.leaves[dst_leaf]._dst_table[dst], self.host_link_delay_ns)
@@ -202,7 +190,7 @@ class LeafSpineTopology:
     def base_rtt_ns(self) -> int:
         """Propagation-only RTT between hosts under different leaves
         (host links + 2 fabric hops each way)."""
-        return 4 * self.host_link_delay_ns + 8 * self.fabric_link_delay_ns
+        return 4 * self.host_link_delay_ns + 8 * FABRIC_LINK_DELAY_NS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -41,7 +41,6 @@ class StarTopology:
         aqm_factory: AqmFactory,
         buffer_bytes: int = 96 * KB,
         link_delay_ns: int = 62_500,
-        classifier_table: Optional[dict] = None,
     ) -> None:
         if n_hosts < 2:
             raise ValueError(f"n_hosts must be >= 2, got {n_hosts}")
@@ -53,14 +52,13 @@ class StarTopology:
         self.hosts: List[Host] = []
         for host_id in range(n_hosts):
             scheduler = sched_factory()
-            n_queues = len(scheduler.queues)
             port = EgressPort(
                 sim,
                 rate_bps=link_rate_bps,
                 buffer_bytes=buffer_bytes,
                 scheduler=scheduler,
                 aqm=aqm_factory(),
-                classify=DscpClassifier(n_queues, classifier_table),
+                classify=DscpClassifier(len(scheduler.queues)),
                 name=f"sw0:p{host_id}",
             )
             self.switch.add_port(port)

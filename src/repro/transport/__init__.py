@@ -15,7 +15,6 @@ _EXPORTS = {
     "EcnStarSender": "repro.transport.tcp",
     "RenoSender": "repro.transport.tcp",
     "DctcpSender": "repro.transport.dctcp",
-    "DcqcnSender": "repro.transport.dcqcn",
     "Receiver": "repro.transport.receiver",
 }
 

@@ -24,6 +24,9 @@ from repro.units import MSEC, MSS, SEC
 #: per-packet DSCP override: (flow, segment index) -> dscp
 Tagger = Callable[[Flow, int], int]
 
+#: ceiling on the RTO, backoff included
+MAX_RTO_NS = 2 * SEC
+
 
 class TransportStats:
     """Counters one sender accumulates (aggregated by the harness)."""
@@ -45,7 +48,7 @@ class SenderBase:
         "sim", "host", "flow", "cwnd", "max_cwnd", "ssthresh",
         "snd_una", "snd_nxt", "dupacks", "in_recovery", "recover",
         "done", "tagger", "on_done", "stats", "tracer",
-        "min_rto_ns", "max_rto_ns", "srtt_ns", "rttvar_ns", "rto_ns",
+        "min_rto_ns", "srtt_ns", "rttvar_ns", "rto_ns",
         "_base_rto_ns", "_backoff", "_rto_deadline", "_rto_tick_at",
         "_cut_end", "app_rate_bps", "_app_tick", "_app_tokens",
         "_app_refill_ns", "_app_bucket", "_app_hwm", "_window_limited",
@@ -62,7 +65,6 @@ class SenderBase:
         init_cwnd: float = 10.0,
         min_rto_ns: int = 10 * MSEC,
         init_rto_ns: Optional[int] = None,
-        max_rto_ns: int = 2 * SEC,
         tagger: Optional[Tagger] = None,
         on_done: Optional[Callable[["SenderBase"], None]] = None,
         app_rate_bps: Optional[int] = None,
@@ -87,7 +89,7 @@ class SenderBase:
         self.tagger = tagger
         self.on_done = on_done
         self.stats = TransportStats()
-        #: optional repro.obs.Tracer recording cwnd/alpha/rate updates;
+        #: optional repro.obs.Tracer recording cwnd/alpha updates;
         #: None (the default) keeps the ACK path branch-only
         self.tracer = None
         # RFC 6298 state.  A zero RTO would re-arm the timeout tick at the
@@ -97,7 +99,6 @@ class SenderBase:
         if init_rto_ns is not None and init_rto_ns <= 0:
             raise ValueError(f"init_rto_ns must be > 0, got {init_rto_ns}")
         self.min_rto_ns = min_rto_ns
-        self.max_rto_ns = max_rto_ns
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns = 0
         self.rto_ns = init_rto_ns if init_rto_ns is not None else min_rto_ns
@@ -307,7 +308,7 @@ class SenderBase:
             self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
             self.srtt_ns = (7 * self.srtt_ns + sample_ns) // 8
         rto = self.srtt_ns + 4 * self.rttvar_ns
-        self._base_rto_ns = max(self.min_rto_ns, min(rto, self.max_rto_ns))
+        self._base_rto_ns = max(self.min_rto_ns, min(rto, MAX_RTO_NS))
 
     def _arm_rto(self) -> None:
         """(Re)start the retransmission timer: deadline = now + RTO.
@@ -317,9 +318,7 @@ class SenderBase:
         rarely, when the new deadline is *earlier* than the in-flight tick
         — an RTO estimate that shrank below the outstanding tick).
         """
-        self.rto_ns = rto_ns = min(
-            self._base_rto_ns * self._backoff, self.max_rto_ns
-        )
+        self.rto_ns = rto_ns = min(self._base_rto_ns * self._backoff, MAX_RTO_NS)
         deadline = self.sim.now + rto_ns
         self._rto_deadline = deadline
         tick_at = self._rto_tick_at

@@ -43,6 +43,11 @@ MSS = MTU - HEADER   # maximum segment payload
 ACK_SIZE = 40        # wire size of a pure ACK
 PROBE_SIZE = 64      # wire size of an RTT probe (ping)
 
+# --- leaf-spine fabric -----------------------------------------------------
+
+#: one leaf<->spine link (§6.2: 8 of these hops per cross-leaf round trip)
+FABRIC_LINK_DELAY_NS = 650
+
 
 def tx_time_ns(size_bytes: int, rate_bps: int) -> int:
     """Serialization delay of ``size_bytes`` on a ``rate_bps`` link, in ns.
@@ -69,13 +74,6 @@ def bytes_in_flight(rate_bps: int, duration_ns: int) -> int:
     125000
     """
     return rate_bps * duration_ns // (8 * SEC)
-
-
-def rate_bps_from(bytes_count: int, duration_ns: int) -> float:
-    """Average rate in bits/s for ``bytes_count`` bytes over ``duration_ns``."""
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    return bytes_count * 8 * SEC / duration_ns
 
 
 def fmt_time(t_ns: int) -> str:

@@ -45,8 +45,6 @@ class FlowGenerator:
         link_rate_bps: int,
         n_flows: int,
         n_services: int = 1,
-        start_ns: int = 0,
-        first_flow_id: int = 0,
     ) -> List[Flow]:
         """Poisson flows from random senders to one receiver.
 
@@ -59,14 +57,14 @@ class FlowGenerator:
         stream = self.rng.stream("flows")
         arrival_gap_ns = _mean_gap_ns(cdf, load, link_rate_bps)
         flows: List[Flow] = []
-        t = start_ns
+        t = 0
         for i in range(n_flows):
             t += _exp_ns(stream, arrival_gap_ns)
             src = senders[stream.randrange(len(senders))]
             service = stream.randrange(n_services)
             flows.append(
                 Flow(
-                    first_flow_id + i,
+                    i,
                     src,
                     receiver,
                     cdf.sample(stream),
@@ -83,8 +81,6 @@ class FlowGenerator:
         load: float,
         edge_rate_bps: int,
         n_flows: int,
-        start_ns: int = 0,
-        first_flow_id: int = 0,
     ) -> List[Flow]:
         """Poisson flows between uniformly random host pairs.
 
@@ -107,7 +103,7 @@ class FlowGenerator:
         per_host_gap_ns = mean_size * 8 * SEC / (load * edge_rate_bps)
         aggregate_gap_ns = per_host_gap_ns / len(hosts)
         flows: List[Flow] = []
-        t = start_ns
+        t = 0
         for i in range(n_flows):
             t += _exp_ns(stream, aggregate_gap_ns)
             src = hosts[stream.randrange(len(hosts))]
@@ -117,7 +113,7 @@ class FlowGenerator:
             service = (src + dst) % n_services
             flows.append(
                 Flow(
-                    first_flow_id + i,
+                    i,
                     src,
                     dst,
                     cdfs[service].sample(stream),

@@ -95,10 +95,9 @@ class TestAllToAll:
         with pytest.raises(ValueError):
             _gen().all_to_all([0], [CACHE], 0.5, GBPS, 10)
 
-    def test_flow_ids_unique_and_offset(self):
+    def test_flow_ids_count_from_zero(self):
         flows = _gen().all_to_all(
             hosts=range(4), cdfs=[CACHE], load=0.5,
-            edge_rate_bps=GBPS, n_flows=50, first_flow_id=1000,
+            edge_rate_bps=GBPS, n_flows=50,
         )
-        ids = [f.id for f in flows]
-        assert ids == list(range(1000, 1050))
+        assert [f.id for f in flows] == list(range(50))

@@ -68,17 +68,6 @@ class TestIncastApp:
         ids = [f.id for q in app.queries for f in q.flows]
         assert len(ids) == 12 and len(set(ids)) == 12
 
-    def test_callback_fires_per_query(self):
-        sim, topo = _setup()
-        done = []
-        app = IncastApp(
-            sim, topo.hosts[0], topo.hosts[1:], response_bytes=10 * KB,
-            interval_ns=5 * MSEC, n_queries=4, on_query_done=done.append,
-        )
-        sim.schedule(0, app.start)
-        sim.run(until=1 * SEC)
-        assert len(done) == 4
-
     def test_heavy_incast_survives_tight_buffer(self):
         """32-way incast into a 100 KB buffer: timeouts happen, but every
         query eventually completes (reliability under pressure)."""

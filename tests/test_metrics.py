@@ -31,6 +31,11 @@ class TestPercentile:
         assert percentile(values, 100) == 100
         assert percentile(values, 0) == 1
 
+    def test_fractional_p_takes_the_ceiling_of_the_exact_rank(self):
+        # rank = ceil(40.1% of 5) = ceil(2.005) = 3, not ceil(200 / 100)
+        assert percentile([1, 2, 3, 4, 5], 40.1) == 3
+        assert percentile(list(range(1, 1001)), 99.9) == 999
+
     def test_single_value(self):
         assert percentile([7], 99) == 7
 
@@ -104,21 +109,12 @@ class TestGoodputTracker:
         t.record(0, 1000, 2000)
         assert t.goodput_bps(0, 500, 2500) == pytest.approx(1000 * 8 * SEC / 2000)
 
-    def test_series_bins(self):
-        t = GoodputTracker()
-        t.record(1, 1000, 500)
-        t.record(1, 3000, 1500)
-        series = t.series_bps(1, bin_ns=1000, t_end_ns=2000)
-        assert len(series) == 2
-        assert series[0][1] == pytest.approx(1000 * 8 * SEC / 1000)
-        assert series[1][1] == pytest.approx(3000 * 8 * SEC / 1000)
-
     def test_keys_and_totals(self):
         t = GoodputTracker()
         t.record(3, 500, 10)
         t.record(3, 700, 20)
-        assert t.total_bytes(3) == 1200
-        assert t.keys() == [3]
+        assert t.goodput_bps(3, 0, 20) == pytest.approx(1200 * 8 * SEC / 20)
+        assert t.goodput_bps(4, 0, 20) == 0  # keys do not share bytes
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +122,7 @@ class TestGoodputTracker:
 
 
 class TestOccupancySampler:
-    def test_event_driven_trace(self):
+    def test_tracks_every_occupancy_change(self):
         sim = Simulator()
         port = make_port(sim)
         sampler = OccupancySampler(port)
@@ -134,21 +130,12 @@ class TestOccupancySampler:
             port.receive(data_pkt(seq=i))
         sim.run()
         assert sampler.peak_bytes == 2 * 1500  # one always in flight
-        assert sampler.samples[-1][1] == 0
-
-    def test_periodic_sampling(self):
-        sim = Simulator()
-        port = make_port(sim)
-        sampler = OccupancySampler(port, event_driven=False)
-        sampler.start_periodic(sim, period_ns=1000)
-        sim.run(until=5000)
-        assert len(sampler.samples) == 5
 
     def test_windows(self):
-        sim = Simulator()
-        port = make_port(sim)
-        sampler = OccupancySampler(port, event_driven=False)
-        sampler.samples = [(0, 10), (100, 30), (200, 20)]
+        port = make_port(Simulator())
+        sampler = OccupancySampler(port)
+        for t, occ in [(0, 10), (100, 30), (200, 20)]:
+            port.occupancy_tracker(t, occ)
         assert sampler.max_in_window(50, 250) == 30
         assert sampler.mean_in_window(50, 250) == 25.0
         assert sampler.max_in_window(300, 400) == 0
@@ -191,9 +178,10 @@ class TestBisectQueriesMatchLinearScan:
         for _ in range(300):
             t += rng.choice([0, 2, 17])
             samples.append((t, rng.randrange(0, 5000)))
-        sim = Simulator()
-        sampler = OccupancySampler(make_port(sim), event_driven=False)
-        sampler.samples = samples
+        port = make_port(Simulator())
+        sampler = OccupancySampler(port)
+        for t, occ in samples:
+            port.occupancy_tracker(t, occ)
         assert sampler.peak_bytes == max(occ for _, occ in samples)
         t_max = samples[-1][0]
         for t_from, t_to in [(0, t_max), (50, 500), (t_max + 1, t_max + 9),

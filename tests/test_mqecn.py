@@ -26,8 +26,9 @@ class TestSchedulerCompatibility:
     @pytest.mark.parametrize("make_sched", [
         WfqScheduler,
         partial(WfqScheduler, n_high=2),  # strict priority
+        partial(DwrrScheduler, n_high=2),  # strict priority: no queue rotates
         PifoScheduler,
-    ], ids=["WfqScheduler", "sp", "PifoScheduler"])
+    ], ids=["WfqScheduler", "sp", "all-strict-dwrr", "PifoScheduler"])
     def test_rejects_non_round_robin(self, make_sched):
         sim = Simulator()
         sched = make_sched(make_queues(2))
@@ -109,10 +110,6 @@ class TestThreshold:
         much_later = last + 10_000_000
         aqm.on_enqueue(port, q0, data_pkt(), much_later)
         assert aqm.rate_estimate_bps(q0) == 10 * GBPS
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MqEcn(100 * USEC, beta=0.0)
 
 
 class TestEndToEnd:

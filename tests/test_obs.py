@@ -9,7 +9,6 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_port_breakdown
 from repro.harness.runner import run_experiment
 from repro.obs import (
-    Histogram,
     RunProfile,
     Tracer,
     format_trace_summary,
@@ -30,12 +29,9 @@ class TestTracer:
         tr.drop(300, "p0", 1, pkt, "buffer")
         tr.cwnd(400, 7, 12.5, "ecn")
         tr.alpha(400, 7, 0.25)
-        tr.rate(500, 7, 1e9)
-        assert len(tr) == 7
+        assert len(tr) == 6
         kinds = [d["ev"] for d in tr.iter_dicts()]
-        assert kinds == [
-            "enqueue", "dequeue", "mark", "drop", "cwnd", "alpha", "rate",
-        ]
+        assert kinds == ["enqueue", "dequeue", "mark", "drop", "cwnd", "alpha"]
         deq = list(tr.iter_dicts())[1]
         assert deq["sojourn_ns"] == 150 and deq["q"] == 2 and deq["flow"] == 7
 
@@ -71,43 +67,16 @@ class TestTracer:
 
 
 class TestRegistry:
-    """The metrics dict: histogram snapshots in a sorted plain dict."""
-
-    def test_histogram_exact_aggregates(self):
-        h = Histogram("x")
-        for v in (1, 2, 3, 100, 1000):
-            h.record(v)
-        assert h.count == 5 and h.sum == 1106
-        assert h.min == 1 and h.max == 1000
-        assert h.mean == pytest.approx(1106 / 5)
-
-    def test_histogram_percentile_within_bucket_factor(self):
-        h = Histogram("x")
-        for v in range(1, 101):
-            h.record(v)
-        p50 = h.percentile(50.0)
-        # bucket upper bound: within a factor of two of the true median
-        assert 50 <= p50 <= 127
-        assert h.percentile(100.0) == 100.0  # clamped to observed max
-        assert h.percentile(0.0) >= 1.0
-
-    def test_histogram_empty_and_negative(self):
-        h = Histogram("x")
-        assert h.percentile(50.0) is None and h.mean is None
-        with pytest.raises(ValueError):
-            h.record(-1)
+    """The metrics dict: per-port and per-queue counters in a sorted plain
+    dict."""
 
     def test_snapshot_is_plain_and_sorted(self):
-        h = Histogram("c.h")
-        h.record(8)
-        assert h.snapshot()["count"] == 1
-        assert h.snapshot()["buckets"] == {"4": 1}
         metrics = run_experiment(ExperimentConfig(n_flows=4, seed=1)).metrics
         assert list(metrics) == sorted(metrics)
         assert all(
-            isinstance(v, int) for k, v in metrics.items() if k.startswith("port.")
+            k.startswith("port.") and isinstance(v, int)
+            for k, v in metrics.items()
         )
-        assert metrics["fct_ns"]["type"] == "histogram"
         json.dumps(metrics)  # JSON-serialisable as-is
 
 
@@ -274,9 +243,6 @@ class TestRunMetrics:
 
     def test_queue_counters_present(self, result):
         assert any(".q0.dequeued_pkts" in k for k in result.metrics)
-
-    def test_fct_histogram_counts_completions(self, result):
-        assert result.metrics["fct_ns"]["count"] == result.completed
 
     def test_profile_attached(self, result):
         assert result.profile["events"] == result.events > 0

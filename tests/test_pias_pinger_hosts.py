@@ -95,17 +95,6 @@ class TestHostDemux:
         sim, a, b = self._pair()
         b.receive(data_pkt(flow_id=404))  # no receiver registered: no crash
 
-    def test_unregister_flow(self):
-        sim, a, b = self._pair()
-
-        class _Stub:
-            def on_data(self, pkt):
-                raise AssertionError("should be unregistered")
-
-        b.register_receiver(7, _Stub())
-        b.unregister_flow(7)
-        b.receive(data_pkt(flow_id=7))  # must not raise
-
 
 class TestPinger:
     def test_measures_base_rtt(self):

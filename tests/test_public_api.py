@@ -97,9 +97,9 @@ def test_obs_surface_is_pinned():
     import repro.obs
 
     assert sorted(repro.obs.__all__) == [
-        "DEFAULT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "Histogram",
-        "QueueSummary", "RunProfile", "SpanRecorder", "TraceSummary",
-        "Tracer", "chrome_trace", "current_rss_bytes", "format_span_summary",
+        "DEFAULT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "QueueSummary",
+        "RunProfile", "SpanRecorder", "TraceSummary", "Tracer",
+        "chrome_trace", "current_rss_bytes", "format_span_summary",
         "format_trace_summary", "read_jsonl", "read_records",
         "summarize_events", "trace_events_to_chrome", "write_chrome",
         "write_jsonl",

@@ -73,7 +73,7 @@ class TestSpOverLow:
         fill(s, 2, 3)
         assert s.total_bytes == 5 * 1500
         drain_in_order(s)
-        assert s.is_empty
+        assert s.total_bytes == 0
 
     @pytest.mark.parametrize("cls", [DwrrScheduler, WfqScheduler])
     def test_invalid_n_high_rejected(self, cls):

@@ -88,7 +88,7 @@ class TestAccounting:
         fill(s, 0, 4)
         assert s.total_bytes == 4 * 1500
         drain_in_order(s)
-        assert s.is_empty
+        assert s.total_bytes == 0
 
     def test_no_rounds(self):
         assert PifoScheduler(make_queues(2)).supports_rounds is False

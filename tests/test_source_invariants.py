@@ -9,7 +9,9 @@ legitimate sites with their exact finding counts and a reason, and an entry
 whose count no longer matches fails too.  docs/STATIC_ANALYSIS.md maps each
 check to the rule it replaced.  ``TestConfigFieldUser`` and
 ``TestRegistryUser`` read the benches, examples and CLI instead: every
-config field and every registry name must have a user there.
+config field and every registry name must have a user there, and
+``TestModuleUser`` asks the same of every module, counting ``src/repro``'s
+own modules among the users.
 """
 
 import ast
@@ -107,7 +109,7 @@ _HOT = {"Scheduler", "Aqm", "SenderBase", "Packet", "PacketQueue", "EgressPort",
 # patch ``receive`` on instances, which __slots__ would forbid.
 _HOT_BASES = {"Scheduler", "FifoScheduler", "WrrScheduler", "DwrrScheduler",
               "WfqScheduler", "PifoScheduler", "Aqm",
-              "SenderBase", "DctcpSender", "DcqcnSender", "EcnStarSender", "RenoSender"}
+              "SenderBase", "DctcpSender", "EcnStarSender", "RenoSender"}
 
 
 def _name(node):
@@ -247,16 +249,17 @@ def no_print(module, tree):
 
 @functools.lru_cache(maxsize=None)
 def _served(package):
-    """The names ``package``'s ``__init__`` serves lazily (its ``_EXPORTS``
-    keys); empty for a module or a package outside ``src/repro``."""
+    """``{name: home module}`` that ``package``'s ``__init__`` serves lazily
+    (its ``_EXPORTS`` table); empty for a module or a package outside
+    ``src/repro``."""
     init = SRC.parent.joinpath(*package.split("."), "__init__.py")
     if not init.is_file():
-        return frozenset()
+        return {}
     for node in ast.parse(init.read_text()).body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
-            return frozenset(ast.literal_eval(node.value))
-    return frozenset()
+            return ast.literal_eval(node.value)
+    return {}
 
 
 def package_import(module, tree):
@@ -267,7 +270,7 @@ def package_import(module, tree):
     defines itself (``_lazy_exports``) are not served, so they pass."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            hit = sorted({a.name for a in node.names} & _served(node.module))
+            hit = sorted({a.name for a in node.names} & _served(node.module).keys())
             if hit:
                 yield node, f"imports {hit} through package {node.module}"
 
@@ -487,3 +490,77 @@ class TestRegistryUser:
     def test_allowlist_has_no_stale_entries(self):
         stale = set(UNUSED_REGISTRY_NAMES) - self._unused()
         assert not stale, f"used now, not unused: {sorted(stale)}"
+
+
+# -- every module names its user -------------------------------------------
+
+#: where a module's users live besides src/repro itself: the benches and
+#: the examples
+MODULE_USER_FILES = [*sorted(ROOT.joinpath("benchmarks").rglob("*.py")),
+                     *sorted(ROOT.joinpath("examples").rglob("*.py"))]
+
+#: modules no other module, bench or example imports, with the reason each
+#: stays
+ENTRY_MODULES = {
+    "repro.__main__": "the `python -m repro` entry point",
+}
+
+
+def _is_module(dotted):
+    path = SRC.parent.joinpath(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def _home(module, name):
+    """The module ``from module import name`` loads: the submodule
+    ``name``, else the home a package's ``_EXPORTS`` gives it (followed
+    through every package on the way), else ``module`` itself."""
+    if _is_module(f"{module}.{name}"):
+        return f"{module}.{name}"
+    home = _served(module).get(name)
+    return module if home is None else _home(home, name)
+
+
+def _imported(path):
+    """Every module one file imports, by name or through ``_EXPORTS``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module)
+            found.update(_home(node.module, alias.name) for alias in node.names)
+    return found
+
+
+def _registry_modules():
+    """The modules ``harness/schemes.py`` names as ``"module[:name]"``."""
+    tree = ast.parse((SRC / "harness" / "schemes.py").read_text())
+    return {node.value.partition(":")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("repro.")}
+
+
+class TestModuleUser:
+    """``module-user``: a module that no other ``src/repro`` module, bench
+    or example imports, and no registry names, is code only tests reach."""
+
+    def _unused(self):
+        own = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+        used = set().union(*map(_imported, own + MODULE_USER_FILES))
+        modules = {".".join(p.relative_to(SRC.parent).with_suffix("").parts)
+                   for p in own}
+        return modules - used - _registry_modules()
+
+    def test_exports_are_followed_to_the_home_module(self):
+        assert _home("repro", "DctcpSender") == "repro.transport.dctcp"
+        assert _home("repro.net", "packet") == "repro.net.packet"
+        assert _home("repro.units", "SEC") == "repro.units"
+
+    def test_every_module_has_a_user(self):
+        unused = self._unused() - set(ENTRY_MODULES)
+        assert not unused, f"no module, bench or example imports {sorted(unused)}"
+
+    def test_allowlist_has_no_stale_entries(self):
+        stale = set(ENTRY_MODULES) - self._unused()
+        assert not stale, f"imported now, not an entry: {sorted(stale)}"

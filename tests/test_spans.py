@@ -284,7 +284,7 @@ class TestRunReport:
             "port.c.rx_pkts": 10, "port.c.tx_pkts": 10,
             "port.c.marked_pkts": 0, "port.c.dropped_pkts": 0,
         }
-        ranked = hottest_ports(metrics, top=8)
+        ranked = hottest_ports(metrics)
         assert [r[0] for r in ranked] == ["b", "a"]  # c has nothing
 
 

@@ -32,7 +32,6 @@ def _leafspine(n_leaf=2, n_spine=2, hpl=2):
         aqm_factory=lambda: Tcn(78 * USEC),
         edge_rate_bps=10 * GBPS,
         host_link_delay_ns=20_000,
-        fabric_link_delay_ns=650,
     )
     return sim, topo
 

@@ -12,7 +12,6 @@ from repro.units import (
     bytes_in_flight,
     fmt_rate,
     fmt_time,
-    rate_bps_from,
     tx_time_ns,
 )
 
@@ -51,15 +50,6 @@ class TestBdp:
     def test_testbed_bdp(self):
         # 1 Gbps x 250 us ~ 31.25 KB (the testbed's 32 KB threshold)
         assert bytes_in_flight(GBPS, 250 * USEC) == 31_250
-
-
-class TestRateFrom:
-    def test_simple(self):
-        assert rate_bps_from(125, 1000) == 1 * GBPS
-
-    def test_rejects_zero_duration(self):
-        with pytest.raises(ValueError):
-            rate_bps_from(100, 0)
 
 
 class TestFraming:
