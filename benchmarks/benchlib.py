@@ -18,12 +18,12 @@ the assertions allow for.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import ExperimentConfig, ExperimentResult
 from repro.harness.report import format_fct_rows
-from repro.harness.runner import ExperimentResult
-from repro.harness.sweep import ResultCache, SweepOutcome, SweepResult, run_sweep
+from repro.harness.sweep import ResultCache, SweepOutcome, run_sweep
+from repro.metrics.fct import summarize
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
@@ -44,7 +44,7 @@ def _bench_processes() -> Optional[int]:
     return int(env) if env is not None else None
 
 
-def _checked(outcome: SweepOutcome) -> List[SweepResult]:
+def _checked(outcome: SweepOutcome) -> List[ExperimentResult]:
     """Benchmarks must fail loudly on any crashed/timed-out cell."""
     failures = outcome.errors()
     if failures:
@@ -66,75 +66,36 @@ def save_results(figure: str, text: str) -> None:
     print(f"\n{text}\n[saved to {path}]")
 
 
-def run_schemes(
-    schemes: Iterable[str], **cfg_kwargs
-) -> Dict[str, SweepResult]:
-    """Run the same configuration under several marking schemes.
-
-    Routed through the sweep runner: schemes run across worker processes
-    and repeat runs are served from ``benchmarks/.cache``.
-    """
-    schemes = list(schemes)
-    configs = [ExperimentConfig(scheme=s, **cfg_kwargs) for s in schemes]
-    outcome = run_sweep(
-        configs, processes=_bench_processes(), cache=_bench_cache()
-    )
-    return dict(zip(schemes, _checked(outcome)))
+#: the counters a pooled row sums over its runs
+_SUMMED = ("completed", "total", "timeouts", "timeouts_small", "drops", "marks")
 
 
-def _completed_flow_pairs(run) -> List[Tuple[int, int]]:
-    """(size_bytes, fct_ns) of completed flows, from either an
-    ExperimentResult (full flow objects) or a SweepResult (compact)."""
-    stats = getattr(run, "flow_stats", None)
-    if stats is not None:
-        return [(size, fct) for size, fct in stats]
-    return [(f.size_bytes, f.fct_ns) for f in run.flows if f.completed]
-
-
-class _FlowStat:
-    """The slice of Flow the FCT collector reads: size and completion time."""
-
-    __slots__ = ("size_bytes", "fct_ns")
-
-    def __init__(self, size_bytes: int, fct_ns: int) -> None:
-        self.size_bytes = size_bytes
-        self.fct_ns = fct_ns
-
-
-class PooledResult:
+def pooled(runs: List[ExperimentResult]) -> ExperimentResult:
     """FCT statistics pooled over several seeds of the same config.
 
     The paper runs 5,000-50,000 flows per point; at benchmark scale we
     instead pool a few seeds (each scheme sees the *same* seeds, so the
-    comparison stays pair-matched) to stabilize tail percentiles.
-    Duck-types the slice of :class:`ExperimentResult` the report needs,
-    and accepts either :class:`ExperimentResult` or sweep results.
+    comparison stays pair-matched) to stabilize tail percentiles.  The
+    pooled row keeps the first run's config, concatenates the runs'
+    ``flow_stats`` and sums their counters.
     """
-
-    def __init__(self, runs: List) -> None:
-        from repro.metrics.fct import FctCollector
-
-        self.runs = runs
-        collector = FctCollector()
-        for run in runs:
-            for size_bytes, fct_ns in _completed_flow_pairs(run):
-                collector.on_complete(_FlowStat(size_bytes, fct_ns))
-        self.summary = collector.summarize()
-        self.timeouts = sum(r.timeouts for r in runs)
-        self.timeouts_small = sum(r.timeouts_small for r in runs)
-        self.drops = sum(r.drops for r in runs)
-        self.marks = sum(r.marks for r in runs)
-        self.completed = sum(r.completed for r in runs)
-        self.total = sum(r.total for r in runs)
+    flow_stats = [pair for run in runs for pair in run.flow_stats]
+    return ExperimentResult(
+        runs[0].config,
+        summary=summarize(flow_stats),
+        flow_stats=flow_stats,
+        **{name: sum(getattr(run, name) for run in runs) for name in _SUMMED},
+    )
 
 
 def run_schemes_pooled(
     schemes: Iterable[str], seeds: Iterable[int], **cfg_kwargs
-) -> Dict[str, PooledResult]:
+) -> Dict[str, ExperimentResult]:
     """Run each scheme over several seeds and pool the flow statistics.
 
     The full schemes x seeds grid goes through the sweep runner in one
-    call, so every cell runs in parallel and is independently cached.
+    call, so every cell runs in parallel and repeat runs are served from
+    ``benchmarks/.cache``.
     """
     schemes, seeds = list(schemes), list(seeds)
     configs = [
@@ -146,11 +107,10 @@ def run_schemes_pooled(
         configs, processes=_bench_processes(), cache=_bench_cache()
     )
     flat = _checked(outcome)
-    results = {}
-    for i, scheme in enumerate(schemes):
-        runs = flat[i * len(seeds):(i + 1) * len(seeds)]
-        results[scheme] = PooledResult(runs)
-    return results
+    return {
+        scheme: pooled(flat[i * len(seeds):(i + 1) * len(seeds)])
+        for i, scheme in enumerate(schemes)
+    }
 
 
 def fct_comparison_text(

@@ -135,7 +135,6 @@ _EXPORTS = {
     "ResultCache": "repro.harness",
     "SweepError": "repro.harness",
     "SweepOutcome": "repro.harness",
-    "SweepResult": "repro.harness",
     "SweepStats": "repro.harness",
     "SCHEMES": "repro.harness",
     "SCHEDULERS": "repro.harness",

@@ -46,8 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 # Each sub-command imports its own machinery when it runs, so `trace`
 # never loads the simulator.  Only what annotations need is named here.
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.config import ExperimentConfig
-    from repro.harness.sweep import SweepResult
+    from repro.harness.config import ExperimentConfig, ExperimentResult
 
 
 def _kb(text: str) -> int:
@@ -217,7 +216,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_label(result: SweepResult) -> str:
+def _sweep_label(result: ExperimentResult) -> str:
     cfg = result.config
     return f"{cfg.scheme}/{cfg.scheduler} load={cfg.load:g} seed={cfg.seed}"
 
@@ -235,7 +234,7 @@ def sweep_main(argv=None) -> int:
     # throughput of the runs that actually ran, and the cache-hit ratio
     live = {"events": 0, "wall": 0.0, "hits": 0}
 
-    def progress(done: int, total: int, result: SweepResult) -> None:
+    def progress(done: int, total: int, result: ExperimentResult) -> None:
         if result.error is not None:
             status = f"ERROR ({result.error.kind})"
         elif result.from_cache:

@@ -45,12 +45,7 @@ class Pinger:
         self._running = True
         self._send_probe()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _send_probe(self) -> None:
-        if not self._running:
-            return
         probe = Packet(
             self.flow_id,
             self.host.id,

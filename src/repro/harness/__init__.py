@@ -4,7 +4,7 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "ExperimentConfig": "repro.harness.config",
-    "ExperimentResult": "repro.harness.runner",
+    "ExperimentResult": "repro.harness.config",
     "run_experiment": "repro.harness.runner",
     "SCHEMES": "repro.harness.schemes",
     "SCHEDULERS": "repro.harness.schemes",
@@ -15,7 +15,6 @@ _EXPORTS = {
     "ResultCache": "repro.harness.sweep",
     "SweepError": "repro.harness.sweep",
     "SweepOutcome": "repro.harness.sweep",
-    "SweepResult": "repro.harness.sweep",
     "SweepStats": "repro.harness.sweep",
     "config_key": "repro.harness.sweep",
     "run_sweep": "repro.harness.sweep",

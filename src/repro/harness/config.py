@@ -1,4 +1,4 @@
-"""Declarative experiment configuration.
+"""Declarative experiment configuration, and the record of one run.
 
 One :class:`ExperimentConfig` captures everything that varies across the
 paper's figures: marking scheme, scheduler, transport, topology, workload,
@@ -6,12 +6,15 @@ load, and the threshold constants.  Thresholds left at ``None`` are derived
 from Equations 1/3 (``C x RTT x lambda`` and ``RTT x lambda``); every bench
 either relies on that derivation or pins the exact values the paper quotes
 (30 KB for Fig. 1, 125 KB / 100 us for Fig. 3, ...).
+
+One :class:`ExperimentResult` is what comes back, whether from a direct
+run, a sweep cell, a cache hit or seeds pooled by a bench.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.thresholds import (
     standard_red_threshold_bytes,
@@ -20,6 +23,12 @@ from repro.core.thresholds import (
 from repro.harness.schemes import REGISTRIES
 from repro.units import FABRIC_LINK_DELAY_NS, GBPS, HEADER, KB, MSEC, MSS, USEC
 from repro.workloads.distributions import ALL_WORKLOADS, workload_by_name
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only: no simulator loads
+    from repro.harness.sweep import SweepError
+    from repro.metrics.fct import FctSummary
+    from repro.transport.flow import Flow
+
 
 @dataclass
 class ExperimentConfig:
@@ -216,3 +225,45 @@ class ExperimentConfig:
         if self.scheduler.startswith("sp_") or self.pias:
             return self.n_low
         return self.n_queues
+
+
+@dataclass
+class ExperimentResult:
+    """Everything a bench, example or the CLI reads from one run.
+
+    A direct run fills every field.  A sweep cell or cache hit carries the
+    fields its payload ships (``repro.harness.sweep.PAYLOAD_FIELDS``) and
+    no ``flows`` or ``profile``; a failed cell carries only ``error``.
+    """
+
+    config: ExperimentConfig
+    summary: Optional[FctSummary] = None
+    completed: int = 0
+    total: int = 0
+    timeouts: int = 0
+    timeouts_small: int = 0
+    drops: int = 0
+    marks: int = 0
+    sim_ns: int = 0
+    events: int = 0
+    #: ``(size_bytes, fct_ns)`` of each completed flow, in flow order
+    flow_stats: List[Tuple[int, int]] = field(repr=False, default_factory=list)
+    #: per-port / per-queue counters sorted by name, read from simulated
+    #: state, so deterministic
+    metrics: Dict[str, int] = field(repr=False, default_factory=dict)
+    #: event-heap high-water mark, the one deterministic profile figure
+    heap_hwm: int = 0
+    wall_s: float = 0.0
+    flows: List[Flow] = field(repr=False, default_factory=list)
+    #: ``RunProfile.as_dict()``: wall-clock derived, so never shipped
+    profile: Dict[str, object] = field(repr=False, default_factory=dict)
+    from_cache: bool = False
+    error: Optional[SweepError] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    @property
+    def all_completed(self) -> bool:
+        return self.completed == self.total

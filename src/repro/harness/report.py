@@ -21,8 +21,7 @@ import html
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - the tables never build a simulator
-    from repro.harness.config import ExperimentConfig
-    from repro.harness.runner import ExperimentResult
+    from repro.harness.config import ExperimentConfig, ExperimentResult
     from repro.obs.spans import SpanRecorder
 
 #: (heading, body) — body is preformatted fixed-width text

@@ -16,12 +16,12 @@ which §6.2.1 reports explicitly).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import ExperimentConfig, ExperimentResult
 from repro.harness.schemes import resolve
-from repro.metrics.fct import SMALL_MAX_BYTES, FctCollector, FctSummary
+from repro.metrics.fct import SMALL_MAX_BYTES, FctCollector
 from repro.net.packet import freelist_stats
 from repro.obs.profile import RunProfile, current_rss_bytes
 from repro.pias.tagger import PiasTagger
@@ -39,35 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.obs.trace import Tracer
 
 _RUN_CHUNK_NS = 50 * MSEC
-
-
-@dataclass
-class ExperimentResult:
-    """Everything a bench or example needs from one run."""
-
-    config: ExperimentConfig
-    summary: FctSummary
-    completed: int
-    total: int
-    timeouts: int
-    timeouts_small: int
-    drops: int
-    marks: int
-    sim_ns: int
-    wall_s: float
-    events: int = 0
-    flows: List[Flow] = field(repr=False, default_factory=list)
-    #: the run's metrics, sorted by name — per-port / per-queue counters.
-    #: Every value is derived from simulated state, so it is deterministic.
-    metrics: Dict[str, int] = field(repr=False, default_factory=dict)
-    #: RunProfile.as_dict() — events, heap high-water mark, wall time,
-    #: RSS high-water mark and fluid counters.  Wall-clock derived, hence *not* deterministic (kept out of sweep
-    #: cache payloads).
-    profile: Dict[str, object] = field(repr=False, default_factory=dict)
-
-    @property
-    def all_completed(self) -> bool:
-        return self.completed == self.total
 
 
 def run_experiment(
@@ -196,8 +167,10 @@ def run_experiment(
         sim_ns=sim.now,
         wall_s=wall_s,
         events=events,
-        flows=flows,
+        flow_stats=[(f.size_bytes, f.fct_ns) for f in flows if f.completed],
         metrics=_run_metrics(topo.switches),
+        heap_hwm=sim.heap_hwm,
+        flows=flows,
         profile=RunProfile.capture(
             sim,
             run_loop_s,

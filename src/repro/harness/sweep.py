@@ -8,12 +8,13 @@ the first time and is a cache hit every time after.
 
 Design notes
 ------------
-* **Determinism is preserved.**  A worker runs exactly the same
-  ``run_experiment(cfg)`` the serial path runs; all randomness flows from
+* **Determinism is preserved.**  A worker and the serial path run one
+  job body around ``run_experiment(cfg)``; all randomness flows from
   ``cfg.seed``, so parallel and serial sweeps produce byte-identical
   result payloads (a property the test suite asserts).
-* **Results are summaries, not simulations.**  Workers ship back a small
-  JSON-serialisable payload (FCT summary, counters, per-flow
+* **Results are summaries, not simulations.**  A cell is an
+  :class:`ExperimentResult` rebuilt from a small JSON-serialisable
+  payload (its :data:`PAYLOAD_FIELDS`: FCT summary, counters, per-flow
   ``(size, fct)`` pairs for pooling) — never the ``flows`` objects with
   their per-packet state, which would dominate IPC cost.
 * **The cache key is content-addressed.**  ``sha256(code_version +
@@ -41,16 +42,16 @@ import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import ExperimentConfig, ExperimentResult
 from repro.metrics.fct import FctSummary
 from repro.obs.spans import SpanRecorder, wall_ns
 
-ProgressFn = Callable[[int, int, "SweepResult"], None]
+ProgressFn = Callable[[int, int, ExperimentResult], None]
 
 
 # -- cache keying --------------------------------------------------------
@@ -113,66 +114,6 @@ class SweepError:
 
 
 @dataclass
-class SweepResult:
-    """One sweep cell: the summary slice of an ExperimentResult.
-
-    Duck-types what the reports and benches read from an
-    ``ExperimentResult`` (``summary``, the counters, ``all_completed``)
-    but carries compact ``(size_bytes, fct_ns)`` pairs instead of the
-    full ``flows`` payload, so it is cheap to pickle and JSON-serialise.
-    """
-
-    config: ExperimentConfig
-    summary: Optional[FctSummary] = None
-    completed: int = 0
-    total: int = 0
-    timeouts: int = 0
-    timeouts_small: int = 0
-    drops: int = 0
-    marks: int = 0
-    sim_ns: int = 0
-    events: int = 0
-    wall_s: float = 0.0
-    flow_stats: List[Tuple[int, int]] = field(repr=False, default_factory=list)
-    #: the run's metrics dict (deterministic, so cacheable)
-    metrics: Dict[str, int] = field(repr=False, default_factory=dict)
-    #: event-heap high-water mark — deterministic, unlike the rest of the
-    #: run profile, so it travels with the payload
-    heap_hwm: int = 0
-    from_cache: bool = False
-    error: Optional[SweepError] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def all_completed(self) -> bool:
-        return self.completed == self.total
-
-    def payload(self) -> dict:
-        """The canonical JSON-serialisable body (wall time excluded, so
-        identical simulations yield identical payloads)."""
-        summary = None
-        if self.summary is not None:
-            summary = {s: getattr(self.summary, s) for s in FctSummary.__slots__}
-        return {
-            "summary": summary,
-            "completed": self.completed,
-            "total": self.total,
-            "timeouts": self.timeouts,
-            "timeouts_small": self.timeouts_small,
-            "drops": self.drops,
-            "marks": self.marks,
-            "sim_ns": self.sim_ns,
-            "events": self.events,
-            "flow_stats": [list(pair) for pair in self.flow_stats],
-            "metrics": self.metrics,
-            "heap_hwm": self.heap_hwm,
-        }
-
-
-@dataclass
 class SweepStats:
     """Observability counters for one ``run_sweep`` call."""
 
@@ -198,7 +139,7 @@ class SweepStats:
 class SweepOutcome:
     """Results (in input order) plus the sweep-level counters."""
 
-    results: List[SweepResult]
+    results: List[ExperimentResult]
     stats: SweepStats
 
     def __iter__(self):
@@ -214,59 +155,66 @@ class SweepOutcome:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def errors(self) -> List[SweepResult]:
+    def errors(self) -> List[ExperimentResult]:
         return [r for r in self.results if not r.ok]
 
 
-#: the integer counters of a payload, decoded by name
-_COUNTERS = (
-    "completed", "total", "timeouts", "timeouts_small", "drops", "marks",
-    "sim_ns", "events", "heap_hwm",
+#: the fields of an :class:`ExperimentResult` a sweep cell ships from its
+#: worker and the cache stores: the deterministic ones, so identical
+#: simulations give identical payloads (no wall time, flows or profile)
+PAYLOAD_FIELDS = (
+    "summary", "completed", "total", "timeouts", "timeouts_small", "drops",
+    "marks", "sim_ns", "events", "flow_stats", "metrics", "heap_hwm",
 )
+
+
+def payload(result: ExperimentResult) -> dict:
+    """The canonical JSON-serialisable body of ``result``."""
+    body = {name: getattr(result, name) for name in PAYLOAD_FIELDS}
+    for name, value in body.items():
+        if isinstance(value, FctSummary):
+            body[name] = {s: getattr(value, s) for s in FctSummary.__slots__}
+        elif isinstance(value, list):
+            body[name] = [list(pair) for pair in value]
+    return body
 
 
 def _result_from_payload(
     cfg: ExperimentConfig,
-    payload: dict,
+    body: dict,
     wall_s: float,
     from_cache: bool,
-) -> SweepResult:
-    """Decode ``SweepResult.payload()`` output back into a result.
+) -> ExperimentResult:
+    """Decode :func:`payload` output back into a result.
 
-    A payload of the wrong shape (a missing key, a non-integer counter,
-    malformed summary or flow pairs) raises ``KeyError``, ``TypeError``
-    or ``ValueError``.
+    Each value must take the type of its field's default: a ``None``
+    default holds the FCT summary, a list the ``(size, fct)`` pairs.  A
+    body of the wrong shape (a missing key, a value of another type,
+    malformed summary or pairs) raises ``KeyError``, ``TypeError`` or
+    ``ValueError``.
     """
-    counters = {name: payload[name] for name in _COUNTERS}
-    metrics = payload["metrics"]
-    if any(type(v) is not int for v in counters.values()) or (
-        type(metrics) is not dict
-    ):
-        raise TypeError("payload counters must be ints and metrics a dict")
-    summary = payload["summary"]
-    return SweepResult(
-        config=cfg,
-        summary=None if summary is None else FctSummary(**summary),
-        wall_s=wall_s,
-        flow_stats=[(size, fct) for size, fct in payload["flow_stats"]],
-        metrics=metrics,
-        from_cache=from_cache,
-        **counters,
+    blank = ExperimentResult(cfg)
+    fields = {}
+    for name in PAYLOAD_FIELDS:
+        value, default = body[name], getattr(blank, name)
+        if default is None:
+            fields[name] = None if value is None else FctSummary(**value)
+        elif isinstance(default, list):
+            fields[name] = [(size, fct) for size, fct in value]
+        elif type(value) is type(default):
+            fields[name] = value
+        else:
+            raise TypeError(f"payload {name} must be a {type(default).__name__}")
+    return ExperimentResult(
+        cfg, wall_s=wall_s, from_cache=from_cache, **fields
     )
-
-
-def _error_result(cfg: ExperimentConfig, error: SweepError, wall_s: float) -> SweepResult:
-    return SweepResult(config=cfg, wall_s=wall_s, error=error)
 
 
 # -- the on-disk cache ---------------------------------------------------
 
 
-def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR`` or ``benchmarks/.cache`` under the cwd."""
-    return os.environ.get(
-        "REPRO_CACHE_DIR", os.path.join("benchmarks", ".cache")
-    )
+#: where a :class:`ResultCache` built without a root keeps its entries
+DEFAULT_CACHE_DIR = os.path.join("benchmarks", ".cache")
 
 
 class ResultCache:
@@ -280,7 +228,7 @@ class ResultCache:
     """
 
     def __init__(self, root: Union[str, "os.PathLike[str]", None] = None) -> None:
-        self.root = os.fspath(root) if root is not None else default_cache_dir()
+        self.root = os.fspath(root) if root is not None else DEFAULT_CACHE_DIR
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key + ".json")
@@ -332,7 +280,7 @@ class ResultCache:
 
 def _cached_result(
     cache: ResultCache, cfg: ExperimentConfig
-) -> Optional[SweepResult]:
+) -> Optional[ExperimentResult]:
     """The cached result for ``cfg``, or ``None`` on a miss.
 
     An entry whose payload does not decode is a miss too: the sweep
@@ -360,29 +308,36 @@ def _execute_config(cfg: ExperimentConfig) -> Tuple[dict, float]:
     """
     from repro.harness.runner import run_experiment
 
-    res = run_experiment(cfg)
-    cell = SweepResult(
-        config=cfg, summary=res.summary, completed=res.completed,
-        total=res.total, timeouts=res.timeouts,
-        timeouts_small=res.timeouts_small, drops=res.drops, marks=res.marks,
-        sim_ns=res.sim_ns, events=res.events,
-        flow_stats=[(f.size_bytes, f.fct_ns) for f in res.flows if f.completed],
-        metrics=res.metrics, heap_hwm=res.profile.get("heap_hwm", 0),
-    )
-    return cell.payload(), res.wall_s
+    result = run_experiment(cfg)
+    return payload(result), result.wall_s
+
+
+def _job(cfg: ExperimentConfig) -> tuple:
+    """The one job body of both paths: ``("ok", payload, wall_s)``, or
+    ``("error", message, traceback)`` when the run raises."""
+    try:
+        body, wall_s = _execute_config(cfg)
+        return ("ok", body, wall_s)
+    except Exception as exc:
+        return ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
+def _job_result(
+    cfg: ExperimentConfig, msg: tuple, wall_s: float
+) -> ExperimentResult:
+    """The result a job's message stands for; ``wall_s`` times a failure."""
+    if msg[0] == "ok":
+        return _result_from_payload(cfg, msg[1], msg[2], from_cache=False)
+    error = SweepError(kind="exception", message=msg[1], traceback=msg[2])
+    return ExperimentResult(cfg, wall_s=wall_s, error=error)
 
 
 def _child_main(conn, cfg_dict: dict) -> None:
-    """Worker entry point: run one config, ship the payload, exit."""
+    """Worker entry point: run one config, ship the job message, exit."""
     try:
-        cfg = ExperimentConfig(**cfg_dict)
-        payload, wall_s = _execute_config(cfg)
-        conn.send(("ok", payload, wall_s))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # parent already gone
-            pass
+        conn.send(_job(ExperimentConfig(**cfg_dict)))
+    except (BrokenPipeError, OSError):  # parent already gone
+        pass
     finally:
         conn.close()
 
@@ -419,31 +374,22 @@ DispatchFn = Callable[[int, int], None]
 
 def _run_serial(
     configs: Sequence[Tuple[int, ExperimentConfig]],
-    on_result: Callable[[int, SweepResult], None],
+    on_result: Callable[[int, ExperimentResult], None],
     on_dispatch: Optional[DispatchFn] = None,
 ) -> None:
     for idx, cfg in configs:
         if on_dispatch is not None:
             on_dispatch(idx, os.getpid())
         start = time.monotonic()
-        try:
-            payload, wall_s = _execute_config(cfg)
-            result = _result_from_payload(cfg, payload, wall_s, from_cache=False)
-        except Exception as exc:
-            error = SweepError(
-                kind="exception",
-                message=f"{type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-            )
-            result = _error_result(cfg, error, time.monotonic() - start)
-        on_result(idx, result)
+        msg = _job(cfg)
+        on_result(idx, _job_result(cfg, msg, time.monotonic() - start))
 
 
 def _run_parallel(
     configs: Sequence[Tuple[int, ExperimentConfig]],
     processes: int,
     timeout_s: Optional[float],
-    on_result: Callable[[int, SweepResult], None],
+    on_result: Callable[[int, ExperimentResult], None],
     start_method: str = "fork",
     on_dispatch: Optional[DispatchFn] = None,
 ) -> None:
@@ -478,23 +424,16 @@ def _run_parallel(
                 kind="timeout",
                 message=f"worker exceeded {timeout_s}s and was terminated",
             )
-            on_result(idx, _error_result(cfg, error, wall_s))
         elif msg is None:
             error = SweepError(
                 kind="crash",
                 message=f"worker died without a result (exitcode {proc.exitcode})",
                 exitcode=proc.exitcode,
             )
-            on_result(idx, _error_result(cfg, error, wall_s))
-        elif msg[0] == "ok":
-            on_result(
-                idx, _result_from_payload(cfg, msg[1], msg[2], from_cache=False)
-            )
         else:
-            error = SweepError(
-                kind="exception", message="worker raised", traceback=msg[1]
-            )
-            on_result(idx, _error_result(cfg, error, wall_s))
+            on_result(idx, _job_result(cfg, msg, wall_s))
+            return
+        on_result(idx, ExperimentResult(cfg, wall_s=wall_s, error=error))
 
     try:
         while queue or running:
@@ -587,7 +526,7 @@ def run_sweep(
     """
     configs = list(configs)
     stats = SweepStats(total=len(configs))
-    results: List[Optional[SweepResult]] = [None] * len(configs)
+    results: List[Optional[ExperimentResult]] = [None] * len(configs)
     sweep_start = time.monotonic()
     done = {"n": 0}
 
@@ -601,7 +540,7 @@ def run_sweep(
     def on_dispatch(idx: int, worker_pid: int) -> None:
         dispatched[idx] = (wall_ns(), worker_pid)
 
-    def finish(idx: int, result: SweepResult) -> None:
+    def finish(idx: int, result: ExperimentResult) -> None:
         results[idx] = result
         done["n"] += 1
         if result.error is not None:
@@ -611,7 +550,7 @@ def run_sweep(
                 stats.sim_events += result.events
                 stats.run_wall_s += result.wall_s
                 if cache is not None:
-                    cache.put(result.config, result.payload(), result.wall_s)
+                    cache.put(result.config, payload(result), result.wall_s)
         if spans_on:
             now = wall_ns()
             t0, worker_pid = dispatched.pop(idx, (now, 0))
@@ -634,7 +573,7 @@ def run_sweep(
             progress(done["n"], len(configs), result)
 
     to_run: List[Tuple[int, ExperimentConfig]] = []
-    hits: List[Tuple[int, SweepResult]] = []
+    hits: List[Tuple[int, ExperimentResult]] = []
     for idx, cfg in enumerate(configs):
         hit = _cached_result(cache, cfg) if cache is not None else None
         if hit is None:

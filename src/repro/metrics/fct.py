@@ -9,7 +9,7 @@ module reproduces exactly those statistics.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.transport.flow import Flow
 from repro.units import KB, MB
@@ -96,48 +96,41 @@ class FctCollector:
         return len(self.flows)
 
     def summarize(self) -> FctSummary:
-        """Compute the paper's FCT statistics over completed flows.
-
-        With no completed flow every average is ``None``: a run cut short
-        by ``max_sim_ns`` still reports what it did.
-        """
-        all_fcts = [f.fct_ns for f in self.flows]
-        small = [f.fct_ns for f in self.flows if f.size_bytes <= SMALL_MAX_BYTES]
-        large = [f.fct_ns for f in self.flows if f.size_bytes > LARGE_MIN_BYTES]
-        medium = [
-            f.fct_ns
-            for f in self.flows
-            if SMALL_MAX_BYTES < f.size_bytes <= LARGE_MIN_BYTES
-        ]
-        return FctSummary(
-            n_flows=len(all_fcts),
-            avg_all_ns=_mean(all_fcts) if all_fcts else None,
-            avg_small_ns=_mean(small) if small else None,
-            p99_small_ns=percentile(small, 99.0) if small else None,
-            avg_medium_ns=_mean(medium) if medium else None,
-            avg_large_ns=_mean(large) if large else None,
-            n_small=len(small),
-            n_medium=len(medium),
-            n_large=len(large),
-        )
+        """The paper's FCT statistics over the completed flows, taken in
+        completion order."""
+        return summarize((f.size_bytes, f.fct_ns) for f in self.flows)
 
 
-def _mean(values: Iterable[int]) -> float:
-    values = list(values)
-    return sum(values) / len(values)
+def summarize(pairs: Iterable[Tuple[int, int]]) -> FctSummary:
+    """The paper's FCT statistics over ``(size_bytes, fct_ns)`` pairs.
 
-
-def normalized(
-    summaries: Dict[str, FctSummary], baseline: str, field: str
-) -> Dict[str, Optional[float]]:
-    """Each scheme's ``field`` divided by the baseline scheme's (the paper
-    normalizes all FCT plots to TCN = 1.0)."""
-    base = getattr(summaries[baseline], field)
-    out: Dict[str, Optional[float]] = {}
-    for name, summary in summaries.items():
-        value = getattr(summary, field)
-        if value is None or base is None or base == 0:
-            out[name] = None
+    With no pair every average is ``None``: a run cut short by
+    ``max_sim_ns`` still reports what it did.
+    """
+    all_fcts: List[int] = []
+    small: List[int] = []
+    medium: List[int] = []
+    large: List[int] = []
+    for size_bytes, fct_ns in pairs:
+        all_fcts.append(fct_ns)
+        if size_bytes <= SMALL_MAX_BYTES:
+            small.append(fct_ns)
+        elif size_bytes > LARGE_MIN_BYTES:
+            large.append(fct_ns)
         else:
-            out[name] = value / base
-    return out
+            medium.append(fct_ns)
+    return FctSummary(
+        n_flows=len(all_fcts),
+        avg_all_ns=_mean(all_fcts),
+        avg_small_ns=_mean(small),
+        p99_small_ns=percentile(small, 99.0) if small else None,
+        avg_medium_ns=_mean(medium),
+        avg_large_ns=_mean(large),
+        n_small=len(small),
+        n_medium=len(medium),
+        n_large=len(large),
+    )
+
+
+def _mean(values: List[int]) -> Optional[float]:
+    return sum(values) / len(values) if values else None

@@ -1,39 +1,25 @@
 """DSCP-based packet classification (the qdisc prototype's first stage).
 
 The paper's switch classifies packets to queues on the DSCP field set by
-end hosts (§5).  The default mapping is the identity, clamped to the number
-of queues; an explicit table can express anything else (e.g. many services
-folded onto fewer queues).
+end hosts (§5): the DSCP is the queue index, clamped to the number of
+queues.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from repro.net.packet import Packet
 
 
 class DscpClassifier:
-    """Maps ``pkt.dscp`` to a queue index.
+    """Maps ``pkt.dscp`` to a queue index."""
 
-    >>> cls = DscpClassifier(4)
-    >>> pkt = Packet(0, 0, 1, kind=1, seq=0)  # doctest: +SKIP
-    """
+    __slots__ = ("n_queues",)
 
-    __slots__ = ("n_queues", "table")
-
-    def __init__(self, n_queues: int, table: Optional[Dict[int, int]] = None) -> None:
+    def __init__(self, n_queues: int) -> None:
         if n_queues < 1:
             raise ValueError(f"need at least one queue, got {n_queues}")
         self.n_queues = n_queues
-        self.table = table
-        if table is not None:
-            bad = {d: q for d, q in table.items() if not 0 <= q < n_queues}
-            if bad:
-                raise ValueError(f"table maps outside [0,{n_queues}): {bad}")
 
     def __call__(self, pkt: Packet) -> int:
-        if self.table is not None:
-            return self.table.get(pkt.dscp, self.n_queues - 1)
         dscp = pkt.dscp
         return dscp if dscp < self.n_queues else self.n_queues - 1

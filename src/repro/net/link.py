@@ -34,7 +34,7 @@ class Link:
 
     __slots__ = ("dst", "delay_ns")
 
-    def __init__(self, dst: "Node", delay_ns: int) -> None:
+    def __init__(self, dst: Node, delay_ns: int) -> None:
         if delay_ns < 0:
             raise ValueError(f"delay_ns must be >= 0, got {delay_ns}")
         self.dst = dst

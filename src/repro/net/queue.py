@@ -7,7 +7,7 @@ marks/drops on them.  The queue itself never makes policy decisions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.net.packet import Packet
 
@@ -76,10 +76,6 @@ class PacketQueue:
         self.dequeued_pkts += 1
         self.dequeued_bytes += pkt.wire_size
         return pkt
-
-    def head(self) -> Optional[Packet]:
-        """Peek at the head packet without removing it."""
-        return self._pkts[0] if self._pkts else None
 
     def __len__(self) -> int:
         return len(self._pkts)

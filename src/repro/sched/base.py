@@ -82,12 +82,8 @@ def strict_band(queues: List[PacketQueue], n_high: int) -> Sequence[PacketQueue]
     return tuple(queues[:n_high])
 
 
-def make_queues(
-    n: int,
-    weights: Optional[List[float]] = None,
-    quanta: Optional[List[int]] = None,
-) -> List[PacketQueue]:
-    """Convenience constructor for a homogeneous or per-queue-tuned bank.
+def make_queues(n: int, quanta: Optional[List[int]] = None) -> List[PacketQueue]:
+    """Convenience constructor for a bank of equal-weight queues.
 
     >>> qs = make_queues(4, quanta=[1500] * 4)
     >>> [q.index for q in qs]
@@ -96,10 +92,6 @@ def make_queues(
     queues = []
     for i in range(n):
         queues.append(
-            PacketQueue(
-                index=i,
-                weight=weights[i] if weights else 1.0,
-                quantum=quanta[i] if quanta else 1500,
-            )
+            PacketQueue(index=i, quantum=quanta[i] if quanta else 1500)
         )
     return queues

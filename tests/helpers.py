@@ -7,6 +7,7 @@ from typing import List, Optional
 from repro.aqm.base import Aqm
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
+from repro.net.queue import PacketQueue
 from repro.sched.base import Scheduler
 from repro.sched.fifo import FifoScheduler
 from repro.sim.engine import Simulator
@@ -48,6 +49,16 @@ def make_port(
         link=None,
         classify=classify or (lambda pkt: pkt.dscp),
     )
+
+
+def weighted_queues(
+    weights: List[float], quanta: Optional[List[int]] = None
+) -> List[PacketQueue]:
+    """A bank of queues with the given weights (and quanta)."""
+    return [
+        PacketQueue(i, weight=w, quantum=quanta[i] if quanta else 1500)
+        for i, w in enumerate(weights)
+    ]
 
 
 def drain_in_order(scheduler: Scheduler, now: int = 0) -> List[Packet]:

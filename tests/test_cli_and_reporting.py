@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.benchlib import PooledResult, run_schemes_pooled
+from benchmarks.benchlib import pooled, run_schemes_pooled
 from repro.harness.config import ExperimentConfig
 from repro.harness.report import format_fct_rows, format_table
 from repro.harness.runner import run_experiment
@@ -186,16 +186,16 @@ class TestPooledResult:
 
     def test_pools_flows_across_seeds(self):
         runs = self._runs()
-        pooled = PooledResult(runs)
-        assert pooled.summary.n_flows == sum(r.completed for r in runs)
-        assert pooled.completed == pooled.total == 20
+        row = pooled(runs)
+        assert row.summary.n_flows == sum(r.completed for r in runs)
+        assert row.completed == row.total == 20
 
     def test_counters_summed(self):
         runs = self._runs()
-        pooled = PooledResult(runs)
-        assert pooled.drops == sum(r.drops for r in runs)
-        assert pooled.marks == sum(r.marks for r in runs)
-        assert pooled.timeouts == sum(r.timeouts for r in runs)
+        row = pooled(runs)
+        assert row.drops == sum(r.drops for r in runs)
+        assert row.marks == sum(r.marks for r in runs)
+        assert row.timeouts == sum(r.timeouts for r in runs)
 
     def test_run_schemes_pooled_shapes(self):
         out = run_schemes_pooled(

@@ -6,7 +6,6 @@ from repro.metrics.fct import (
     FctCollector,
     SMALL_MAX_BYTES,
     LARGE_MIN_BYTES,
-    normalized,
     percentile,
 )
 from repro.metrics.timeseries import GoodputTracker, OccupancySampler
@@ -84,15 +83,6 @@ class TestFctCollector:
         assert (s.n_flows, s.n_small, s.n_medium, s.n_large) == (0, 0, 0, 0)
         assert s.avg_all_ns is None and s.avg_small_ns is None
         assert s.p99_small_ns is None and s.avg_large_ns is None
-
-    def test_normalized(self):
-        c1, c2 = FctCollector(), FctCollector()
-        c1.on_complete(_flow(1, 10 * KB, 1000))
-        c2.on_complete(_flow(1, 10 * KB, 2500))
-        summaries = {"tcn": c1.summarize(), "red": c2.summarize()}
-        norm = normalized(summaries, "tcn", "avg_small_ns")
-        assert norm["tcn"] == 1.0
-        assert norm["red"] == 2.5
 
 
 class TestGoodputTracker:

@@ -58,14 +58,7 @@ class TestDscpClassifier:
         assert cls(data_pkt(dscp=2)) == 2
         assert cls(data_pkt(dscp=9)) == 3
 
-    def test_explicit_table(self):
-        cls = DscpClassifier(2, table={0: 0, 5: 1})
-        assert cls(data_pkt(dscp=5)) == 1
-        assert cls(data_pkt(dscp=42)) == 1  # unknown -> last queue
-
     def test_table_validation(self):
-        with pytest.raises(ValueError):
-            DscpClassifier(2, table={0: 5})
         with pytest.raises(ValueError):
             DscpClassifier(0)
 
@@ -110,20 +103,6 @@ class TestPinger:
         assert len(ping.rtts_ns) == 10
         # 100 us propagation + 2 probe serializations (~1 us)
         assert all(100 * USEC <= r <= 110 * USEC for r in ping.rtts_ns)
-
-    def test_stop_stops(self):
-        sim = Simulator()
-        nic = make_nic(sim, GBPS, link=None)
-        a = Host(sim, 0, nic)
-        nic.link = Link(a, 0)  # loop to self; irrelevant
-        ping = Pinger(sim, a, 0, flow_id=1, interval_ns=1 * MSEC)
-        ping.start()
-        sim.run(until=3 * MSEC)
-        ping.stop()
-        n = len(ping.rtts_ns)
-        sim.run(until=10 * MSEC)
-        # no new probes are sent; at most one in-flight reply may land
-        assert len(ping.rtts_ns) <= n + 1
 
     def test_validation(self):
         sim = Simulator()

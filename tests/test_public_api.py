@@ -114,9 +114,9 @@ def test_star_import_binds_all_of_repro():
 
 
 def test_results_and_configs_pickle():
-    from repro import ExperimentConfig, SweepResult
+    from repro import ExperimentConfig, ExperimentResult
 
     cfg = ExperimentConfig(scheme="red_std", n_flows=7, seed=3)
     assert pickle.loads(pickle.dumps(cfg)) == cfg
-    result = SweepResult(config=cfg, completed=7, total=7, flow_stats=[(1, 2)])
+    result = ExperimentResult(cfg, completed=7, total=7, flow_stats=[(1, 2)])
     assert pickle.loads(pickle.dumps(result)) == result

@@ -28,15 +28,6 @@ class TestBasics:
         with pytest.raises(IndexError):
             PacketQueue(0).pop()
 
-    def test_head_peeks_without_removing(self):
-        q = PacketQueue(0)
-        q.push(data_pkt(seq=7))
-        assert q.head().seq == 7
-        assert len(q) == 1
-
-    def test_head_empty_is_none(self):
-        assert PacketQueue(0).head() is None
-
 
 class TestStats:
     def test_counters(self):

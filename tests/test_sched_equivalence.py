@@ -23,7 +23,6 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
-from repro.sched.base import make_queues
 from repro.sched.dwrr import DwrrScheduler
 from repro.sched.fifo import FifoScheduler
 from repro.sched.pifo import PifoScheduler, stfq_rank
@@ -31,6 +30,7 @@ from repro.sched.wfq import WfqScheduler
 from repro.sched.wrr import WrrScheduler
 from repro.sim.engine import Simulator
 from repro.units import MBPS
+from tests.helpers import weighted_queues
 
 
 def _pkt(i: int, payload: int) -> Packet:
@@ -270,7 +270,7 @@ def _random_trial(make_real, make_ref, seed, n_queues):
         "quanta": quanta,
         "n_high": max(1, n_queues // 3),
     }
-    queues = make_queues(n_queues, weights=weights, quanta=quanta)
+    queues = weighted_queues(weights, quanta)
     real = make_real(queues, params)
     ref = make_ref(params)
 

@@ -2,7 +2,7 @@
 
 from repro.sched.base import make_queues
 from repro.sched.pifo import PifoScheduler, lstf_rank, stfq_rank
-from tests.helpers import data_pkt, drain_in_order, fill
+from tests.helpers import data_pkt, drain_in_order, fill, weighted_queues
 
 
 class TestRankOrdering:
@@ -34,7 +34,7 @@ class TestStfqRank:
         assert abs(served[0] - served[1]) <= 2 * 1500
 
     def test_weighted(self):
-        s = PifoScheduler(make_queues(2, weights=[3.0, 1.0]), rank_fn=stfq_rank)
+        s = PifoScheduler(weighted_queues([3.0, 1.0]), rank_fn=stfq_rank)
         fill(s, 0, 120)
         fill(s, 1, 120)
         served = {0: 0, 1: 0}

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sched.base import make_queues
 from repro.sched.wfq import WfqScheduler
 from repro.sched.wrr import WrrScheduler
-from tests.helpers import drain_in_order, fill
+from tests.helpers import drain_in_order, fill, weighted_queues
 
 
 def _served_bytes(sched, n_pkts):
@@ -30,7 +30,7 @@ class TestWfq:
         assert order in ([0, 1, 0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0, 1, 0])
 
     def test_weights_shape_shares(self):
-        queues = make_queues(2, weights=[3.0, 1.0])
+        queues = weighted_queues([3.0, 1.0])
         s = WfqScheduler(queues)
         fill(s, 0, 120)
         fill(s, 1, 120)
@@ -66,7 +66,7 @@ class TestWfq:
         assert abs(served[0] - served[1]) <= 2 * 1500
 
     def test_rejects_nonpositive_weight(self):
-        queues = make_queues(2, weights=[1.0, 0.0])
+        queues = weighted_queues([1.0, 0.0])
         with pytest.raises(ValueError):
             WfqScheduler(queues)
 
@@ -83,7 +83,7 @@ class TestWrr:
         assert order == [0, 1, 0, 1, 0, 1]
 
     def test_weight_means_packets_per_turn(self):
-        queues = make_queues(2, weights=[2.0, 1.0])
+        queues = weighted_queues([2.0, 1.0])
         s = WrrScheduler(queues)
         fill(s, 0, 4)
         fill(s, 1, 4)
@@ -117,7 +117,7 @@ class TestWrr:
 def test_property_wfq_shares_track_weights(weights):
     """Backlogged WFQ queues receive service proportional to weight."""
     n = len(weights)
-    s = WfqScheduler(make_queues(n, weights=weights))
+    s = WfqScheduler(weighted_queues(weights))
     for q in range(n):
         fill(s, q, 200)
     served = _served_bytes(s, 150)

@@ -564,3 +564,92 @@ class TestModuleUser:
     def test_allowlist_has_no_stale_entries(self):
         stale = set(ENTRY_MODULES) - self._unused()
         assert not stale, f"imported now, not an entry: {sorted(stale)}"
+
+
+# -- every function, class and method names its user -----------------------
+
+#: definitions that no module, bench, example or registry names, keyed by
+#: ``module.qualname``, with the reason each stays
+UNNAMED_DEFS = {
+    "repro.net.packet.reset_freelist":
+        "test isolation: empties the freelist and zeroes its counters",
+    "repro.sanitize.detach":
+        "test isolation: uninstalls the freelist sanitizer a test armed",
+    "repro.sched.pifo.lstf_rank":
+        "ROADMAP item 9's property draws PIFO ranks from STFQ and LSTF",
+    "repro.sim.fluid.solver.max_min_shares":
+        "the solver's self-contained form, held to tests/fluid_oracle.py",
+}
+
+
+def _definitions(path):
+    """``{qualname: name}`` of every def and class in one file, nested
+    ones included; dunders are called by the language, not by name."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                qualname = scope + (child.name,)
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[".".join(qualname)] = child.name
+                visit(child, qualname)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def _names_spelled(path):
+    """Every identifier one file spells as a name, an attribute or an
+    import alias (a definition's own ``def`` line is none of these)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _registry_strings():
+    """The strings ``harness/schemes.py`` resolves: ``"module:name"``
+    gives ``name``, a config attribute read by name gives itself."""
+    tree = ast.parse((SRC / "harness" / "schemes.py").read_text())
+    return {node.value.rpartition(":")[2] for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+class TestNameUser:
+    """``name-user``: a function, class or method whose name no ``src/repro``
+    module, bench or example spells, and the registry does not resolve,
+    is code only tests reach."""
+
+    def _unused(self):
+        own = sorted(SRC.rglob("*.py"))
+        used = set().union(*map(_names_spelled, own + MODULE_USER_FILES))
+        used |= _registry_strings()
+        unused = set()
+        for path in own:
+            module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+            unused.update(f"{module.removesuffix('.__init__')}.{qualname}"
+                          for qualname, name in _definitions(path).items()
+                          if name not in used)
+        return unused
+
+    def test_scan_sees_nested_defs_and_skips_dunders(self):
+        defs = _definitions(SRC / "net" / "queue.py")
+        assert defs["PacketQueue.pop"] == "pop"
+        assert "PacketQueue.__len__" not in defs
+
+    def test_every_definition_has_a_user(self):
+        unused = self._unused() - set(UNNAMED_DEFS)
+        assert not unused, f"no module, bench or example names {sorted(unused)}"
+
+    def test_allowlist_has_no_stale_entries(self):
+        stale = set(UNNAMED_DEFS) - self._unused()
+        assert not stale, f"named now, not unused: {sorted(stale)}"

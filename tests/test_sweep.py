@@ -14,6 +14,7 @@ from repro.harness.sweep import (
     ResultCache,
     config_fingerprint,
     config_key,
+    payload,
     run_sweep,
 )
 from repro.units import GBPS, KB, MB, MSEC, USEC
@@ -33,7 +34,7 @@ def _grid():
 
 
 def _canon(result):
-    return json.dumps(result.payload(), sort_keys=True)
+    return json.dumps(payload(result), sort_keys=True)
 
 
 def _entry(key, drop=(), **changes):
@@ -119,23 +120,20 @@ _FABRIC_FINGERPRINT = (
 
 
 class TestSerial:
-    def test_matches_run_experiment(self):
+    def test_matches_run_experiment(self, tmp_path):
+        """A serial cell, a parallel cell and a warm-cache hit each ship
+        the payload of the direct run, every field of it."""
         cfg = ExperimentConfig(scheme="tcn", seed=1, **BASE)
         direct = run_experiment(cfg)
-        outcome = run_sweep([cfg], processes=0)
-        res = outcome[0]
-        assert res.ok and not res.from_cache
-        assert res.completed == direct.completed
-        assert res.total == direct.total
-        assert res.drops == direct.drops
-        assert res.marks == direct.marks
-        assert res.sim_ns == direct.sim_ns
-        assert res.events == direct.events
-        assert res.summary.avg_all_ns == direct.summary.avg_all_ns
-        assert res.flow_stats == [
-            (f.size_bytes, f.fct_ns) for f in direct.flows if f.completed
-        ]
-        assert res.all_completed
+        cache = ResultCache(tmp_path)
+        serial = run_sweep([cfg], processes=0, cache=cache)[0]
+        hit = run_sweep([cfg], processes=0, cache=cache)[0]
+        parallel = run_sweep([cfg, cfg], processes=2)
+        assert not serial.from_cache and hit.from_cache
+        assert direct.all_completed and direct.flow_stats
+        for cell in (serial, hit, *parallel):
+            assert cell.ok and cell.config == cfg
+            assert payload(cell) == payload(direct)
 
     def test_results_in_input_order(self):
         configs = _grid()
@@ -156,6 +154,11 @@ class TestSerial:
         assert res.error.kind == "exception"
         assert "injected failure" in res.error.traceback
         assert outcome.stats.errors == 1
+        if HAS_FORK:  # a forked worker runs the same job body: same error
+            parallel = run_sweep(_grid()[:2], processes=2)
+            assert [(r.error.kind, r.error.message) for r in parallel] == [
+                (res.error.kind, res.error.message)
+            ] * 2
 
     def test_progress_callback_fires_per_config(self):
         seen = []
@@ -331,17 +334,26 @@ class TestCache:
 
 
 class TestBenchlibRouting:
-    def test_run_schemes_routes_through_sweep_cache(self, tmp_path, monkeypatch):
+    def test_run_schemes_pooled_routes_through_sweep_cache(
+        self, tmp_path, monkeypatch
+    ):
         from benchmarks import benchlib
 
         monkeypatch.setattr(benchlib, "CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SWEEP_PROCESSES", "0")
-        out = benchlib.run_schemes(("tcn", "red_std"), **BASE)
-        assert set(out) == {"tcn", "red_std"}
-        assert all(not r.from_cache for r in out.values())
-        out2 = benchlib.run_schemes(("tcn", "red_std"), **BASE)
-        assert all(r.from_cache for r in out2.values())
-        assert out["tcn"].summary.avg_all_ns == out2["tcn"].summary.avg_all_ns
+        misses = []
+        real = sweep_mod._execute_config
+
+        def counted(cfg):
+            misses.append(cfg.scheme)
+            return real(cfg)
+
+        monkeypatch.setattr(sweep_mod, "_execute_config", counted)
+        out = benchlib.run_schemes_pooled(("tcn", "red_std"), seeds=(1,), **BASE)
+        assert set(out) == {"tcn", "red_std"} and misses == ["tcn", "red_std"]
+        out2 = benchlib.run_schemes_pooled(("tcn", "red_std"), seeds=(1,), **BASE)
+        assert misses == ["tcn", "red_std"]  # every cell served from cache
+        assert payload(out["tcn"]) == payload(out2["tcn"])
 
     def test_run_schemes_pooled_matches_direct_runs(self, tmp_path, monkeypatch):
         from benchmarks import benchlib
@@ -353,7 +365,7 @@ class TestBenchlibRouting:
             run_experiment(ExperimentConfig(scheme="tcn", seed=s, **BASE))
             for s in (1, 2)
         ]
-        expected = benchlib.PooledResult(direct)
+        expected = benchlib.pooled(direct)
         got = pooled["tcn"]
         assert got.summary.n_flows == expected.summary.n_flows
         assert got.summary.avg_all_ns == expected.summary.avg_all_ns
@@ -372,7 +384,7 @@ class TestBenchlibRouting:
 
         monkeypatch.setattr(sweep_mod, "_execute_config", boom)
         with pytest.raises(RuntimeError, match="sweep failed"):
-            benchlib.run_schemes(("tcn",), **BASE)
+            benchlib.run_schemes_pooled(("tcn",), seeds=(1,), **BASE)
 
 
 class TestSweepCli:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
-from repro.harness.sweep import SweepResult, SweepStats, _result_from_payload
+from repro.harness.sweep import SweepStats, _result_from_payload, payload
 from repro.metrics.fct import FctSummary
 from repro.obs import Tracer
 
@@ -271,17 +271,8 @@ class TestHashSeedDeterminism:
 class TestSweepObservabilityFields:
     def test_payload_round_trips_metrics_and_heap(self):
         result = run_experiment(ExperimentConfig(**_CFG))
-        sr = SweepResult(
-            config=result.config,
-            summary=result.summary,
-            completed=result.completed,
-            total=result.total,
-            metrics=result.metrics,
-            heap_hwm=result.profile["heap_hwm"],
-        )
-        payload = sr.payload()
         back = _result_from_payload(
-            result.config, payload, wall_s=0.0, from_cache=True
+            result.config, payload(result), wall_s=0.0, from_cache=True
         )
         assert back.metrics == result.metrics
         assert back.heap_hwm == result.profile["heap_hwm"] > 0
